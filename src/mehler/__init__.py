@@ -56,7 +56,7 @@ from .kernel import (
     mehler_log_values,
 )
 from .lognum import LogNumber, log_diff_exp, log_sum_weighted
-from .measure import gamma_log, log_gamma_interval
+from .measure import gamma_log, log_gamma_ball, log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -110,6 +110,7 @@ __all__ = [
     "is_admissible",
     "lemma_lower_bound_log",
     "log_diff_exp",
+    "log_gamma_ball",
     "log_gamma_interval",
     "log_sum_weighted",
     "lq_norm_log",

@@ -9,6 +9,13 @@ along the family of maximal admissible balls B = B(c, |c|^{-1}).  If the
 template held with any finite constant, this quotient would stay bounded
 over the family; below the failure threshold its log grows linearly in
 |c_B|^2 with a slope predicted in closed form.
+
+The left side is one quadrature over the annulus C_k(B).  Its integrand
+e^{tL} 1_B(y) comes from the translation route: it equals the Gaussian
+measure of the ball B((c - e^{-t} y)/s, r/s), s = sqrt(1 - e^{-2t}),
+which ``measure.log_gamma_ball`` evaluates for many nodes in one call.
+The kernel-form quadrature ``kernel.apply_indicator_log`` stays an
+independent route and is not used here.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from .geometry import (
     make_maximal_admissible_ball,
     set_distance,
 )
-from .kernel import apply_indicator_log, apply_via_translation, check_time
+from .kernel import _time_factors, apply_via_translation, check_time
 from .lognum import LogNumber
-from .measure import gamma_log
+from .measure import gamma_log, log_gamma_ball
 from .quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_gamma_log, lq_norm_log
 
 __all__ = [
@@ -53,6 +60,10 @@ __all__ = [
     "davies_gaffney_check",
     "regime_map",
 ]
+
+# annulus nodes per call of the inner ball-measure step: bounds the
+# (nodes x theta-order) arrays it builds
+INNER_CHUNK = 8192
 
 FAILS_RESTRICTED = "fails_restricted"
 HOLDS_UNRESTRICTED = "holds_unrestricted"
@@ -136,15 +147,21 @@ def fit_affine(x, y) -> tuple[float, float]:
 
 def _annulus_lq_log(t: float, q: float, ball: Ball, k: int,
                     spec: QuadratureSpec | None) -> LogNumber:
-    # ( integral_{C_k(B)} (e^{tL} 1_B)^q dgamma )^{1/q}, kernel-form
-    # route at every annulus node, no admissibility constraints
+    # ( integral_{C_k(B)} (e^{tL} 1_B)^q dgamma )^{1/q}, no admissibility
+    # constraints; e^{tL} 1_B(y) = gamma(B((c - e^{-t} y)/s, r/s)) with
+    # s = sqrt(1 - e^{-2t}), the translation route
     annulus = Annulus(ball, int(k))
+    em, one_minus, _ = _time_factors(t)
+    s = math.sqrt(one_minus)
 
     def g_log(pts):
-        return np.array([
-            apply_indicator_log(t, ball, row, spec).log_magnitude
-            for row in pts
-        ])
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], INNER_CHUNK):
+            y = pts[start:start + INNER_CHUNK]
+            norms = np.linalg.norm(ball.center - em * y, axis=-1) / s
+            out[start:start + INNER_CHUNK] = log_gamma_ball(
+                norms, ball.radius / s, ball.dim, spec)
+        return out
 
     return lq_norm_log(g_log, annulus, q, spec)
 
@@ -154,8 +171,9 @@ def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
     """Log of  ( integral_{C_k(B)} (e^{tL} 1_B)^q dgamma )^{1/q}.
 
     B must be a maximal admissible ball with |c_B| >= 2^k (the testing
-    family of the negative result).  The integrand is produced by the
-    kernel-form route at every annulus node.
+    family of the negative result).  The integrand e^{tL} 1_B(y) at the
+    annulus nodes is the gamma measure of a translated ball (the
+    translation route), evaluated by ``log_gamma_ball`` in batches.
     """
     t = check_time(t)
     _require_testing_family(ball, k)

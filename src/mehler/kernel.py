@@ -17,9 +17,11 @@ which yields the translation route
     e^{tL} f(x) = integral f(e^{-t} x + sqrt(1 - e^{-2t}) u) dgamma(u)
 
 used here as an independent cross-check against the kernel-form
-quadrature.  The kernel is evaluated only in log domain: the linear
-value overflows once the exponent passes ~709, and the blow-up
-experiments push exponents toward 900.
+quadrature.  For the indicator of a ball it gives the Gaussian measure
+of a translated ball (``measure.log_gamma_ball``), which is how the
+sweeps in ``experiments`` evaluate e^{tL} 1_B.  The kernel is evaluated
+only in log domain: the linear value overflows once the exponent passes
+~709, and the blow-up experiments push exponents toward 900.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .measure import log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
+    _check_node_budget,
     _fullspace_nodes,
     integrate_gamma_log,
 )
@@ -193,6 +196,7 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
     prev = None
     cur = None
     for _ in range(spec.max_refinements + 1):
+        _check_node_budget(n, order, order ** n, (prev, cur))
         pts, lw = _fullspace_nodes(n, order)
         vals = np.asarray(f(em * xv[None, :] + s * pts), dtype=float)
         prev, cur = cur, float(np.sum(vals * np.exp(lw)))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = ["LogNumber", "log_diff_exp", "log_sum_weighted"]
 
@@ -183,15 +182,23 @@ def log_diff_exp(a: float, b: float) -> float:
     return a + math.log(-math.expm1(b - a))
 
 
-def log_sum_weighted(log_values, log_weights=None) -> float:
+def log_sum_weighted(log_values, log_weights=None, axis=None):
     """log(sum_i exp(log_values_i + log_weights_i)) for nonnegative terms.
 
     Safe for log magnitudes up to ~1700 and far beyond: the reduction
-    shifts by the maximum before exponentiating.
+    shifts by the maximum before exponentiating.  With ``axis=None`` the
+    sum runs over every entry and the result is a float; otherwise it
+    runs along ``axis`` and the result is an array.
     """
     a = np.asarray(log_values, dtype=float)
     if log_weights is not None:
         a = a + np.asarray(log_weights, dtype=float)
     if a.size == 0:
         return -math.inf
-    return float(logsumexp(a))
+    top = np.max(a, axis=axis, keepdims=True)
+    # a maximum of -inf (all terms zero), +inf or NaN is the result as is
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(np.sum(np.exp(a - shift), axis=axis,
+                                    keepdims=True))
+    return float(out.reshape(())) if axis is None else np.squeeze(out, axis)

@@ -2,8 +2,13 @@
 
 gamma(S) = integral_S pi^{-n/2} exp(-|x|^2) dx.  One-dimensional sets go
 through the error-function closed form evaluated via the normal log-CDF,
-which keeps full relative precision for magnitudes like exp(-900); in
-n = 2, 3 the measure is produced by the polar log-domain engine.
+which keeps full relative precision for magnitudes like exp(-900).
+
+Two routes serve n = 2, 3.  ``log_gamma_ball`` is array-valued over the
+center distance and reduces a ball to a one-dimensional integral along
+its axis (closed-form transverse slices); the sweep evaluates
+e^{tL} 1_B at every annulus node through it.  ``gamma_log`` integrates
+balls and annuli with the polar log-domain engine.
 """
 
 from __future__ import annotations
@@ -14,41 +19,116 @@ import numpy as np
 from scipy.special import erf, log_ndtr
 
 from .geometry import Annulus, Ball, FullSpace
-from .lognum import LogNumber, log_diff_exp
-from .quadrature import QuadratureSpec, integrate_gamma_log
+from .lognum import LogNumber, log_sum_weighted
+from .quadrature import (
+    QuadratureConvergenceError,
+    QuadratureSpec,
+    _check_node_budget,
+    _legendre_rule,
+    _log_rel_converged,
+    integrate_gamma_log,
+)
 
-__all__ = ["log_gamma_interval", "gamma_log"]
+__all__ = ["log_gamma_interval", "log_gamma_ball", "gamma_log"]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
-def log_gamma_interval(a: float, b: float) -> float:
+def log_gamma_interval(a, b):
     """log gamma([a, b]) in one dimension; endpoints may be infinite.
 
     Equivalent to log((erf(b) - erf(a)) / 2) but evaluated through tail
     log-CDFs so intervals deep in either tail keep relative precision.
+    Array-valued: ``a`` and ``b`` broadcast, and scalar endpoints give a
+    float.
     """
-    a, b = float(a), float(b)
-    if math.isnan(a) or math.isnan(b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    if np.isnan(a).any() or np.isnan(b).any():
         raise ValueError("interval endpoints must not be NaN")
-    if b < a:
+    if (b < a).any():
         raise ValueError("interval needs a <= b")
-    if a == b:
-        return -math.inf
-    if a == -math.inf and b == math.inf:
-        return 0.0
-    if a == -math.inf:
-        return log_gamma_interval(-b, math.inf)
-    if b == math.inf:
-        return float(log_ndtr(-_SQRT2 * a))
-    if a >= 0.0:
-        # right tail: gamma([a,b]) = Q(a) - Q(b) with Q(x) = Phi(-sqrt(2) x)
-        return log_diff_exp(float(log_ndtr(-_SQRT2 * a)),
-                            float(log_ndtr(-_SQRT2 * b)))
-    if b <= 0.0:
-        return log_gamma_interval(-b, -a)
-    # straddles the origin: the two halves add, no cancellation
-    return math.log(0.5 * (float(erf(b)) + float(erf(-a))))
+    # reflect intervals in the left half-line into the right one
+    flip = b <= 0.0
+    lo = np.where(flip, -b, a)
+    hi = np.where(flip, -a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # right tail: gamma([lo, hi]) = Q(lo) - Q(hi), Q(x) = Phi(-sqrt(2) x)
+        upper = log_ndtr(-_SQRT2 * lo)
+        tail = upper + np.log(-np.expm1(log_ndtr(-_SQRT2 * hi) - upper))
+        # straddles the origin: the two halves add, no cancellation
+        middle = np.log(0.5 * (erf(hi) + erf(-lo)))
+    out = np.where(hi == math.inf, upper, np.where(lo >= 0.0, tail, middle))
+    out = np.where(a == b, -math.inf, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def log_gamma_ball(center_norms, radius: float, n: int,
+                   spec: QuadratureSpec | None = None):
+    """log gamma_n(B(m, radius)) for every |m| in ``center_norms``.
+
+    gamma is rotation invariant, so only the distance a = |m| of the
+    center matters.  In n = 1 this is the interval (a - radius,
+    a + radius).  In n = 2, 3, with the axis along m and
+    x = a + radius cos(theta),
+
+        gamma_n(B) = int_0^pi pi^{-1/2} exp(-(a + radius cos theta)^2)
+                     F_{n-1}(radius^2 sin^2 theta) radius sin theta dtheta,
+
+    where F_{n-1}(u) = erf(sqrt u) (n = 2) or -expm1(-u) (n = 3) is the
+    measure of the (n-1)-ball of squared radius u in the transverse
+    slice.  Every term is positive, so Gauss-Legendre nodes in theta are
+    summed by log-sum-exp; the order doubles from ``spec.order`` until
+    every entry changes by less than max(spec.tol / 100, 1e-12)
+    relative.  A pass over more than ``quadrature.MAX_NODES`` (center,
+    node) pairs raises instead, so callers with many centers pass them
+    in chunks.  This is gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2), the
+    noncentral chi-square CDF, kept in log domain far below exp(-700).
+    """
+    norms = np.asarray(center_norms, dtype=float)
+    radius = float(radius)
+    if not radius > 0.0 or not math.isfinite(radius):
+        raise ValueError("radius must be positive and finite")
+    if n == 1:
+        return log_gamma_interval(norms - radius, norms + radius)
+    if n not in (2, 3):
+        raise ValueError("supported dimensions are 1..3")
+    spec = spec if spec is not None else QuadratureSpec()
+    tol = max(spec.tol * 1e-2, 1e-12)
+    order = spec.order
+    _check_node_budget(n, order, norms.size * order, (None, None))
+    cur = _log_ball_slices(norms, radius, n, order)
+    for _ in range(spec.max_refinements):
+        order *= 2
+        _check_node_budget(n, order, norms.size * order,
+                           (float(np.min(cur)), float(np.max(cur))))
+        prev, cur = cur, _log_ball_slices(norms, radius, n, order)
+        if _log_rel_converged(cur, prev, tol):
+            return cur
+    # report the entry that moved most in the last doubling
+    prev, cur, norms = np.ravel(prev), np.ravel(cur), np.ravel(norms)
+    with np.errstate(invalid="ignore"):
+        worst = int(np.argmax(np.abs(cur - prev)))
+    raise QuadratureConvergenceError(
+        f"ball measure in n = {n} did not converge to relative tolerance "
+        f"{tol} after {spec.max_refinements} order doublings (order {order}, "
+        f"radius {radius}, center distance {norms[worst]}); last two log "
+        f"values ({prev[worst]}, {cur[worst]})",
+        (float(prev[worst]), float(cur[worst])))
+
+
+def _log_ball_slices(norms, radius: float, n: int, order: int):
+    # Gauss-Legendre in theta on [0, pi], one row of nodes per center
+    nodes, logw = _legendre_rule(order)
+    theta = 0.5 * math.pi * (nodes + 1.0)
+    sin_t = np.sin(theta)
+    x = norms[..., None] + radius * np.cos(theta)
+    u = (radius * sin_t) ** 2
+    log_slice = np.log(erf(np.sqrt(u))) if n == 2 else np.log(-np.expm1(-u))
+    log_terms = (logw + math.log(0.5 * math.pi * radius) - _LOG_SQRT_PI
+                 + np.log(sin_t) + log_slice - x * x)
+    return log_sum_weighted(log_terms, axis=-1)
 
 
 def _gamma_log_1d(region) -> float:

@@ -12,7 +12,8 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
   (the trapezoid rule is spectrally accurate for periodic integrands).
 
 Accumulation is log-sum-exp throughout, and refinement doubles the order
-until the relative change of the value drops below the tolerance.
+until the relative change of the value drops below the tolerance.  A
+pass that would build more than ``MAX_NODES`` nodes raises instead.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .geometry import Annulus, Ball, FullSpace
 from .lognum import LogNumber, log_sum_weighted
 
 __all__ = [
-    "SCHEMES",
     "QuadratureSpec",
     "QuadratureConvergenceError",
     "default_tolerance",
@@ -38,9 +38,13 @@ __all__ = [
     "gauss_hermite_gamma_nodes",
 ]
 
-SCHEMES = ("gauss_hermite", "gauss_legendre", "polar_product")
-
 MAX_DIM = 3
+
+# Largest node set one refinement pass may build.  A doubling multiplies
+# the node count by 2^n, so in n = 3 the refinement cap alone would let a
+# non-converging integrand allocate gigabytes; polar grids stay below
+# this cap up to order 80 in n = 3 and order 724 in n = 2.
+MAX_NODES = 2 ** 20
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
@@ -58,22 +62,18 @@ def default_tolerance() -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme, base order, relative tolerance and refinement cap.
+    """Base order, relative tolerance and refinement cap.
 
-    ``scheme=None`` selects the scheme matching the domain (Gauss-Hermite
-    on the full space, Gauss-Legendre on intervals, the polar product on
-    balls and annuli in n >= 2); an explicit scheme is validated against
-    the domain it is used on.
+    The domain selects the node family: Gauss-Hermite on the full space,
+    Gauss-Legendre on intervals, the polar product on balls and annuli in
+    n >= 2.
     """
 
-    scheme: str | None = None
     order: int = 16
     tol: float = field(default_factory=default_tolerance)
     max_refinements: int = 12
 
     def __post_init__(self):
-        if self.scheme is not None and self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
         if int(self.order) != self.order or self.order < 2:
             raise ValueError("order must be an integer >= 2")
         if not (0.0 < self.tol < 1.0):
@@ -207,32 +207,40 @@ def _nodes_for(region, order: int):
     return _polar_nodes(center, ri, ro, n, order)
 
 
-def _required_scheme(region) -> str:
+def _node_count(region, order: int) -> int:
+    # the size of _nodes_for(region, order), known before building it
+    n = region.dim
     if isinstance(region, FullSpace):
-        return "gauss_hermite"
-    if region.dim == 1:
-        return "gauss_legendre"
-    return "polar_product"
+        return order ** n
+    if n == 1:
+        return order * len(_intervals_1d(region))
+    return 2 * order ** n
 
 
-def _check_region(region, spec: QuadratureSpec):
+def _check_node_budget(n: int, order: int, count: int, last_two) -> None:
+    """Raise before a refinement pass would build more than MAX_NODES nodes."""
+    if count > MAX_NODES:
+        raise QuadratureConvergenceError(
+            f"refinement in n = {n} would build {count} nodes at order "
+            f"{order}, above the cap of {MAX_NODES}; last two values {last_two}",
+            last_two)
+
+
+def _check_region(region):
     if not isinstance(region, (Ball, Annulus, FullSpace)):
         raise TypeError(f"cannot integrate over {type(region).__name__}")
     if region.dim > MAX_DIM:
         raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {region.dim}")
-    required = _required_scheme(region)
-    if spec.scheme is not None and spec.scheme != required:
-        raise ValueError(
-            f"scheme {spec.scheme!r} does not match this domain (needs {required!r})")
 
 
-def _log_rel_converged(cur: float, prev: float, tol: float) -> bool:
-    if cur == prev:  # covers the exactly-zero (-inf) case
-        return True
-    if math.isinf(cur) or math.isinf(prev):
-        return False
-    with np.errstate(over="ignore"):
-        return bool(abs(np.expm1(cur - prev)) <= tol)
+def _log_rel_converged(cur, prev, tol: float) -> bool:
+    """True when every entry of cur moved from prev by <= tol relative."""
+    cur = np.asarray(cur, dtype=float)
+    prev = np.asarray(prev, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # equality covers the exactly-zero (-inf) case; inf - inf is NaN
+        ok = (cur == prev) | (np.abs(np.expm1(cur - prev)) <= tol)
+    return bool(np.all(ok))
 
 
 # -- engine ------------------------------------------------------------
@@ -249,7 +257,8 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     region : Ball | Annulus | FullSpace
         Integration domain, dimension <= 3.
     spec : QuadratureSpec, optional
-        Scheme/order/tolerance; defaults are shared across the package.
+        Order/tolerance/refinement cap; defaults are shared across the
+        package.
     history : list, optional
         When given, one (order, log_value) tuple is appended per
         refinement step; a convergence-inspection hook.
@@ -258,14 +267,17 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     ------
     QuadratureConvergenceError
         When ``max_refinements`` order doublings do not bring the
-        relative change below ``tol``; carries the last two iterates.
+        relative change below ``tol``, or when the next pass would build
+        more than ``MAX_NODES`` nodes; carries the last two iterates.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    _check_region(region, spec)
+    _check_region(region)
     order = spec.order
     prev = None
     cur = None
     for _ in range(spec.max_refinements + 1):
+        _check_node_budget(region.dim, order, _node_count(region, order),
+                          (prev, cur))
         pts, lw = _nodes_for(region, order)
         vals = np.asarray(f_log(pts), dtype=float)
         if vals.shape != (pts.shape[0],):

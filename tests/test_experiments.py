@@ -27,8 +27,9 @@ from mehler.experiments import (
     sweep_blowup,
 )
 from mehler.geometry import Annulus, Ball, make_maximal_admissible_ball
+from mehler.kernel import apply_indicator_log
 from mehler.measure import gamma_log
-from mehler.quadrature import QuadratureSpec
+from mehler.quadrature import QuadratureSpec, lq_norm_log
 
 HYP12 = OffDiagHypothesis(p=1.0, q=2.0)
 
@@ -40,6 +41,26 @@ def test_offdiag_requires_testing_family():
         offdiag_lhs_log(0.5, 2.0, make_maximal_admissible_ball([3.0]), 2)
     with pytest.raises(ValueError):
         offdiag_lhs_log(0.5, 2.0, make_maximal_admissible_ball([8.0]), 0)
+
+
+def _nested_kernel_form_lhs_log(t, q, ball, k, spec):
+    # the sweep's former path, kept as the oracle: a full kernel-form
+    # quadrature of e^{tL} 1_B at every annulus node
+    def g_log(pts):
+        return np.array([apply_indicator_log(t, ball, row, spec).log_magnitude
+                         for row in pts])
+
+    return lq_norm_log(g_log, Annulus(ball, k), q, spec).log_magnitude
+
+
+@pytest.mark.parametrize("n, c, order", [
+    (1, 4.0, 16), (1, 30.0, 16), (2, 4.0, 16), (2, 12.0, 16), (3, 4.0, 3)])
+def test_offdiag_matches_nested_kernel_form(n, c, order):
+    ball = make_maximal_admissible_ball(np.r_[c, np.zeros(n - 1)])
+    spec = QuadratureSpec(order=order)
+    got = offdiag_lhs_log(0.5, 2.0, ball, 1, spec).log_magnitude
+    want = _nested_kernel_form_lhs_log(0.5, 2.0, ball, 1, spec)
+    assert got == pytest.approx(want, rel=1e-7)
 
 
 def test_offdiag_large_time_limit():

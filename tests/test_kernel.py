@@ -19,7 +19,7 @@ from mehler.kernel import (
     mehler_log,
     mehler_log_values,
 )
-from mehler.quadrature import QuadratureSpec
+from mehler.quadrature import MAX_NODES, QuadratureConvergenceError, QuadratureSpec
 
 
 def test_value_at_origin_pair():
@@ -172,3 +172,18 @@ def test_translation_route_dimension_cap():
     with pytest.raises(ValueError):
         apply_via_translation(1.0, lambda pts: np.ones(len(pts)),
                               np.zeros(4))
+
+
+def test_translation_route_work_is_capped():
+    # seeded noise never converges; the tensor grid in n = 3 must stop
+    # at the node cap instead of growing by 8x per doubling
+    rng = np.random.default_rng(5)
+    sizes = []
+
+    def noise(pts):
+        sizes.append(len(pts))
+        return rng.normal(size=len(pts))
+
+    with pytest.raises(QuadratureConvergenceError, match="order 128"):
+        apply_via_translation(0.5, noise, np.zeros(3))
+    assert max(sizes) <= MAX_NODES

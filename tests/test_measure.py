@@ -8,13 +8,16 @@ balls in n = 2, 3.
 
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erf
+from scipy.stats import ncx2
 
 from mehler.geometry import Annulus, Ball, FullSpace
-from mehler.measure import gamma_log, log_gamma_interval
-from mehler.quadrature import QuadratureSpec
+from mehler.measure import gamma_log, log_gamma_ball, log_gamma_interval
+from mehler.quadrature import MAX_NODES, QuadratureConvergenceError, QuadratureSpec
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -154,3 +157,65 @@ def test_2d_annulus_as_ball_difference():
 def test_unsupported_dimension():
     with pytest.raises(ValueError):
         gamma_log(Ball([0.0, 0.0, 0.0, 0.0], 1.0))
+
+
+def test_interval_measure_is_array_valued():
+    a = np.array([-math.inf, -3.0, -0.5, 0.0, 2.0, 7.5, 1.0])
+    b = np.array([math.inf, -2.0, 0.25, 0.0, 2.5, math.inf, 1.0])
+    got = log_gamma_interval(a, b)
+    assert isinstance(log_gamma_interval(0.0, 1.0), float)
+    assert got.shape == a.shape
+    for i in range(a.size):
+        assert got[i] == log_gamma_interval(a[i], b[i])
+    with pytest.raises(ValueError):
+        log_gamma_interval(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_measure_matches_noncentral_chi2(n):
+    # gamma_n(B(m, rho)) = P(chi'^2_n(2 |m|^2) <= 2 rho^2); scipy's log-CDF
+    # is trusted only above -600, below that it loses precision to -inf
+    norms = np.linspace(0.0, 30.0, 61)
+    for rho in (0.03, 0.3, 1.2):
+        got = log_gamma_ball(norms, rho, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = ncx2.logcdf(2.0 * rho * rho, n, 2.0 * norms * norms)
+        keep = want > -600.0
+        assert keep.sum() >= 20
+        assert np.all(np.abs(got[keep] - want[keep]) <= 1e-12)
+        assert np.all(np.isfinite(got)) and got.min() < -800.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_measure_matches_polar_engine(n):
+    for c in (0.0, 1.3, 8.0, 20.0, 30.0):
+        for rho in (0.03, 0.3, 1.2):
+            polar = gamma_log(Ball(np.r_[c, np.zeros(n - 1)], rho)).log_magnitude
+            got = float(log_gamma_ball(c, rho, n))
+            assert got == pytest.approx(polar, rel=1e-12)
+
+
+def test_ball_measure_depends_on_center_norm_only():
+    norms = np.array([[0.0, 2.5], [9.0, 27.0]])
+    for n in (1, 2, 3):
+        got = log_gamma_ball(norms, 0.4, n)
+        assert got.shape == norms.shape
+        for c, value in zip(norms.ravel(), got.ravel()):
+            center = np.r_[np.zeros(n - 1), c]
+            assert value == pytest.approx(
+                gamma_log(Ball(center, 0.4)).log_magnitude, rel=1e-12)
+
+
+def test_ball_measure_raises_when_refinement_runs_out():
+    # order 2 with one doubling cannot resolve 1e-12 relative
+    spec = QuadratureSpec(order=2, tol=1e-10, max_refinements=1)
+    with pytest.raises(QuadratureConvergenceError):
+        log_gamma_ball(np.array([0.0, 6.0]), 1.2, 3, spec)
+    # a pass over more (center, node) pairs than the cap is never built
+    with pytest.raises(QuadratureConvergenceError, match="nodes at order 16"):
+        log_gamma_ball(np.zeros(MAX_NODES // 8), 0.3, 2)
+    with pytest.raises(ValueError):
+        log_gamma_ball(np.array([1.0]), 0.0, 2)
+    with pytest.raises(ValueError):
+        log_gamma_ball(np.array([1.0]), 1.0, 4)

@@ -10,6 +10,7 @@ from mehler.kernel import mehler_log_values
 from mehler.lognum import log_sum_weighted
 from mehler.measure import log_gamma_interval
 from mehler.quadrature import (
+    MAX_NODES,
     QuadratureConvergenceError,
     QuadratureSpec,
     gauss_hermite_gamma_nodes,
@@ -19,7 +20,7 @@ from mehler.quadrature import (
 
 
 def test_spec_validation():
-    QuadratureSpec(scheme="gauss_hermite", order=8, tol=1e-6, max_refinements=3)
+    QuadratureSpec(order=8, tol=1e-6, max_refinements=3)
     with pytest.raises(ValueError):
         QuadratureSpec(order=1)
     with pytest.raises(ValueError):
@@ -27,17 +28,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(tol=1.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(scheme="monte_carlo")
-    with pytest.raises(ValueError):
         QuadratureSpec(max_refinements=0)
-
-
-def test_scheme_must_match_domain():
-    spec = QuadratureSpec(scheme="gauss_hermite")
-    with pytest.raises(ValueError):
-        integrate_gamma_log(lambda p: np.zeros(len(p)), Ball([0.0], 1.0), spec)
-    # and the matching scheme is accepted
-    integrate_gamma_log(lambda p: np.zeros(len(p)), FullSpace(1), spec)
 
 
 def test_constant_one_over_full_space():
@@ -115,6 +106,25 @@ def test_convergence_error_carries_last_iterates():
                             FullSpace(1), spec)
     last_two = err.value.last_two
     assert len(last_two) == 2 and all(math.isfinite(v) for v in last_two)
+
+
+def test_refinement_work_is_capped_before_allocation():
+    # seeded noise never converges; in n = 3 the cap, not max_refinements,
+    # must stop the doubling before a pass larger than MAX_NODES is built
+    rng = np.random.default_rng(11)
+    sizes = []
+
+    def noise(pts):
+        sizes.append(len(pts))
+        return rng.normal(size=len(pts))
+
+    with pytest.raises(QuadratureConvergenceError) as err:
+        integrate_gamma_log(noise, Ball([0.5, 0.0, 0.0], 1.0))
+    assert max(sizes) <= MAX_NODES
+    assert len(sizes) < QuadratureSpec().max_refinements + 1
+    message = str(err.value)
+    assert "n = 3" in message and "order 128" in message
+    assert str(2 * 128 ** 3) in message
 
 
 def test_lq_norm_of_constant():
