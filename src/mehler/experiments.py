@@ -35,7 +35,7 @@ from .geometry import (
     make_maximal_admissible_ball,
     set_distance,
 )
-from .kernel import _time_factors, apply_via_translation, check_time
+from .kernel import _time_factors, _translation_log_values, check_time
 from .lognum import LogNumber
 from .measure import gamma_log, log_gamma_ball
 from .quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_gamma_log, lq_norm_log
@@ -61,8 +61,9 @@ __all__ = [
     "regime_map",
 ]
 
-# annulus nodes per call of the inner ball-measure step: bounds the
-# (nodes x theta-order) arrays it builds
+# outer nodes per call of an inner step (the ball measure of the sweeps,
+# the translation pass of the hypercheck): bounds the (nodes x inner
+# order) arrays it builds
 INNER_CHUNK = 8192
 
 FAILS_RESTRICTED = "fails_restricted"
@@ -145,6 +146,14 @@ def fit_affine(x, y) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
+def _in_chunks(inner, pts):
+    # an inner step over the outer nodes, INNER_CHUNK nodes per call
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], INNER_CHUNK):
+        out[start:start + INNER_CHUNK] = inner(pts[start:start + INNER_CHUNK])
+    return out
+
+
 def _annulus_lq_log(t: float, q: float, ball: Ball, k: int,
                     spec: QuadratureSpec | None) -> LogNumber:
     # ( integral_{C_k(B)} (e^{tL} 1_B)^q dgamma )^{1/q}, no admissibility
@@ -154,16 +163,11 @@ def _annulus_lq_log(t: float, q: float, ball: Ball, k: int,
     em, one_minus, _ = _time_factors(t)
     s = math.sqrt(one_minus)
 
-    def g_log(pts):
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], INNER_CHUNK):
-            y = pts[start:start + INNER_CHUNK]
-            norms = np.linalg.norm(ball.center - em * y, axis=-1) / s
-            out[start:start + INNER_CHUNK] = log_gamma_ball(
-                norms, ball.radius / s, ball.dim, spec)
-        return out
+    def g_log(y):
+        norms = np.linalg.norm(ball.center - em * y, axis=-1) / s
+        return log_gamma_ball(norms, ball.radius / s, ball.dim, spec)
 
-    return lq_norm_log(g_log, annulus, q, spec)
+    return lq_norm_log(lambda pts: _in_chunks(g_log, pts), annulus, q, spec)
 
 
 def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
@@ -265,8 +269,12 @@ def hypercontractivity_check(t: float, p: float, lam: float,
 
     The closed form is exp(lam^2 (1 + e^{-2t} - p) / 4): equal to 1 at
     the threshold p = 1 + e^{-2t}, below 1 above it, above 1 below it.
-    The numeric ratio recomputes both norms by quadrature, applying the
-    semigroup through the translation route.
+    The numeric ratio recomputes both norms by Gauss-Hermite quadrature
+    and uses no closed form.  The semigroup is applied through the
+    translation route, for all outer nodes at once: one log-domain pass
+    over (outer node x inner node) arrays per inner order
+    (``kernel._translation_log_values`` with log f = lam x), in chunks of
+    ``INNER_CHUNK`` outer nodes, refined to max(tol / 100, 1e-12).
     """
     t = check_time(t)
     p = float(p)
@@ -281,15 +289,12 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     inner = replace(spec, tol=max(spec.tol * 1e-2, 1e-12))
     full = FullSpace(1)
 
-    def f(pts):
-        return np.exp(lam * pts[:, 0])
+    def log_sq_applied(x):
+        return 2.0 * _translation_log_values(t, lambda z: lam * z, x[:, 0],
+                                             inner)
 
-    def log_sq_applied(pts):
-        vals = np.array([apply_via_translation(t, f, row, inner)
-                         for row in pts])
-        return 2.0 * np.log(vals)
-
-    norm2_log = integrate_gamma_log(log_sq_applied, full, spec).log_magnitude / 2.0
+    norm2_log = integrate_gamma_log(lambda pts: _in_chunks(log_sq_applied, pts),
+                                    full, spec).log_magnitude / 2.0
     normp_log = integrate_gamma_log(lambda pts: p * lam * pts[:, 0],
                                     full, spec).log_magnitude / p
     return HypercontractivityResult(closed, math.exp(norm2_log - normp_log))

@@ -19,9 +19,14 @@ which yields the translation route
 used here as an independent cross-check against the kernel-form
 quadrature.  For the indicator of a ball it gives the Gaussian measure
 of a translated ball (``measure.log_gamma_ball``), which is how the
-sweeps in ``experiments`` evaluate e^{tL} 1_B.  The kernel is evaluated
-only in log domain: the linear value overflows once the exponent passes
-~709, and the blow-up experiments push exponents toward 900.
+sweeps in ``experiments`` evaluate e^{tL} 1_B.  For a smooth positive f
+given by log f, ``_translation_log_values`` evaluates the same average
+at many points x in one log-domain Gauss-Hermite pass per order; the
+hypercontractivity check applies the semigroup that way.  The scalar
+QUADPACK route ``apply_via_translation`` stays the independent
+cross-check.  The kernel is evaluated only in log domain: the linear
+value overflows once the exponent passes ~709, and the blow-up
+experiments push exponents toward 900.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ import numpy as np
 from scipy import integrate
 
 from .geometry import Ball, as_point
-from .lognum import LogNumber
+from .lognum import LogNumber, log_sum_weighted
 from .measure import log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _check_node_budget,
     _fullspace_nodes,
+    _refine_each,
     integrate_gamma_log,
 )
 
@@ -125,10 +131,13 @@ def apply_indicator_closed_log(t: float, a: float, b: float, y: float) -> float:
 
 def _translation_quad_1d(f, shift: float, scale: float, tol: float,
                          breakpoints) -> float:
-    # integral f(shift + scale*u) pi^{-1/2} e^{-u^2} du on u in [-12, 12];
-    # the tail beyond is below e^{-144}.  Unit panel boundaries (plus any
-    # user breakpoints mapped to u) keep QUADPACK's error estimate honest
-    # for discontinuous f.
+    # integral f(shift + scale*u) pi^{-1/2} e^{-u^2} du on u in [-12, 12].
+    # For bounded f the dropped tail is below e^{-144} relative.  A growing
+    # f moves the mass outward: for f(z) = e^{lam z} it peaks at
+    # u = lam*scale/2, so once that nears the cut (lam ~ 20 at t = 1 is
+    # already off by ~7e-5) the truncated value is too small, silently.
+    # Unit panel boundaries (plus any user breakpoints mapped to u) keep
+    # QUADPACK's error estimate honest for discontinuous f.
     cut = 12.0
 
     def integrand(u):
@@ -179,6 +188,13 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
     translated integrand, a route sharing nothing with the log-domain
     kernel quadrature; in n = 2, 3 it falls back to tensor Gauss-Hermite
     refinement and expects a smooth f.
+
+    The one-dimensional rule integrates u over [-12, 12] only, which is
+    exact to double precision when f is bounded.  When f grows, its
+    weighted mass must lie well inside that window: for f(z) = e^{lam z}
+    the integrand peaks at u = lam sqrt(1 - e^{-2t}) / 2, and the result
+    is too small, with no error raised, once that peak nears 12 (at
+    t = 1, lam = 20 it is low by about 7e-5 relative).
     """
     t = check_time(t)
     spec = spec if spec is not None else QuadratureSpec()
@@ -206,6 +222,39 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
     raise QuadratureConvergenceError(
         f"translation-route refinement exhausted; last two values ({prev}, {cur})",
         (prev, cur))
+
+
+def _translation_log_values(t: float, f_log, xs,
+                            spec: QuadratureSpec | None = None):
+    """log e^{tL} f(x) for every x in ``xs`` (n = 1), f given by log f.
+
+    With s = sqrt(1 - e^{-2t}) and Gauss-Hermite nodes u_j, log-weights
+    log w_j against gamma,
+
+        log e^{tL} f(x) = logsumexp_j [log f(e^{-t} x + s u_j) + log w_j],
+
+    evaluated for all points and nodes as one (points, order) array, so
+    f may grow far past float range.  ``f_log`` maps an array of
+    arguments to log f elementwise; f must be smooth.  The order doubles
+    from ``spec.order`` until every entry changes by at most ``spec.tol``
+    relative; a pass over more than ``quadrature.MAX_NODES`` (point,
+    node) pairs raises instead, so callers with many points pass them in
+    chunks.
+    """
+    t = check_time(t)
+    spec = spec if spec is not None else QuadratureSpec()
+    xs = np.asarray(xs, dtype=float)
+    em, one_minus, _ = _time_factors(t)
+    s = math.sqrt(one_minus)
+
+    def one_pass(order):
+        u, lw = _fullspace_nodes(1, order)
+        return log_sum_weighted(f_log(em * xs[..., None] + s * u[:, 0]), lw,
+                                axis=-1)
+
+    return _refine_each(one_pass, xs.size, 1, spec, spec.tol,
+                        "translation-route Gauss-Hermite pass",
+                        lambda i: f"x = {np.ravel(xs)[i]}")
 
 
 def _rel_close(a: float, b: float, tol: float) -> bool:

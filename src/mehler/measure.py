@@ -21,11 +21,9 @@ from scipy.special import erf, log_ndtr
 from .geometry import Annulus, Ball, FullSpace
 from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
-    QuadratureConvergenceError,
     QuadratureSpec,
-    _check_node_budget,
     _legendre_rule,
-    _log_rel_converged,
+    _refine_each,
     integrate_gamma_log,
 )
 
@@ -95,27 +93,11 @@ def log_gamma_ball(center_norms, radius: float, n: int,
     if n not in (2, 3):
         raise ValueError("supported dimensions are 1..3")
     spec = spec if spec is not None else QuadratureSpec()
-    tol = max(spec.tol * 1e-2, 1e-12)
-    order = spec.order
-    _check_node_budget(n, order, norms.size * order, (None, None))
-    cur = _log_ball_slices(norms, radius, n, order)
-    for _ in range(spec.max_refinements):
-        order *= 2
-        _check_node_budget(n, order, norms.size * order,
-                           (float(np.min(cur)), float(np.max(cur))))
-        prev, cur = cur, _log_ball_slices(norms, radius, n, order)
-        if _log_rel_converged(cur, prev, tol):
-            return cur
-    # report the entry that moved most in the last doubling
-    prev, cur, norms = np.ravel(prev), np.ravel(cur), np.ravel(norms)
-    with np.errstate(invalid="ignore"):
-        worst = int(np.argmax(np.abs(cur - prev)))
-    raise QuadratureConvergenceError(
-        f"ball measure in n = {n} did not converge to relative tolerance "
-        f"{tol} after {spec.max_refinements} order doublings (order {order}, "
-        f"radius {radius}, center distance {norms[worst]}); last two log "
-        f"values ({prev[worst]}, {cur[worst]})",
-        (float(prev[worst]), float(cur[worst])))
+    return _refine_each(
+        lambda order: _log_ball_slices(norms, radius, n, order),
+        norms.size, n, spec, max(spec.tol * 1e-2, 1e-12),
+        f"ball measure in n = {n}",
+        lambda i: f"radius {radius}, center distance {np.ravel(norms)[i]}")
 
 
 def _log_ball_slices(norms, radius: float, n: int, order: int):

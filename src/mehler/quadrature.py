@@ -243,6 +243,37 @@ def _log_rel_converged(cur, prev, tol: float) -> bool:
     return bool(np.all(ok))
 
 
+def _refine_each(one_pass, size: int, n: int, spec: QuadratureSpec,
+                 tol: float, what: str, label):
+    """Double the order of an array-valued rule until every entry settles.
+
+    ``one_pass(order)`` returns a log value for each of ``size`` entries,
+    using ``order`` nodes per entry.  The order doubles from
+    ``spec.order`` until every entry changes by at most ``tol`` relative;
+    a pass over more than ``MAX_NODES`` (entry, node) pairs raises before
+    it runs.  On failure the error names ``what``, the last order and
+    ``label(i)`` for the entry i that moved most in the last doubling.
+    """
+    order = spec.order
+    _check_node_budget(n, order, size * order, (None, None))
+    cur = one_pass(order)
+    for _ in range(spec.max_refinements):
+        order *= 2
+        _check_node_budget(n, order, size * order,
+                           (float(np.min(cur)), float(np.max(cur))))
+        prev, cur = cur, one_pass(order)
+        if _log_rel_converged(cur, prev, tol):
+            return cur
+    prev, cur = np.ravel(prev), np.ravel(cur)
+    with np.errstate(invalid="ignore"):
+        worst = int(np.argmax(np.abs(cur - prev)))
+    raise QuadratureConvergenceError(
+        f"{what} did not converge to relative tolerance {tol} after "
+        f"{spec.max_refinements} order doublings (order {order}, "
+        f"{label(worst)}); last two log values ({prev[worst]}, {cur[worst]})",
+        (float(prev[worst]), float(cur[worst])))
+
+
 # -- engine ------------------------------------------------------------
 
 def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,

@@ -193,6 +193,16 @@ def test_nonconvergence_exits_3(capsys):
     assert "non-convergence" in err
 
 
+def test_hypercheck_out_of_range_exits_3(capsys):
+    # e^{60 x} has L^1(gamma) mass e^{900}, past what Gauss-Hermite
+    # weights can represent; the run must end in a typed failure, fast
+    code, out, err = run_cli(capsys, "hypercheck", "--t", "1", "--p", "1.5",
+                             "--lambda", "40")
+    assert code == 3
+    assert out == ""
+    assert "numerical non-convergence" in err
+
+
 def test_selftest_subcommand(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--seed", "42")
     assert code == 0

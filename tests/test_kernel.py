@@ -13,6 +13,7 @@ from scipy.special import eval_hermite
 
 from mehler.geometry import Ball
 from mehler.kernel import (
+    _translation_log_values,
     apply_indicator_closed_log,
     apply_indicator_log,
     apply_via_translation,
@@ -186,4 +187,43 @@ def test_translation_route_work_is_capped():
 
     with pytest.raises(QuadratureConvergenceError, match="order 128"):
         apply_via_translation(0.5, noise, np.zeros(3))
+    assert max(sizes) <= MAX_NODES
+
+
+@pytest.mark.parametrize("t", [0.2, 2.0])
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_batched_translation_matches_quadpack(t, lam):
+    # the batched log-domain Gauss-Hermite step against the scalar
+    # QUADPACK route, with f = e^{lam x} given to each in its own form
+    tight = QuadratureSpec(tol=1e-12)
+    xs = np.array([-2.0, -0.3, 0.0, 1.1, 3.0])
+    got = _translation_log_values(t, lambda z: lam * z, xs, tight)
+    for x, log_val in zip(xs, got):
+        want = apply_via_translation(
+            t, lambda pts: np.exp(lam * pts[:, 0]), [x], tight)
+        assert abs(math.exp(log_val) / want - 1.0) <= 1e-10
+
+
+def test_batched_translation_failure_names_order_and_point():
+    # f = e^{z^2 / 5}: the order-2 and order-4 values differ most at the
+    # outermost point
+    spec = QuadratureSpec(order=2, tol=1e-15, max_refinements=1)
+    xs = np.array([0.0, 0.5, 3.0])
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"order 4, x = 3\.0\)"):
+        _translation_log_values(1.0, lambda z: 0.2 * z * z, xs, spec)
+
+
+def test_batched_translation_work_is_capped():
+    # seeded noise never converges; the (points x nodes) array must stop
+    # at the node cap
+    rng = np.random.default_rng(7)
+    sizes = []
+
+    def noise(z):
+        sizes.append(z.size)
+        return rng.normal(size=z.shape)
+
+    with pytest.raises(QuadratureConvergenceError, match="order 256"):
+        _translation_log_values(0.5, noise, np.zeros(8192))
     assert max(sizes) <= MAX_NODES
