@@ -60,7 +60,6 @@ from .measure import gamma_log, log_gamma_ball, log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    default_tolerance,
     gauss_hermite_gamma_nodes,
     integrate_gamma_log,
     lq_norm_log,
@@ -97,7 +96,6 @@ __all__ = [
     "blowup_slope",
     "davies_gaffney_bound",
     "davies_gaffney_check",
-    "default_tolerance",
     "delta_exponent",
     "failure_threshold",
     "fit_affine",

@@ -13,7 +13,7 @@ selftest   run the built-in invariant suite
 CSV is the primary output (17 significant digits, ``#`` comment lines,
 LF endings); ``--format json`` mirrors the same fields.  Exit codes:
 0 success, 2 invalid parameters, 3 numerical non-convergence.  The
-OU_QUAD_TOL environment variable overrides the default tolerance.
+relative tolerance is 1e-8 unless ``--tol`` sets it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _add_quad_options(sub):
     sub.add_argument("--order", type=int, default=16,
                      help="base quadrature order (doubled on refinement)")
     sub.add_argument("--tol", type=float, default=None,
-                     help="relative tolerance (default 1e-8 or OU_QUAD_TOL)")
+                     help="relative tolerance (default 1e-8)")
     sub.add_argument("--max-refinements", type=int, default=12)
 
 

@@ -134,8 +134,9 @@ def _translation_quad_1d(f, shift: float, scale: float, tol: float,
     # integral f(shift + scale*u) pi^{-1/2} e^{-u^2} du on u in [-12, 12].
     # For bounded f the dropped tail is below e^{-144} relative.  A growing
     # f moves the mass outward: for f(z) = e^{lam z} it peaks at
-    # u = lam*scale/2, so once that nears the cut (lam ~ 20 at t = 1 is
-    # already off by ~7e-5) the truncated value is too small, silently.
+    # u = lam*scale/2, and near the cut the dropped tail is of the order
+    # of the integrand at u = +-12, so a value whose edge integrand
+    # exceeds tol relative raises instead of coming back too small.
     # Unit panel boundaries (plus any user breakpoints mapped to u) keep
     # QUADPACK's error estimate honest for discontinuous f.
     cut = 12.0
@@ -160,6 +161,12 @@ def _translation_quad_1d(f, shift: float, scale: float, tol: float,
             raise QuadratureConvergenceError(
                 f"translation-route quadrature did not converge: {exc}",
                 (math.nan, math.nan)) from exc
+    edge = max(abs(integrand(-cut)), abs(integrand(cut)))
+    if edge > tol * abs(value):
+        raise QuadratureConvergenceError(
+            f"translation-route quadrature truncated at |u| = {cut}: the "
+            f"integrand there is {edge}, above {tol} relative to the value "
+            f"{value}", (math.nan, math.nan))
     return value
 
 
@@ -192,9 +199,11 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
     The one-dimensional rule integrates u over [-12, 12] only, which is
     exact to double precision when f is bounded.  When f grows, its
     weighted mass must lie well inside that window: for f(z) = e^{lam z}
-    the integrand peaks at u = lam sqrt(1 - e^{-2t}) / 2, and the result
-    is too small, with no error raised, once that peak nears 12 (at
-    t = 1, lam = 20 it is low by about 7e-5 relative).
+    the integrand peaks at u = lam sqrt(1 - e^{-2t}) / 2.  When the
+    integrand at u = +-12 exceeds ``tol`` relative to the value, the
+    window has cut off mass and ``QuadratureConvergenceError`` is raised
+    (at t = 1, lam = 15 passes with an edge ratio of 6e-12; lam = 20,
+    whose window value is low by about 7e-5, raises).
     """
     t = check_time(t)
     spec = spec if spec is not None else QuadratureSpec()
@@ -212,7 +221,7 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
     prev = None
     cur = None
     for _ in range(spec.max_refinements + 1):
-        _check_node_budget(n, order, order ** n, (prev, cur))
+        _check_node_budget(n, order, order ** n, cur)
         pts, lw = _fullspace_nodes(n, order)
         vals = np.asarray(f(em * xv[None, :] + s * pts), dtype=float)
         prev, cur = cur, float(np.sum(vals * np.exp(lw)))
@@ -252,8 +261,8 @@ def _translation_log_values(t: float, f_log, xs,
         return log_sum_weighted(f_log(em * xs[..., None] + s * u[:, 0]), lw,
                                 axis=-1)
 
-    return _refine_each(one_pass, xs.size, 1, spec, spec.tol,
-                        "translation-route Gauss-Hermite pass",
+    return _refine_each(one_pass, lambda order: xs.size * order, 1, spec,
+                        spec.tol, "translation-route Gauss-Hermite pass",
                         lambda i: f"x = {np.ravel(xs)[i]}")
 
 

@@ -4,11 +4,13 @@ gamma(S) = integral_S pi^{-n/2} exp(-|x|^2) dx.  One-dimensional sets go
 through the error-function closed form evaluated via the normal log-CDF,
 which keeps full relative precision for magnitudes like exp(-900).
 
-Two routes serve n = 2, 3.  ``log_gamma_ball`` is array-valued over the
-center distance and reduces a ball to a one-dimensional integral along
-its axis (closed-form transverse slices); the sweep evaluates
-e^{tL} 1_B at every annulus node through it.  ``gamma_log`` integrates
-balls and annuli with the polar log-domain engine.
+``log_gamma_ball`` is the one ball-measure primitive.  It is
+array-valued over the center distance and, in n = 2, 3, reduces a ball
+to a one-dimensional integral along its axis (closed-form transverse
+slices); the sweep evaluates e^{tL} 1_B at every annulus node through
+it, and ``gamma_log`` measures every ball through it.  Annuli in n = 2,
+3 go through the polar log-domain engine instead: gamma(outer ball) -
+gamma(inner ball) cancels when both are near 1.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .geometry import Annulus, Ball, FullSpace
 from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
     QuadratureSpec,
+    _intervals_1d,
     _legendre_rule,
     _refine_each,
     integrate_gamma_log,
@@ -95,8 +98,8 @@ def log_gamma_ball(center_norms, radius: float, n: int,
     spec = spec if spec is not None else QuadratureSpec()
     return _refine_each(
         lambda order: _log_ball_slices(norms, radius, n, order),
-        norms.size, n, spec, max(spec.tol * 1e-2, 1e-12),
-        f"ball measure in n = {n}",
+        lambda order: norms.size * order, n, spec,
+        max(spec.tol * 1e-2, 1e-12), f"ball measure in n = {n}",
         lambda i: f"radius {radius}, center distance {np.ravel(norms)[i]}")
 
 
@@ -113,35 +116,23 @@ def _log_ball_slices(norms, radius: float, n: int, order: int):
     return log_sum_weighted(log_terms, axis=-1)
 
 
-def _gamma_log_1d(region) -> float:
-    if isinstance(region, Ball):
-        c = float(region.center[0])
-        return log_gamma_interval(c - region.radius, c + region.radius)
-    c = float(region.base.center[0])
-    ri, ro = region.inner_radius, region.outer_radius
-    if region.k == 0:
-        return log_gamma_interval(c - ro, c + ro)
-    left = log_gamma_interval(c - ro, c - ri)
-    right = log_gamma_interval(c + ri, c + ro)
-    return float(np.logaddexp(left, right))
-
-
 def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:
     """Log Gaussian measure of a ball, annulus or the full space.
 
     Supported dimensions are 1, 2 and 3.  The full space has measure 1
-    (gamma is a probability measure).
+    (gamma is a probability measure).  Balls go through
+    ``log_gamma_ball``; annuli through the erf closed form in n = 1 and
+    the polar quadrature engine in n = 2, 3.
     """
     if isinstance(region, FullSpace):
         return LogNumber.one()
-    if not isinstance(region, (Ball, Annulus)):
+    if isinstance(region, Ball):
+        return LogNumber.from_log(float(log_gamma_ball(
+            region.center_norm, region.radius, region.dim, spec)))
+    if not isinstance(region, Annulus):
         raise TypeError(f"cannot measure {type(region).__name__}")
     if region.dim == 1:
-        return LogNumber.from_log(_gamma_log_1d(region))
-    if region.dim > 3:
-        raise ValueError("supported dimensions are 1..3")
-
-    def f_log(pts):
-        return np.zeros(pts.shape[0])
-
-    return integrate_gamma_log(f_log, region, spec)
+        return LogNumber.from_log(float(np.logaddexp.reduce(
+            [log_gamma_interval(a, b) for a, b in _intervals_1d(region)])))
+    return integrate_gamma_log(lambda pts: np.zeros(pts.shape[0]), region,
+                               spec)

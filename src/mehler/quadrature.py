@@ -11,16 +11,19 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
   angular grids, centered at the ball center so integrands stay smooth
   (the trapezoid rule is spectrally accurate for periodic integrands).
 
-Accumulation is log-sum-exp throughout, and refinement doubles the order
-until the relative change of the value drops below the tolerance.  A
-pass that would build more than ``MAX_NODES`` nodes raises instead.
+Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
+log-domain refinement loop: it doubles the order until the relative
+change of every value drops below the tolerance, and a pass that would
+build more than ``MAX_NODES`` nodes raises instead.  It drives
+``integrate_gamma_log`` here, the ball measure in ``measure`` and the
+batched translation step in ``kernel``.  The default relative tolerance
+is 1e-8; only ``QuadratureSpec(tol=)`` (the CLI's ``--tol``) changes it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +35,6 @@ from .lognum import LogNumber, log_sum_weighted
 __all__ = [
     "QuadratureSpec",
     "QuadratureConvergenceError",
-    "default_tolerance",
     "integrate_gamma_log",
     "lq_norm_log",
     "gauss_hermite_gamma_nodes",
@@ -49,17 +51,6 @@ MAX_NODES = 2 ** 20
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
-def default_tolerance() -> float:
-    """Default relative tolerance; the OU_QUAD_TOL env variable overrides."""
-    raw = os.environ.get("OU_QUAD_TOL")
-    if raw is None:
-        return 1e-8
-    tol = float(raw)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"OU_QUAD_TOL must lie in (0, 1), got {raw}")
-    return tol
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Base order, relative tolerance and refinement cap.
@@ -70,7 +61,7 @@ class QuadratureSpec:
     """
 
     order: int = 16
-    tol: float = field(default_factory=default_tolerance)
+    tol: float = 1e-8
     max_refinements: int = 12
 
     def __post_init__(self):
@@ -217,13 +208,19 @@ def _node_count(region, order: int) -> int:
     return 2 * order ** n
 
 
-def _check_node_budget(n: int, order: int, count: int, last_two) -> None:
-    """Raise before a refinement pass would build more than MAX_NODES nodes."""
+def _check_node_budget(n: int, order: int, count: int, last=None) -> None:
+    """Raise before a refinement pass would build more than MAX_NODES nodes.
+
+    ``last`` holds the value(s) of the previous pass, if any; the error
+    carries their range, computed only when it raises.
+    """
     if count > MAX_NODES:
+        span = ((None, None) if last is None
+                else (float(np.min(last)), float(np.max(last))))
         raise QuadratureConvergenceError(
             f"refinement in n = {n} would build {count} nodes at order "
-            f"{order}, above the cap of {MAX_NODES}; last two values {last_two}",
-            last_two)
+            f"{order}, above the cap of {MAX_NODES}; last values span {span}",
+            span)
 
 
 def _check_region(region):
@@ -243,24 +240,24 @@ def _log_rel_converged(cur, prev, tol: float) -> bool:
     return bool(np.all(ok))
 
 
-def _refine_each(one_pass, size: int, n: int, spec: QuadratureSpec,
+def _refine_each(one_pass, count, n: int, spec: QuadratureSpec,
                  tol: float, what: str, label):
-    """Double the order of an array-valued rule until every entry settles.
+    """Double the order of a log-domain rule until every value settles.
 
-    ``one_pass(order)`` returns a log value for each of ``size`` entries,
-    using ``order`` nodes per entry.  The order doubles from
-    ``spec.order`` until every entry changes by at most ``tol`` relative;
-    a pass over more than ``MAX_NODES`` (entry, node) pairs raises before
-    it runs.  On failure the error names ``what``, the last order and
-    ``label(i)`` for the entry i that moved most in the last doubling.
+    ``one_pass(order)`` returns a log value, or an array of them, from a
+    pass at ``order``, and ``count(order)`` is the number of nodes (over
+    all entries) that pass builds.  The order doubles from ``spec.order``
+    until every entry changes by at most ``tol`` relative; a pass over
+    more than ``MAX_NODES`` nodes raises before it runs.  On failure the
+    error names ``what``, the last order and ``label(i)`` for the entry i
+    that moved most in the last doubling.
     """
     order = spec.order
-    _check_node_budget(n, order, size * order, (None, None))
+    _check_node_budget(n, order, count(order))
     cur = one_pass(order)
     for _ in range(spec.max_refinements):
         order *= 2
-        _check_node_budget(n, order, size * order,
-                           (float(np.min(cur)), float(np.max(cur))))
+        _check_node_budget(n, order, count(order), cur)
         prev, cur = cur, one_pass(order)
         if _log_rel_converged(cur, prev, tol):
             return cur
@@ -299,32 +296,27 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     QuadratureConvergenceError
         When ``max_refinements`` order doublings do not bring the
         relative change below ``tol``, or when the next pass would build
-        more than ``MAX_NODES`` nodes; carries the last two iterates.
+        more than ``MAX_NODES`` nodes.  The message names the last order
+        (and, without convergence, the region); ``last_two`` holds the
+        last two iterates, or twice the last one when the node cap stops
+        the refinement.
     """
     spec = spec if spec is not None else QuadratureSpec()
     _check_region(region)
-    order = spec.order
-    prev = None
-    cur = None
-    for _ in range(spec.max_refinements + 1):
-        _check_node_budget(region.dim, order, _node_count(region, order),
-                          (prev, cur))
+
+    def one_pass(order):
         pts, lw = _nodes_for(region, order)
         vals = np.asarray(f_log(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
             raise ValueError("f_log must return one log value per point")
-        prev, cur = cur, log_sum_weighted(vals, lw)
+        value = log_sum_weighted(vals, lw)
         if history is not None:
-            history.append((order, cur))
-        if prev is not None and _log_rel_converged(cur, prev, spec.tol):
-            return LogNumber.from_log(cur)
-        order *= 2
-    raise QuadratureConvergenceError(
-        f"no convergence to relative tolerance {spec.tol} after "
-        f"{spec.max_refinements} order doublings; last two log values "
-        f"({prev}, {cur})",
-        (prev, cur),
-    )
+            history.append((order, value))
+        return value
+
+    return LogNumber.from_log(_refine_each(
+        one_pass, lambda order: _node_count(region, order), region.dim,
+        spec, spec.tol, "integral", lambda _: f"over {region!r}"))
 
 
 def lq_norm_log(g_log, region, q: float, spec: QuadratureSpec | None = None,

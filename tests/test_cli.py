@@ -201,6 +201,8 @@ def test_hypercheck_out_of_range_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "numerical non-convergence" in err
+    # the failing integral is the outer L^p norm over the real line
+    assert "order 65536" in err and "FullSpace(dim=1)" in err
 
 
 def test_selftest_subcommand(capsys):

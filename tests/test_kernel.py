@@ -161,6 +161,19 @@ def test_exponential_moment_formula():
         assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_translation_route_raises_when_its_window_cuts_mass():
+    # e^{lam z} at t = 1, x = 0: the closed form is e^{lam^2 s^2 / 4}; the
+    # integrand peaks at u = lam s / 2, so |u| <= 12 holds all but 6e-13
+    # of the mass at lam = 15 and drops 7e-5 of it at lam = 20
+    s2 = -math.expm1(-2.0)
+    got = apply_via_translation(1.0, lambda pts: np.exp(15.0 * pts[:, 0]),
+                                [0.0])
+    assert abs(got / math.exp(225.0 * s2 / 4.0) - 1.0) <= 1e-9
+    with pytest.raises(QuadratureConvergenceError, match="truncated"):
+        apply_via_translation(1.0, lambda pts: np.exp(20.0 * pts[:, 0]),
+                              [0.0])
+
+
 def test_translation_route_2d_second_moment():
     # e^{tL}(x_1^2)(x) = e^{-2t} x_1^2 + (1 - e^{-2t})/2 from the OU flow
     t, x = 0.6, np.array([1.4, -0.3])

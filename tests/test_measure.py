@@ -12,12 +12,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import ncx2
 
+from mehler import quadrature
 from mehler.geometry import Annulus, Ball, FullSpace
 from mehler.measure import gamma_log, log_gamma_ball, log_gamma_interval
-from mehler.quadrature import MAX_NODES, QuadratureConvergenceError, QuadratureSpec
+from mehler.quadrature import (
+    MAX_NODES,
+    QuadratureConvergenceError,
+    QuadratureSpec,
+    integrate_gamma_log,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -187,11 +195,16 @@ def test_ball_measure_matches_noncentral_chi2(n):
         assert np.all(np.isfinite(got)) and got.min() < -800.0
 
 
+def _polar_log(ball):
+    # the polar quadrature engine, independent of log_gamma_ball
+    return integrate_gamma_log(lambda p: np.zeros(len(p)), ball).log_magnitude
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_ball_measure_matches_polar_engine(n):
     for c in (0.0, 1.3, 8.0, 20.0, 30.0):
         for rho in (0.03, 0.3, 1.2):
-            polar = gamma_log(Ball(np.r_[c, np.zeros(n - 1)], rho)).log_magnitude
+            polar = _polar_log(Ball(np.r_[c, np.zeros(n - 1)], rho))
             got = float(log_gamma_ball(c, rho, n))
             assert got == pytest.approx(polar, rel=1e-12)
 
@@ -204,7 +217,34 @@ def test_ball_measure_depends_on_center_norm_only():
         for c, value in zip(norms.ravel(), got.ravel()):
             center = np.r_[np.zeros(n - 1), c]
             assert value == pytest.approx(
-                gamma_log(Ball(center, 0.4)).log_magnitude, rel=1e-12)
+                _polar_log(Ball(center, 0.4)), rel=1e-12)
+
+
+def test_ball_measure_builds_no_polar_grid(monkeypatch):
+    # every ball goes through the axis integral; only annuli use the grid
+    def refuse(*args):
+        raise AssertionError("polar grid built for a ball")
+
+    monkeypatch.setattr(quadrature, "_polar_nodes", refuse)
+    for n in (1, 2, 3):
+        assert math.isfinite(gamma_log(Ball(np.r_[8.0, np.zeros(n - 1)],
+                                            0.125)).log_magnitude)
+    with pytest.raises(AssertionError, match="polar grid"):
+        gamma_log(Annulus(Ball([8.0, 0.0], 0.125), 1))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([2, 3]),
+       norm=st.floats(0.0, 30.0),
+       rho=st.floats(0.03, 1.2),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+       .filter(lambda v: np.linalg.norm(v[:2]) > 0.1))
+def test_gamma_log_of_ball_matches_polar_engine(n, norm, rho, direction):
+    # over the README envelope, a center in any direction
+    unit = np.asarray(direction[:n]) / np.linalg.norm(direction[:n])
+    ball = Ball(norm * unit, rho)
+    assert gamma_log(ball).log_magnitude == pytest.approx(
+        _polar_log(ball), rel=1e-10)
 
 
 def test_ball_measure_raises_when_refinement_runs_out():

@@ -162,11 +162,3 @@ def test_lq_norm_rejects_bad_q():
 def test_polar_engine_dimension_cap():
     with pytest.raises(ValueError):
         integrate_gamma_log(lambda p: np.zeros(len(p)), FullSpace(4))
-
-
-def test_env_var_overrides_default_tol(monkeypatch):
-    monkeypatch.setenv("OU_QUAD_TOL", "1e-5")
-    assert QuadratureSpec().tol == 1e-5
-    monkeypatch.setenv("OU_QUAD_TOL", "2.0")
-    with pytest.raises(ValueError):
-        QuadratureSpec()
