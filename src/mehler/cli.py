@@ -19,6 +19,7 @@ relative tolerance is 1e-8 unless ``--tol`` sets it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -299,9 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it found it, so one per process serves
+# every call; building it costs several times a small subcommand's work
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (QuadratureConvergenceError, SweepAborted) as exc:

@@ -35,7 +35,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import Ball, as_point
 from .lognum import LogNumber, log_sum_weighted
@@ -137,26 +136,31 @@ def _translation_quad_1d(f, shift: float, scale: float, tol: float,
     # u = lam*scale/2, and near the cut the dropped tail is of the order
     # of the integrand at u = +-12, so a value whose edge integrand
     # exceeds tol relative raises instead of coming back too small.
-    # Unit panel boundaries (plus any user breakpoints mapped to u) keep
-    # QUADPACK's error estimate honest for discontinuous f.
+    # The caller's breakpoints, mapped to u, are the only interior panel
+    # boundaries: between them the integrand is smooth, so QUADPACK's
+    # error estimate holds without more panels.  Without breakpoints the
+    # unit grid stands in for jumps the caller did not name.
+    # Imported here: only this route uses QUADPACK, and scipy.integrate
+    # pulls in scipy.optimize, scipy.sparse.linalg and scipy.fft.
+    from scipy import integrate
+
     cut = 12.0
 
     def integrand(u):
         z = np.array([[shift + scale * u]])
         return float(f(z)[0]) * math.exp(-u * u) / math.sqrt(math.pi)
 
-    pins = set(range(-int(cut), int(cut) + 1))
-    if breakpoints is not None:
-        for z in breakpoints:
-            u = (float(z) - shift) / scale
-            if -cut < u < cut:
-                pins.add(u)
+    if breakpoints is None:
+        pins = range(-int(cut), int(cut) + 1)
+    else:
+        mapped = ((float(z) - shift) / scale for z in breakpoints)
+        pins = {u for u in mapped if -cut < u < cut}
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             value, abserr = integrate.quad(
                 integrand, -cut, cut, epsabs=0.0, epsrel=tol,
-                limit=800, points=sorted(pins))
+                limit=800, points=sorted(pins) or None)
         except integrate.IntegrationWarning as exc:
             raise QuadratureConvergenceError(
                 f"translation-route quadrature did not converge: {exc}",
@@ -187,9 +191,12 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
         Only ``tol`` (and for n >= 2 ``order``/``max_refinements``) are
         used.
     breakpoints : iterable of float, optional
-        One-dimensional only: locations where f jumps or kinks.  Pinning
-        them as panel boundaries lets the adaptive rule integrate
-        indicators to full precision.
+        One-dimensional only: every location where f jumps or kinks.
+        They become the only interior panel boundaries of the adaptive
+        rule (those outside the |u| <= 12 window are dropped), so an
+        indicator costs a few panels.  Without them the rule pins the
+        integers of [-12, 12] in u as panel boundaries instead, to catch
+        jumps it was not told of.
 
     In one dimension this runs adaptive Gauss-Kronrod (QUADPACK) on the
     translated integrand, a route sharing nothing with the log-domain

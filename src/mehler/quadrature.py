@@ -149,7 +149,12 @@ def _angular_grid(m: int):
     return phi, math.log(2.0 * math.pi / m)
 
 
-def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
+@lru_cache(maxsize=4)
+def _polar_frame(n: int, order: int, r_inner: float, r_outer: float):
+    # the polar grid about the origin: offsets (m, n) and log-weights (m,)
+    # without the density, which depends on the center.  Read-only and
+    # shared.  Four entries hold the orders one refinement of a ball
+    # visits; each holds at most MAX_NODES * (n + 1) floats (33 MB).
     rnodes, rlogw = _legendre_rule(order)
     half = 0.5 * (r_outer - r_inner)
     rho = half * rnodes + 0.5 * (r_outer + r_inner)
@@ -158,8 +163,8 @@ def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
     if n == 2:
         phi, lphi = _angular_grid(2 * order)
         direction = np.stack([np.cos(phi), np.sin(phi)], axis=-1)  # (mphi, 2)
-        pts = center[None, None, :] + rho[:, None, None] * direction[None, :, :]
-        lw = np.broadcast_to(rlw[:, None] + lphi, pts.shape[:2])
+        offsets = rho[:, None, None] * direction[None, :, :]
+        lw = np.broadcast_to(rlw[:, None] + lphi, offsets.shape[:2])
     else:
         unodes, ulogw = _legendre_rule(order)
         phi, lphi = _angular_grid(2 * order)
@@ -168,13 +173,22 @@ def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
         dy = sin_theta[:, None] * np.sin(phi)[None, :]
         dz = np.broadcast_to(unodes[:, None], dx.shape)
         direction = np.stack([dx, dy, dz], axis=-1)  # (mu, mphi, 3)
-        pts = (center[None, None, None, :]
-               + rho[:, None, None, None] * direction[None, :, :, :])
+        offsets = rho[:, None, None, None] * direction[None, :, :, :]
         lw = np.broadcast_to(
-            rlw[:, None, None] + ulogw[None, :, None] + lphi, pts.shape[:3])
+            rlw[:, None, None] + ulogw[None, :, None] + lphi,
+            offsets.shape[:3])
 
-    pts = pts.reshape(-1, n)
-    lw = lw.reshape(-1) - np.sum(pts * pts, axis=-1) - n * _LOG_SQRT_PI
+    offsets = offsets.reshape(-1, n)
+    lw = lw.reshape(-1)
+    offsets.setflags(write=False)
+    lw.setflags(write=False)
+    return offsets, lw
+
+
+def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
+    offsets, lw = _polar_frame(n, order, r_inner, r_outer)
+    pts = center + offsets
+    lw = lw - np.sum(pts * pts, axis=-1) - n * _LOG_SQRT_PI
     return pts, lw
 
 

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mehler
+from mehler import cli
 from mehler.cli import main
 from mehler.estimates import OffDiagHypothesis
 from mehler.experiments import sweep_blowup
@@ -211,3 +217,52 @@ def test_selftest_subcommand(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 20
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_one_parser_serves_calls_in_sequence(tmp_path, capsys, monkeypatch):
+    # main() keeps one parser per process; no default or --output of one
+    # call may leak into the next, so each call must give the bytes the
+    # same call gives on a freshly built parser
+    sweep = ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1",
+             "--n", "1", "--cmin", "4", "--cmax", "8", "--steps", "4"]
+    target = tmp_path / "sweep.csv"
+    calls = [sweep + ["--format", "json"],
+             sweep + ["--output", str(target)],
+             ["hypercheck", "--t", "0.5", "--p", "1.2", "--lambda", "1"],
+             ["sweep", "--t", "0.5"],  # usage error
+             sweep]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            written = target.read_bytes() if target.exists() else None
+            target.unlink(missing_ok=True)
+            results.append((code, out, err, written))
+        return results
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    cached = run_all()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == run_all()
+    assert [code for code, *_ in cached] == [0, 0, 0, 2, 0]
+    assert cached[1][1] == "" and cached[1][3].startswith(b"cB_norm,")
+    assert cached[2][3] is None and cached[4][3] is None
+    assert cached[4][1].startswith("cB_norm,")
+
+
+def test_import_leaves_quadpack_unloaded():
+    # scipy.integrate pulls in scipy.optimize, scipy.sparse.linalg and
+    # scipy.fft; only the QUADPACK route needs it, so it loads there
+    src = str(Path(mehler.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mehler; print('scipy.integrate' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

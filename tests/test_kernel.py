@@ -117,6 +117,62 @@ def test_three_routes_agree_on_random_indicators():
         assert abs(trans / math.exp(closed) - 1.0) < 1e-8
 
 
+def _criterion_3_draws(count):
+    # criterion 3's sampler: an interval, a time and a point near it
+    rng = np.random.default_rng(42)
+    for _ in range(count):
+        t = rng.uniform(0.2, 2.0)
+        a = rng.uniform(-2.5, 1.5)
+        b = a + rng.uniform(0.4, 1.5)
+        yield t, a, b, rng.uniform(a - 1.0, b + 1.0)
+
+
+def _counted_indicator(a, b):
+    calls = []
+
+    def f(pts):
+        calls.append(len(pts))
+        z = pts[:, 0]
+        return ((z >= a) & (z < b)).astype(float)
+
+    return f, calls
+
+
+def test_named_breakpoints_are_the_only_panels():
+    # with both jumps named, three smooth panels suffice: a few dozen
+    # integrand calls where the unit grid of [-12, 12] took over 500
+    tight = QuadratureSpec(tol=1e-10)
+    for t, a, b, y in _criterion_3_draws(20):
+        f, calls = _counted_indicator(a, b)
+        trans = apply_via_translation(t, f, [y], tight, breakpoints=(a, b))
+        assert len(calls) <= 100
+        closed = apply_indicator_closed_log(t, a, b, y)
+        assert abs(trans / math.exp(closed) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("a, b", [(-15.0, 15.0), (20.0, 25.0)])
+def test_breakpoints_outside_the_window(a, b):
+    # at t = 1, y = 0 both jumps map past |u| = 12, so the window is one
+    # panel on which the indicator is 1, or 0 with a true value (1.6e-203)
+    # far below the window's e^{-144} truncation
+    f, _ = _counted_indicator(a, b)
+    got = apply_via_translation(1.0, f, [0.0], QuadratureSpec(tol=1e-10),
+                                breakpoints=(a, b))
+    want = math.exp(apply_indicator_closed_log(1.0, a, b, 0.0))
+    assert abs(got - want) <= 1e-15
+
+
+def test_unnamed_breakpoints_fall_back_to_the_unit_grid():
+    # without breakpoints QUADPACK only sees the jumps through its error
+    # estimate, which they fool by up to 1.5e-7 on this draw whatever
+    # the tolerance; with no unit panels one draw comes back as 0
+    for t, a, b, y in _criterion_3_draws(20):
+        f, _ = _counted_indicator(a, b)
+        trans = apply_via_translation(t, f, [y], QuadratureSpec(tol=1e-10))
+        closed = apply_indicator_closed_log(t, a, b, y)
+        assert abs(trans / math.exp(closed) - 1.0) <= 1e-6
+
+
 def test_translation_of_constant_is_identity():
     got = apply_via_translation(0.8, lambda pts: np.ones(len(pts)), [1.5])
     assert got == pytest.approx(1.0, rel=1e-12)
