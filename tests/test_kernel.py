@@ -95,28 +95,6 @@ def test_apply_far_ball_frozen_value():
     assert kern.log_magnitude >= -17.754235935517222
 
 
-def test_three_routes_agree_on_random_indicators():
-    rng = np.random.default_rng(42)
-    tight = QuadratureSpec(tol=1e-10)
-    for _ in range(20):
-        t = rng.uniform(0.2, 2.0)
-        a = rng.uniform(-2.5, 1.5)
-        b = a + rng.uniform(0.4, 1.5)
-        y = rng.uniform(a - 1.0, b + 1.0)
-        closed = apply_indicator_closed_log(t, a, b, y)
-        assert math.exp(closed) > 1e-6  # sampler keeps values well-scaled
-        kern = apply_indicator_log(
-            t, Ball([0.5 * (a + b)], 0.5 * (b - a)), [y], tight).log_magnitude
-        assert abs(math.expm1(kern - closed)) < 1e-8
-
-        def f(pts):
-            z = pts[:, 0]
-            return ((z >= a) & (z < b)).astype(float)
-
-        trans = apply_via_translation(t, f, [y], tight, breakpoints=(a, b))
-        assert abs(trans / math.exp(closed) - 1.0) < 1e-8
-
-
 def _criterion_3_draws(count):
     # criterion 3's sampler: an interval, a time and a point near it
     rng = np.random.default_rng(42)
@@ -136,6 +114,20 @@ def _counted_indicator(a, b):
         return ((z >= a) & (z < b)).astype(float)
 
     return f, calls
+
+
+def test_three_routes_agree_on_random_indicators():
+    tight = QuadratureSpec(tol=1e-10)
+    for t, a, b, y in _criterion_3_draws(20):
+        closed = apply_indicator_closed_log(t, a, b, y)
+        assert math.exp(closed) > 1e-6  # sampler keeps values well-scaled
+        kern = apply_indicator_log(
+            t, Ball([0.5 * (a + b)], 0.5 * (b - a)), [y], tight).log_magnitude
+        assert abs(math.expm1(kern - closed)) < 1e-8
+
+        f, _ = _counted_indicator(a, b)
+        trans = apply_via_translation(t, f, [y], tight, breakpoints=(a, b))
+        assert abs(trans / math.exp(closed) - 1.0) < 1e-8
 
 
 def test_named_breakpoints_are_the_only_panels():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mehler import quadrature
 from mehler.geometry import Annulus, Ball, FullSpace
 from mehler.kernel import mehler_log_values
 from mehler.lognum import log_sum_weighted
@@ -162,3 +163,20 @@ def test_lq_norm_rejects_bad_q():
 def test_polar_engine_dimension_cap():
     with pytest.raises(ValueError):
         integrate_gamma_log(lambda p: np.zeros(len(p)), FullSpace(4))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_nodes_do_not_depend_on_call_history(n):
+    # the center-free part of the grid is cached per (n, order, radii):
+    # a center's nodes must come out bit for bit as from a cold cache,
+    # after other centers and after a caller wrote into its own copy
+    rng = np.random.default_rng(11)
+    center, other = rng.normal(size=(2, n)) * 4.0
+    quadrature._polar_frame.cache_clear()
+    want = [a.copy() for a in quadrature._polar_nodes(center, 0.3, 0.9, n, 6)]
+    quadrature._polar_nodes(other, 0.3, 0.9, n, 6)
+    pts, lw = quadrature._polar_nodes(center, 0.3, 0.9, n, 6)
+    pts[:] = 0.0
+    lw[:] = 0.0
+    got = quadrature._polar_nodes(center, 0.3, 0.9, n, 6)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
