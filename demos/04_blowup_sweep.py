@@ -8,7 +8,9 @@ below the failure threshold t* its log grows like slope * |c_B|^2 with
     slope = 2/(e^t + 1) - 1 + (1/p - 1/q),
 
 and the least-squares fit over the sweep reproduces that slope.  Above
-t* the same quotient decays.
+t* the same quotient decays.  The slope carries no dimension: the same
+sweep in n = 2 and 3 (each a few milliseconds, the whole grid in one
+refinement of the axial annulus rule) fits it as well.
 """
 
 from mehler import OffDiagHypothesis, failure_threshold, sweep_blowup
@@ -32,6 +34,17 @@ for t in (0.5, t_star, 1.5):
     print(f"  fitted slope vs |c_B|^2: {res.fitted_slope:+.6f}   "
           f"predicted: {res.predicted_slope:+.6f}\n")
 
-print("equivalent CLI invocation:")
-print("  mehler sweep --t 0.5 --p 1 --q 2 --k 1 --n 1 "
-      "--cmin 4 --cmax 12 --steps 5")
+for n in (2, 3):
+    res = sweep_blowup(hyp, 0.5, k=1, n=n, cB_grid=grid)
+    print(f"n = {n}, t = 0.5000")
+    print(f"  {'|c_B|':>6} {'log LHS':>12} {'log gamma(B)':>14} {'log implied':>12}")
+    for row in res.rows:
+        print(f"  {row.cB_norm:>6.1f} {row.log_lhs:>12.4f} "
+              f"{row.log_gammaB:>14.4f} {row.log_implied_const:>12.4f}")
+    print(f"  fitted slope vs |c_B|^2: {res.fitted_slope:+.6f}   "
+          f"predicted: {res.predicted_slope:+.6f}\n")
+
+print("equivalent CLI invocations:")
+for n in (1, 2, 3):
+    print(f"  mehler sweep --t 0.5 --p 1 --q 2 --k 1 --n {n} "
+          "--cmin 4 --cmax 12 --steps 5")

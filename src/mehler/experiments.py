@@ -14,8 +14,13 @@ The left side is one quadrature over the annulus C_k(B).  Its integrand
 e^{tL} 1_B(y) comes from the translation route: it equals the Gaussian
 measure of the ball B((c - e^{-t} y)/s, r/s), s = sqrt(1 - e^{-2t}),
 which ``measure.log_gamma_ball`` evaluates for many nodes in one call.
-The kernel-form quadrature ``kernel.apply_indicator_log`` stays an
-independent route and is not used here.
+That measure and the density see y = c + rho omega only through rho and
+<omega, c/|c|>, so the outer rule is the axial rule of
+``quadrature.integrate_axial_log``, which depends on |c| alone: a sweep
+runs its whole |c_B| grid through one refinement (and one batched call
+for the log gamma(B) column), splitting the grid in halves only when a
+group fails.  The kernel-form quadrature ``kernel.apply_indicator_log``
+stays an independent route and is not used here.
 """
 
 from __future__ import annotations
@@ -38,7 +43,12 @@ from .geometry import (
 from .kernel import _time_factors, _translation_log_values, check_time
 from .lognum import LogNumber
 from .measure import gamma_log, log_gamma_ball
-from .quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_gamma_log, lq_norm_log
+from .quadrature import (
+    QuadratureConvergenceError,
+    QuadratureSpec,
+    integrate_axial_log,
+    integrate_gamma_log,
+)
 
 __all__ = [
     "FAILS_RESTRICTED",
@@ -146,28 +156,43 @@ def fit_affine(x, y) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def _in_chunks(inner, pts):
-    # an inner step over the outer nodes, INNER_CHUNK nodes per call
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], INNER_CHUNK):
-        out[start:start + INNER_CHUNK] = inner(pts[start:start + INNER_CHUNK])
+def _in_chunks(inner, nodes, *per_row):
+    # an inner step over (rows, m) outer nodes, at most INNER_CHUNK nodes
+    # per call: whole rows, or pieces of a row longer than that; each
+    # per_row array gives inner one value per row, as a column
+    rows, m = nodes.shape
+    step = max(1, INNER_CHUNK // m)
+    out = np.empty(nodes.shape)
+    for i in range(0, rows, step):
+        for j in range(0, m, INNER_CHUNK):
+            out[i:i + step, j:j + INNER_CHUNK] = inner(
+                nodes[i:i + step, j:j + INNER_CHUNK],
+                *(a[i:i + step, None] for a in per_row))
     return out
 
 
-def _annulus_lq_log(t: float, q: float, ball: Ball, k: int,
-                    spec: QuadratureSpec | None) -> LogNumber:
-    # ( integral_{C_k(B)} (e^{tL} 1_B)^q dgamma )^{1/q}, no admissibility
-    # constraints; e^{tL} 1_B(y) = gamma(B((c - e^{-t} y)/s, r/s)) with
-    # s = sqrt(1 - e^{-2t}), the translation route
-    annulus = Annulus(ball, int(k))
+def _annulus_lq_log(t: float, q: float, norms, radii, k: int, n: int,
+                    spec: QuadratureSpec | None):
+    # ( integral_{C_k(B)} (e^{tL} 1_B)^q dgamma )^{1/q} for every ball
+    # B = B(c, r) with |c| in norms and r in radii, in one refinement, no
+    # admissibility constraints; e^{tL} 1_B(y) = gamma(B((c - e^{-t} y)/s,
+    # r/s)) with s = sqrt(1 - e^{-2t}), the translation route
+    q = float(q)
+    if not (q >= 1.0 and math.isfinite(q)):
+        raise ValueError("q must lie in [1, inf)")
+    norms = np.atleast_1d(np.asarray(norms, dtype=float))
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     em, one_minus, _ = _time_factors(t)
     s = math.sqrt(one_minus)
 
-    def g_log(y):
-        norms = np.linalg.norm(ball.center - em * y, axis=-1) / s
-        return log_gamma_ball(norms, ball.radius / s, ball.dim, spec)
+    def g_log(x, z):
+        # c - e^{-t} y has a - e^{-t} x along c and e^{-t} z across it
+        dist = np.hypot(norms[:, None] - em * x, em * z) / s
+        return q * _in_chunks(lambda d, r: log_gamma_ball(d, r, n, spec),
+                              dist, radii / s)
 
-    return lq_norm_log(lambda pts: _in_chunks(g_log, pts), annulus, q, spec)
+    return integrate_axial_log(g_log, norms, 2.0 ** k * radii,
+                               2.0 ** (k + 1) * radii, n, spec) / q
 
 
 def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
@@ -175,13 +200,16 @@ def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
     """Log of  ( integral_{C_k(B)} (e^{tL} 1_B)^q dgamma )^{1/q}.
 
     B must be a maximal admissible ball with |c_B| >= 2^k (the testing
-    family of the negative result).  The integrand e^{tL} 1_B(y) at the
-    annulus nodes is the gamma measure of a translated ball (the
-    translation route), evaluated by ``log_gamma_ball`` in batches.
+    family of the negative result).  The integrand e^{tL} 1_B(y) is the
+    gamma measure of a translated ball (the translation route), evaluated
+    by ``log_gamma_ball`` in batches at the nodes of the axial rule
+    (``quadrature.integrate_axial_log``), which ``sweep_blowup`` runs over
+    a whole grid of balls at once.
     """
     t = check_time(t)
     _require_testing_family(ball, k)
-    return _annulus_lq_log(t, q, ball, k, spec)
+    return LogNumber.from_log(float(_annulus_lq_log(
+        t, q, ball.center_norm, ball.radius, k, ball.dim, spec)[0]))
 
 
 def _require_testing_family(ball: Ball, k: int) -> None:
@@ -228,8 +256,9 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     in the intercept and residuals) and is compared against the
     closed-form prediction 2/(e^t + 1) - 1 + (1/p - 1/q).
 
-    Raises SweepAborted, carrying the completed rows, if quadrature fails
-    to converge at any grid point.
+    All grid points run through one refinement of the axial rule; a group
+    that fails is split in halves, left first.  Raises SweepAborted,
+    carrying the rows before it, if quadrature fails at a single point.
     """
     t = check_time(t)
     if int(n) != n or not (1 <= n <= 3):
@@ -237,23 +266,12 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     grid = sorted(float(c) for c in cB_grid)
     if len(grid) < 4:
         raise ValueError("sweep grid needs at least 4 points")
-    if grid[0] < 2.0 ** k:
-        raise ValueError("every grid value must be >= 2^k")
+    n = int(n)
+    _require_testing_family(
+        make_maximal_admissible_ball(np.r_[grid[0], np.zeros(n - 1)]), k)
 
     rows: list[SweepRow] = []
-    for c in grid:
-        center = np.zeros(int(n))
-        center[0] = c
-        ball = make_maximal_admissible_ball(center)
-        try:
-            lhs = offdiag_lhs_log(t, hyp.q, ball, k, spec).log_magnitude
-            lgB = gamma_log(ball, spec).log_magnitude
-        except QuadratureConvergenceError as exc:
-            raise SweepAborted(
-                f"sweep aborted at |c_B| = {c}: {exc}",
-                tuple(rows), c) from exc
-        rows.append(SweepRow(c, lhs, lgB,
-                             _implied_from_parts(hyp, t, ball, k, lhs, lgB)))
+    _sweep_rows(hyp, t, k, n, grid, spec, rows)
 
     xs = np.array([r.cB_norm for r in rows]) ** 2
     ys = np.array([r.log_implied_const for r in rows])
@@ -261,6 +279,29 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     predicted = blowup_slope(hyp.p, hyp.q, t)
     rel = abs(fitted - predicted) / abs(predicted) if predicted != 0.0 else math.nan
     return SweepResult(tuple(rows), fitted, predicted, rel)
+
+
+def _sweep_rows(hyp, t, k, n, grid, spec, rows) -> None:
+    # every grid point in one refinement; a failing group is split in
+    # halves, left first, so a failing point aborts with the rows before it
+    balls = [make_maximal_admissible_ball(np.r_[c, np.zeros(n - 1)])
+             for c in grid]
+    norms = np.array(grid)
+    radii = np.array([ball.radius for ball in balls])
+    try:
+        lhs = _annulus_lq_log(t, hyp.q, norms, radii, k, n, spec)
+        lgB = log_gamma_ball(norms, radii, n, spec)
+    except QuadratureConvergenceError as exc:
+        if len(grid) == 1:
+            raise SweepAborted(f"sweep aborted at |c_B| = {grid[0]}: {exc}",
+                               tuple(rows), grid[0]) from exc
+        half = len(grid) // 2
+        _sweep_rows(hyp, t, k, n, grid[:half], spec, rows)
+        _sweep_rows(hyp, t, k, n, grid[half:], spec, rows)
+        return
+    for c, ball, a, g in zip(grid, balls, lhs.tolist(), lgB.tolist()):
+        rows.append(SweepRow(c, a, g,
+                             _implied_from_parts(hyp, t, ball, k, a, g)))
 
 
 def hypercontractivity_check(t: float, p: float, lam: float,
@@ -290,11 +331,11 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     full = FullSpace(1)
 
     def log_sq_applied(x):
-        return 2.0 * _translation_log_values(t, lambda z: lam * z, x[:, 0],
-                                             inner)
+        return 2.0 * _translation_log_values(t, lambda z: lam * z, x, inner)
 
-    norm2_log = integrate_gamma_log(lambda pts: _in_chunks(log_sq_applied, pts),
-                                    full, spec).log_magnitude / 2.0
+    norm2_log = integrate_gamma_log(
+        lambda pts: _in_chunks(log_sq_applied, pts)[:, 0],
+        full, spec).log_magnitude / 2.0
     normp_log = integrate_gamma_log(lambda pts: p * lam * pts[:, 0],
                                     full, spec).log_magnitude / p
     return HypercontractivityResult(closed, math.exp(norm2_log - normp_log))
@@ -315,7 +356,8 @@ def davies_gaffney_check(t: float, ball: Ball, k: int,
     t = check_time(t)
     if int(k) != k or k < 1:
         raise ValueError("need k >= 1 for a positive separation")
-    lhs = _annulus_lq_log(t, 2.0, ball, k, spec).log_magnitude
+    lhs = float(_annulus_lq_log(t, 2.0, ball.center_norm, ball.radius, k,
+                                ball.dim, spec)[0])
     lhs -= 0.5 * gamma_log(ball, spec).log_magnitude
     d = set_distance(ball, Annulus(ball, int(k)))
     rhs = math.log(t / d) - d * d / (2.0 * t)

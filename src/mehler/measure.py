@@ -5,12 +5,14 @@ through the error-function closed form evaluated via the normal log-CDF,
 which keeps full relative precision for magnitudes like exp(-900).
 
 ``log_gamma_ball`` is the one ball-measure primitive.  It is
-array-valued over the center distance and, in n = 2, 3, reduces a ball
-to a one-dimensional integral along its axis (closed-form transverse
-slices); the sweep evaluates e^{tL} 1_B at every annulus node through
-it, and ``gamma_log`` measures every ball through it.  Annuli in n = 2,
-3 go through the polar log-domain engine instead: gamma(outer ball) -
-gamma(inner ball) cancels when both are near 1.
+array-valued over the center distance and the radius and, in n = 2, 3,
+reduces a ball to a one-dimensional integral along its axis
+(closed-form transverse slices); the sweep evaluates e^{tL} 1_B at every
+annulus node through it, and ``gamma_log`` measures every ball through
+it.  Annuli in n = 2, 3 are the axial rule of
+``quadrature.integrate_axial_log`` with a zero integrand: a sum of
+positive terms, where gamma(outer ball) - gamma(inner ball) would cancel
+when both are near 1.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .quadrature import (
     _intervals_1d,
     _legendre_rule,
     _refine_each,
-    integrate_gamma_log,
+    integrate_axial_log,
 )
 
 __all__ = ["log_gamma_interval", "log_gamma_ball", "gamma_log"]
@@ -65,12 +67,13 @@ def log_gamma_interval(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def log_gamma_ball(center_norms, radius: float, n: int,
+def log_gamma_ball(center_norms, radius, n: int,
                    spec: QuadratureSpec | None = None):
     """log gamma_n(B(m, radius)) for every |m| in ``center_norms``.
 
     gamma is rotation invariant, so only the distance a = |m| of the
-    center matters.  In n = 1 this is the interval (a - radius,
+    center matters.  ``radius`` is a number or an array that broadcasts
+    against ``center_norms``.  In n = 1 this is the interval (a - radius,
     a + radius).  In n = 2, 3, with the axis along m and
     x = a + radius cos(theta),
 
@@ -88,31 +91,35 @@ def log_gamma_ball(center_norms, radius: float, n: int,
     noncentral chi-square CDF, kept in log domain far below exp(-700).
     """
     norms = np.asarray(center_norms, dtype=float)
-    radius = float(radius)
-    if not radius > 0.0 or not math.isfinite(radius):
+    radius = np.asarray(radius, dtype=float)
+    if not np.all((radius > 0.0) & np.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
     if n == 1:
         return log_gamma_interval(norms - radius, norms + radius)
     if n not in (2, 3):
         raise ValueError("supported dimensions are 1..3")
     spec = spec if spec is not None else QuadratureSpec()
+    shape = np.broadcast_shapes(norms.shape, radius.shape)
     return _refine_each(
         lambda order: _log_ball_slices(norms, radius, n, order),
-        lambda order: norms.size * order, n, spec,
+        lambda order: math.prod(shape) * order, n, spec,
         max(spec.tol * 1e-2, 1e-12), f"ball measure in n = {n}",
-        lambda i: f"radius {radius}, center distance {np.ravel(norms)[i]}")
+        lambda i: (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
+                   f"center distance {np.broadcast_to(norms, shape).flat[i]}"))
 
 
-def _log_ball_slices(norms, radius: float, n: int, order: int):
-    # Gauss-Legendre in theta on [0, pi], one row of nodes per center
+def _log_ball_slices(norms, radius, n: int, order: int):
+    # Gauss-Legendre in theta on [0, pi], one row of nodes per center; the
+    # slices depend on the radius alone, so they are built at its shape
     nodes, logw = _legendre_rule(order)
     theta = 0.5 * math.pi * (nodes + 1.0)
     sin_t = np.sin(theta)
+    radius = radius[..., None]
     x = norms[..., None] + radius * np.cos(theta)
     u = (radius * sin_t) ** 2
     log_slice = np.log(erf(np.sqrt(u))) if n == 2 else np.log(-np.expm1(-u))
-    log_terms = (logw + math.log(0.5 * math.pi * radius) - _LOG_SQRT_PI
-                 + np.log(sin_t) + log_slice - x * x)
+    log_terms = (logw + np.log(0.5 * math.pi * radius) - _LOG_SQRT_PI
+                 + np.log(sin_t) + log_slice) - x * x
     return log_sum_weighted(log_terms, axis=-1)
 
 
@@ -122,7 +129,7 @@ def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:
     Supported dimensions are 1, 2 and 3.  The full space has measure 1
     (gamma is a probability measure).  Balls go through
     ``log_gamma_ball``; annuli through the erf closed form in n = 1 and
-    the polar quadrature engine in n = 2, 3.
+    the axial rule in n = 2, 3.
     """
     if isinstance(region, FullSpace):
         return LogNumber.one()
@@ -134,5 +141,6 @@ def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:
     if region.dim == 1:
         return LogNumber.from_log(float(np.logaddexp.reduce(
             [log_gamma_interval(a, b) for a, b in _intervals_1d(region)])))
-    return integrate_gamma_log(lambda pts: np.zeros(pts.shape[0]), region,
-                               spec)
+    return LogNumber.from_log(float(integrate_axial_log(
+        lambda x, z: np.zeros(x.shape), region.base.center_norm,
+        region.inner_radius, region.outer_radius, region.dim, spec)[0]))

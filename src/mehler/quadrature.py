@@ -10,14 +10,24 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 * balls and annuli in n = 2, 3: Gauss-Legendre radially times equispaced
   angular grids, centered at the ball center so integrands stay smooth
   (the trapezoid rule is spectrally accurate for periodic integrands).
+  This polar grid serves direct ``integrate_gamma_log`` calls, among
+  them the kernel-form route of ``kernel.apply_indicator_log``;
+* the axial rule of ``integrate_axial_log``: annuli about many centers c
+  at once, for integrands that see y only through its coordinate along
+  c and its distance from that axis.  Gauss-Legendre in rho = |y - c|
+  times a rule in u = <(y - c)/rho, c/|c|>, the azimuth integrated
+  exactly: order^2 nodes per center in n = 2, 3 where the polar grid
+  needs 2 order^n.  The sweeps and the annulus measures in n = 2, 3
+  use it.
 
 Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
 log-domain refinement loop: it doubles the order until the relative
 change of every value drops below the tolerance, and a pass that would
 build more than ``MAX_NODES`` nodes raises instead.  It drives
-``integrate_gamma_log`` here, the ball measure in ``measure`` and the
-batched translation step in ``kernel``.  The default relative tolerance
-is 1e-8; only ``QuadratureSpec(tol=)`` (the CLI's ``--tol``) changes it.
+``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
+measure in ``measure`` and the batched translation step in ``kernel``.
+The default relative tolerance is 1e-8; only ``QuadratureSpec(tol=)``
+(the CLI's ``--tol``) changes it.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureConvergenceError",
     "integrate_gamma_log",
+    "integrate_axial_log",
     "lq_norm_log",
     "gauss_hermite_gamma_nodes",
 ]
@@ -192,6 +203,37 @@ def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
     return pts, lw
 
 
+def _axial_factor(n: int, order: int):
+    # directions omega about the center's axis: u = <omega, c/|c|>,
+    # v = sqrt(1 - u^2) and the log-weights of the unit sphere's measure
+    # with the azimuth integrated exactly (the integrands depend on y
+    # only through u)
+    if n == 1:
+        return np.array([-1.0, 1.0]), np.zeros(2), np.zeros(2)
+    if n == 2:
+        theta = (np.arange(order) + 0.5) * (math.pi / order)
+        return (np.cos(theta), np.sin(theta),
+                np.full(order, math.log(2.0 * math.pi / order)))
+    u, lw = _legendre_rule(order)
+    return u, np.sqrt(1.0 - u * u), lw + math.log(2.0 * math.pi)
+
+
+def _axial_nodes(norms, r_inner, r_outer, n: int, order: int):
+    # y = c + rho omega on the annuli, one row per center distance a = |c|:
+    # the axial coordinate x = a + rho u, the transverse distance
+    # z = rho v and log-weights with the density, |y|^2 = x^2 + z^2
+    rnodes, rlogw = _legendre_rule(order)
+    half = (0.5 * (r_outer - r_inner))[:, None]
+    rho = half * rnodes + (0.5 * (r_outer + r_inner))[:, None]
+    rlw = rlogw + np.log(half) + (n - 1) * np.log(rho)
+    u, v, ulw = _axial_factor(n, order)
+    x = norms[:, None, None] + rho[..., None] * u
+    z = rho[..., None] * v
+    lw = (rlw[..., None] + ulw) - (x * x + z * z) - n * _LOG_SQRT_PI
+    rows = norms.size
+    return x.reshape(rows, -1), z.reshape(rows, -1), lw.reshape(rows, -1)
+
+
 def _radii(region) -> tuple[float, float]:
     if isinstance(region, Ball):
         return 0.0, region.radius
@@ -331,6 +373,40 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     return LogNumber.from_log(_refine_each(
         one_pass, lambda order: _node_count(region, order), region.dim,
         spec, spec.tol, "integral", lambda _: f"over {region!r}"))
+
+
+def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
+                        spec: QuadratureSpec | None = None):
+    """Log of  integral_{r_inner <= |y - c| <= r_outer} exp(f_log) dgamma(y)
+    for every center distance |c| in ``center_norms``, in one refinement.
+
+    ``f_log(x, z)`` sees y through its coordinate x = <y, c/|c|> along
+    the axis and its distance z >= 0 from it, as (centers, nodes)
+    arrays, and returns one such array.  So does the density, so the
+    azimuth is exact: with y = c + rho omega and u = <omega, c/|c|>,
+    Gauss-Legendre in rho with weight rho^{n-1} times u = +-1 (n = 1),
+    midpoints in arccos u on [0, pi] with weight 2 pi / order (n = 2) or
+    Gauss-Legendre in u with weight 2 pi (n = 3).  The radii broadcast
+    against ``center_norms``; the result is 1-D.  Every term is positive,
+    so nothing cancels.  The order doubles until every entry changes by
+    at most ``spec.tol`` relative; a pass over more than ``MAX_NODES``
+    (center, node) pairs raises ``QuadratureConvergenceError`` unbuilt.
+    """
+    if n not in (1, 2, 3):
+        raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {n}")
+    spec = spec if spec is not None else QuadratureSpec()
+    norms, r_inner, r_outer = (np.ravel(a).astype(float) for a in
+                               np.broadcast_arrays(center_norms, r_inner,
+                                                   r_outer))
+
+    def one_pass(order):
+        x, z, lw = _axial_nodes(norms, r_inner, r_outer, n, order)
+        return log_sum_weighted(f_log(x, z), lw, axis=-1)
+
+    return _refine_each(
+        one_pass, lambda order: norms.size * order * (2 if n == 1 else order),
+        n, spec, spec.tol, f"annulus integral in n = {n}",
+        lambda i: f"center distance {norms[i]}")
 
 
 def lq_norm_log(g_log, region, q: float, spec: QuadratureSpec | None = None,

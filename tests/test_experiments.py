@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from mehler.estimates import (
     OffDiagHypothesis,
@@ -26,10 +29,13 @@ from mehler.experiments import (
     regime_map,
     sweep_blowup,
 )
+from mehler import quadrature
+from mehler.cli import main
+from mehler.experiments import _annulus_lq_log
 from mehler.geometry import Annulus, Ball, make_maximal_admissible_ball
 from mehler.kernel import apply_indicator_log
-from mehler.measure import gamma_log
-from mehler.quadrature import QuadratureSpec, lq_norm_log
+from mehler.measure import gamma_log, log_gamma_ball
+from mehler.quadrature import QuadratureConvergenceError, QuadratureSpec, lq_norm_log
 
 HYP12 = OffDiagHypothesis(p=1.0, q=2.0)
 
@@ -149,7 +155,113 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_blowup(HYP12, 0.5, 2, 1, [3.0, 6.0, 8.0, 10.0])  # < 2^k
     with pytest.raises(ValueError):
+        sweep_blowup(HYP12, 0.5, 0, 1, [4.0, 6.0, 8.0, 10.0])  # k < 1
+    with pytest.raises(ValueError):
         sweep_blowup(HYP12, 0.5, 1, 5, [4.0, 6.0, 8.0, 10.0])  # dim cap
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sweep_rows_match_single_points(n):
+    # the whole grid runs in one refinement; every row must be what the
+    # point gives alone, within the tolerance both converged to
+    spec = QuadratureSpec()
+    grid = [4.0, 5.0, 8.0, 13.0, 30.0]
+    res = sweep_blowup(HYP12, 0.5, 1, n, grid, spec)
+    for row in res.rows:
+        ball = make_maximal_admissible_ball(np.r_[row.cB_norm, np.zeros(n - 1)])
+        lhs = offdiag_lhs_log(0.5, 2.0, ball, 1, spec).log_magnitude
+        assert abs(row.log_lhs - lhs) <= spec.tol
+        assert abs(row.log_gammaB - gamma_log(ball, spec).log_magnitude) <= spec.tol
+        assert row.log_implied_const == pytest.approx(
+            implied_constant_log(HYP12, 0.5, ball, 1, spec).log_magnitude,
+            abs=spec.tol)
+
+
+@pytest.mark.parametrize("n, cap", [(1, 128), (2, 65536), (3, 65536)])
+def test_sweep_splits_a_grid_over_the_node_cap(n, cap, monkeypatch):
+    # the cap admits the largest pass of two grid points, not of five:
+    # the whole-grid pass raises, and the sweep gets through in halves
+    grid = [4.0, 6.0, 8.0, 10.0, 12.0]
+    want = sweep_blowup(HYP12, 0.5, 1, n, grid)
+    monkeypatch.setattr(quadrature, "MAX_NODES", cap)
+    with pytest.raises(QuadratureConvergenceError, match="above the cap"):
+        _annulus_lq_log(0.5, 2.0, grid, [1.0 / c for c in grid], 1, n, None)
+    assert sweep_blowup(HYP12, 0.5, 1, n, grid) == want
+
+
+def test_sweep_builds_no_polar_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polar grid built")
+
+    monkeypatch.setattr(quadrature, "_polar_nodes", refuse)
+    for n in (2, 3):
+        res = sweep_blowup(HYP12, 0.5, 1, n, [4.0, 6.0, 8.0, 10.0])
+        assert res.slope_rel_error < 0.15
+
+
+def _polar_lhs_log(t, q, ball, k):
+    # the same integrand, log_gamma_ball of the translated ball, on the
+    # polar grid about the center: an outer rule independent of the axis
+    em = math.exp(-t)
+    s = math.sqrt(-math.expm1(-2.0 * t))
+
+    def g_log(y):
+        norms = np.linalg.norm(ball.center - em * y, axis=-1) / s
+        return log_gamma_ball(norms, ball.radius / s, ball.dim)
+
+    def in_chunks(pts):
+        # bounds the (nodes x inner order) arrays of the ball measure
+        return np.concatenate([g_log(p) for p in np.split(
+            pts, range(4096, len(pts), 4096))])
+
+    return lq_norm_log(in_chunks, Annulus(ball, k), q).log_magnitude
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([2, 3]),
+       norm=st.floats(4.0, 30.0),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+       .filter(lambda v: np.linalg.norm(v[:2]) > 0.1),
+       t=st.floats(0.05, 2.0),
+       q=st.floats(1.0, 3.0))
+def test_axial_rule_matches_polar_engine(n, norm, direction, t, q):
+    unit = np.asarray(direction[:n]) / np.linalg.norm(direction[:n])
+    ball = make_maximal_admissible_ball(norm * unit)
+    got = offdiag_lhs_log(t, q, ball, 1).log_magnitude
+    assert got == pytest.approx(_polar_lhs_log(t, q, ball, 1), rel=1e-9)
+
+
+def test_small_time_sweep_in_3d(capsys):
+    # the README grid at t = 1e-3 in n = 3; its |c| = 4 row against an
+    # adaptive double integral in (rho, u) of the same integrand
+    argv = ["sweep", "--t", "0.001", "--p", "1", "--q", "2", "--k", "1",
+            "--n", "3", "--cmin", "4", "--cmax", "12", "--steps", "5"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    first = [float(v) for v in lines[1].split(",")]
+    assert first[0] == 4.0
+    a, r, t, q = 4.0, 0.25, 1e-3, 2.0
+    em = math.exp(-t)
+    s = math.sqrt(-math.expm1(-2.0 * t))
+
+    def log_f(u, rho):
+        # y = c + rho omega with u = <omega, c/|c|>: density, sphere
+        # weight 2 pi rho^2 du, and e^{tL} 1_B(y)^q
+        v = math.sqrt(1.0 - u * u)
+        dist = math.hypot(a - em * (a + rho * u), em * rho * v) / s
+        return (math.log(2.0 * math.pi * rho * rho) - 1.5 * math.log(math.pi)
+                - (a + rho * u) ** 2 - (rho * v) ** 2
+                + q * float(log_gamma_ball(dist, r / s, 3)))
+
+    shift = log_f(1.0, 2.0 * r)
+    value, _ = integrate.dblquad(lambda u, rho: math.exp(log_f(u, rho) - shift),
+                                 2.0 * r, 4.0 * r, -1.0, 1.0,
+                                 epsabs=0.0, epsrel=1e-10)
+    assert abs(first[1] - (shift + math.log(value)) / q) <= 1e-8
+    # the fitted slope sits 5.15 % from the closed form (polynomial
+    # prefactors of the implied constant land in the fit on [4, 12])
+    rel_err = float(lines[-1].rsplit("rel_err=", 1)[1])
+    assert rel_err < 0.055
 
 
 def test_sweep_abort_carries_partial_rows():

@@ -220,17 +220,49 @@ def test_ball_measure_depends_on_center_norm_only():
                 _polar_log(Ball(center, 0.4)), rel=1e-12)
 
 
-def test_ball_measure_builds_no_polar_grid(monkeypatch):
-    # every ball goes through the axis integral; only annuli use the grid
-    def refuse(*args):
-        raise AssertionError("polar grid built for a ball")
+def _refuse_polar_grid(*args):
+    raise AssertionError("polar grid built")
 
-    monkeypatch.setattr(quadrature, "_polar_nodes", refuse)
+
+def test_ball_measure_builds_no_polar_grid(monkeypatch):
+    # every ball goes through the axis integral; only direct engine calls
+    # use the grid
+    monkeypatch.setattr(quadrature, "_polar_nodes", _refuse_polar_grid)
     for n in (1, 2, 3):
         assert math.isfinite(gamma_log(Ball(np.r_[8.0, np.zeros(n - 1)],
                                             0.125)).log_magnitude)
     with pytest.raises(AssertionError, match="polar grid"):
-        gamma_log(Annulus(Ball([8.0, 0.0], 0.125), 1))
+        _polar_log(Annulus(Ball([8.0, 0.0], 0.125), 1))
+
+
+def test_annulus_measure_builds_no_polar_grid(monkeypatch):
+    monkeypatch.setattr(quadrature, "_polar_nodes", _refuse_polar_grid)
+    for n in (1, 2, 3):
+        for k in (0, 1, 3):
+            ann = Annulus(Ball(np.r_[8.0, np.zeros(n - 1)], 0.125), k)
+            assert math.isfinite(gamma_log(ann).log_magnitude)
+
+
+# (center distance, radius, k): near measure 1, in the bulk and in tails
+# down to about exp(-900)
+ANNULI = [(0.0, 2.0, 0), (0.2, 1.5, 0), (0.3, 0.25, 1), (1.3, 0.35, 2),
+          (4.0, 0.25, 1), (8.0, 0.125, 1), (20.0, 0.05, 1),
+          (30.0, 1.0 / 30.0, 1), (29.0, 1.0 / 29.0, 3)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_annulus_measure_matches_polar_engine(n):
+    # relative error of the measure, that is |delta log| <= 1e-12,
+    # against the polar grid about the center in a seeded direction
+    rng = np.random.default_rng(n)
+    logs = []
+    for c, r, k in ANNULI:
+        direction = rng.normal(size=n)
+        ann = Annulus(Ball(c * direction / np.linalg.norm(direction), r), k)
+        got = gamma_log(ann).log_magnitude
+        assert abs(got - _polar_log(ann)) <= 1e-12
+        logs.append(got)
+    assert logs[0] > -1e-6 and min(logs) < -890.0
 
 
 @settings(max_examples=12, deadline=None)
