@@ -55,7 +55,7 @@ from .kernel import (
     mehler_log,
     mehler_log_values,
 )
-from .lognum import LogNumber, log_diff_exp, log_sum_weighted
+from .lognum import LogNumber, log_sum_weighted
 from .measure import gamma_log, log_gamma_ball, log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
@@ -107,7 +107,6 @@ __all__ = [
     "interpolated_bound_log",
     "is_admissible",
     "lemma_lower_bound_log",
-    "log_diff_exp",
     "log_gamma_ball",
     "log_gamma_interval",
     "log_sum_weighted",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np

@@ -264,8 +264,8 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     if int(n) != n or not (1 <= n <= 3):
         raise ValueError("dimension must be 1, 2 or 3")
     grid = sorted(float(c) for c in cB_grid)
-    if len(grid) < 4:
-        raise ValueError("sweep grid needs at least 4 points")
+    if len(set(grid)) < 4:
+        raise ValueError("sweep grid needs at least 4 distinct |c_B| values")
     n = int(n)
     _require_testing_family(
         make_maximal_admissible_ball(np.r_[grid[0], np.zeros(n - 1)]), k)

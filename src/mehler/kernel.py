@@ -228,7 +228,7 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
     prev = None
     cur = None
     for _ in range(spec.max_refinements + 1):
-        _check_node_budget(n, order, order ** n, cur)
+        _check_node_budget("translation route", n, order, order ** n, cur)
         pts, lw = _fullspace_nodes(n, order)
         vals = np.asarray(f(em * xv[None, :] + s * pts), dtype=float)
         prev, cur = cur, float(np.sum(vals * np.exp(lw)))

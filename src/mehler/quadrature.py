@@ -264,19 +264,21 @@ def _node_count(region, order: int) -> int:
     return 2 * order ** n
 
 
-def _check_node_budget(n: int, order: int, count: int, last=None) -> None:
+def _check_node_budget(what: str, n: int, order: int, count: int,
+                       last=None) -> None:
     """Raise before a refinement pass would build more than MAX_NODES nodes.
 
-    ``last`` holds the value(s) of the previous pass, if any; the error
-    carries their range, computed only when it raises.
+    The error names ``what``, the integral being refined.  ``last`` holds the
+    value(s) of the previous pass, if any; the error carries their range,
+    computed only when it raises.
     """
     if count > MAX_NODES:
         span = ((None, None) if last is None
                 else (float(np.min(last)), float(np.max(last))))
         raise QuadratureConvergenceError(
-            f"refinement in n = {n} would build {count} nodes at order "
-            f"{order}, above the cap of {MAX_NODES}; last values span {span}",
-            span)
+            f"{what}: refinement in n = {n} would build {count} nodes at "
+            f"order {order}, above the cap of {MAX_NODES}; last values span "
+            f"{span}", span)
 
 
 def _check_region(region):
@@ -309,11 +311,11 @@ def _refine_each(one_pass, count, n: int, spec: QuadratureSpec,
     that moved most in the last doubling.
     """
     order = spec.order
-    _check_node_budget(n, order, count(order))
+    _check_node_budget(what, n, order, count(order))
     cur = one_pass(order)
     for _ in range(spec.max_refinements):
         order *= 2
-        _check_node_budget(n, order, count(order), cur)
+        _check_node_budget(what, n, order, count(order), cur)
         prev, cur = cur, one_pass(order)
         if _log_rel_converged(cur, prev, tol):
             return cur

@@ -3,7 +3,8 @@
 Each test prints one `[criterion N] name: PASS/FAIL` line.  The targets
 are inequalities and closed-form-predicted quantities, never absolute
 constants: slope fits, sign patterns, conservation laws and multi-route
-agreement.
+agreement.  Criteria 1-4, 9 and 10 run the matching `mehler.selftest`
+check, the one definition of each invariant, and add their own limits.
 """
 
 import math
@@ -12,12 +13,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy.special import eval_hermite
 
+from mehler import selftest
 from mehler.estimates import (
     OffDiagHypothesis,
-    blowup_slope,
-    delta_exponent,
     failure_threshold,
     lemma_lower_bound_log,
     nelson_min_p,
@@ -33,14 +32,7 @@ from mehler.experiments import (
     regime_map,
     sweep_blowup,
 )
-from mehler.geometry import Ball, FullSpace, make_maximal_admissible_ball
-from mehler.kernel import (
-    apply_indicator_closed_log,
-    apply_indicator_log,
-    apply_via_translation,
-    mehler_log_values,
-)
-from mehler.quadrature import QuadratureSpec, integrate_gamma_log
+from mehler.geometry import make_maximal_admissible_ball
 
 
 @contextmanager
@@ -56,69 +48,25 @@ def criterion(num, name):
 def test_criterion_1_kernel_conservation():
     with criterion(1, "kernel conservation"):
         start = time.perf_counter()
-        for n in (1, 2):
-            for t in (0.1, 1.0, 5.0):
-                for xnorm in (0.0, 1.5, 3.0):
-                    x = np.r_[xnorm, np.zeros(n - 1)]
-                    total = integrate_gamma_log(
-                        lambda pts: mehler_log_values(t, pts, x[None, :]),
-                        FullSpace(n)).log_magnitude
-                    assert abs(math.expm1(total)) <= 1e-8, (n, t, xnorm)
+        selftest.check_kernel_conservation(np.random.default_rng(0))
         assert time.perf_counter() - start < 5.0
 
 
 def test_criterion_2_semigroup_property():
     with criterion(2, "semigroup composition"):
         start = time.perf_counter()
-        xs = (-2.0, 0.5, 2.0)
-        ys = (-1.5, 0.0, 2.0)
-        for t in (0.3, 1.0):
-            for s in (0.3, 1.0):
-                for x in xs:
-                    for y in ys:
-                        xv, yv = np.array([x]), np.array([y])
-                        comp = integrate_gamma_log(
-                            lambda pts: (mehler_log_values(t, pts, xv[None, :])
-                                         + mehler_log_values(s, pts, yv[None, :])),
-                            FullSpace(1)).log_magnitude
-                        direct = float(mehler_log_values(t + s, xv, yv))
-                        assert abs(math.expm1(comp - direct)) <= 1e-6
+        selftest.check_kernel_semigroup(np.random.default_rng(0))
         assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_3_oracle_agreement():
     with criterion(3, "kernel/translation/erf route agreement"):
-        rng = np.random.default_rng(42)
-        tight = QuadratureSpec(tol=1e-10)
-        for _ in range(20):
-            t = rng.uniform(0.2, 2.0)
-            a = rng.uniform(-2.5, 1.5)
-            b = a + rng.uniform(0.4, 1.5)
-            y = rng.uniform(a - 1.0, b + 1.0)
-            closed = apply_indicator_closed_log(t, a, b, y)
-            kern = apply_indicator_log(
-                t, Ball([0.5 * (a + b)], 0.5 * (b - a)), [y],
-                tight).log_magnitude
-            assert abs(math.expm1(kern - closed)) <= 1e-8
-
-            def f(pts, a=a, b=b):
-                z = pts[:, 0]
-                return ((z >= a) & (z < b)).astype(float)
-
-            trans = apply_via_translation(t, f, [y], tight, breakpoints=(a, b))
-            assert abs(trans / math.exp(closed) - 1.0) <= 1e-8
-            assert abs(trans / math.exp(kern) - 1.0) <= 1e-8
+        selftest.check_kernel_oracle_agreement(np.random.default_rng(42))
 
 
 def test_criterion_4_hermite_eigenfunctions():
     with criterion(4, "Hermite eigenfunction decay"):
-        for t in (0.3, 1.0):
-            for k in range(6):
-                for x in (0.3, -0.8, 1.5, 2.2, -2.6):
-                    got = apply_via_translation(
-                        t, lambda pts, k=k: eval_hermite(k, pts[:, 0]), [x])
-                    want = math.exp(-k * t) * float(eval_hermite(k, x))
-                    assert abs(got / want - 1.0) <= 1e-6, (t, k, x)
+        selftest.check_kernel_eigenfunctions(np.random.default_rng(0))
 
 
 def test_criterion_5_nelson_sharpness():
@@ -182,30 +130,17 @@ def test_criterion_8_davies_gaffney_consistency():
 def test_criterion_9_threshold_algebra():
     with criterion(9, "threshold and slope algebra"):
         rng = np.random.default_rng(42)
-        for _ in range(10_000):
-            p = rng.uniform(1.0, 4.0)
-            q = p + rng.uniform(1e-6, 4.0)
-            t = rng.uniform(1e-6, 3.0)
-            s = blowup_slope(p, q, t)
-            diff = failure_threshold(p, q) - t
-            assert s * diff > 0.0 or (s == 0.0 and diff == 0.0)
-        for _ in range(10_000):
-            t = rng.uniform(0.01, 3.0)
-            lo = nelson_min_p(t)
-            p = lo + rng.uniform(1e-9, 1.0) * (2.0 - lo)
-            assert 0.0 <= delta_exponent(p, t) < 1.0
+        selftest.check_threshold_slope_signs(rng)
+        selftest.check_delta_range(rng)
         assert abs(failure_threshold(1.0, 2.0) - math.log(3.0)) <= 1e-12
 
 
 def test_criterion_10_regime_map_consistency():
     with criterion(10, "regime map partition"):
+        selftest.check_regime_partition(np.random.default_rng(0))
         result = regime_map(np.linspace(1.05, 1.95, 10), [2.0],
                             np.linspace(0.1, 2.0, 20))
-        assert len(result.cells) == 200
         for cell in result.cells:
-            fails = cell.t < cell.t_star
-            holds = cell.q == 2.0 and cell.p_nelson < cell.p <= 2.0
-            assert not (fails and holds)
             assert cell.regime in (FAILS_RESTRICTED, HOLDS_UNRESTRICTED,
                                    UNKNOWN)
         target = [c for c in result.cells

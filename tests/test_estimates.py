@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mehler import selftest
 from mehler.estimates import (
     OffDiagHypothesis,
     blowup_slope,
@@ -98,12 +99,7 @@ class TestDeltaExponent:
             delta_exponent(1.05, 0.1)
 
     def test_range_property(self):
-        rng = np.random.default_rng(27)
-        for _ in range(10_000):
-            t = rng.uniform(0.01, 3.0)
-            lo = nelson_min_p(t)
-            p = lo + rng.uniform(1e-9, 1.0) * (2.0 - lo)
-            assert 0.0 <= delta_exponent(p, t) < 1.0
+        selftest.check_delta_range(np.random.default_rng(27))
 
 
 class TestInterpolatedBound:
@@ -181,14 +177,7 @@ class TestBlowupSlope:
             assert abs(blowup_slope(p, q, t_star)) < 1e-12
 
     def test_sign_matches_threshold(self):
-        rng = np.random.default_rng(35)
-        for _ in range(10_000):
-            p = rng.uniform(1.0, 4.0)
-            q = p + rng.uniform(1e-6, 4.0)
-            t = rng.uniform(1e-6, 3.0)
-            s = blowup_slope(p, q, t)
-            diff = failure_threshold(p, q) - t
-            assert s * diff > 0.0 or (s == 0.0 and diff == 0.0)
+        selftest.check_threshold_slope_signs(np.random.default_rng(35))
 
 
 class TestLowerBound:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from mehler import selftest
 from mehler.estimates import (
     OffDiagHypothesis,
     blowup_slope,
@@ -157,6 +158,8 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_blowup(HYP12, 0.5, 1, 1, [4.0, 6.0, 8.0])  # too few points
     with pytest.raises(ValueError):
+        sweep_blowup(HYP12, 0.5, 1, 1, [4.0] * 5)  # one distinct |c_B|
+    with pytest.raises(ValueError):
         sweep_blowup(HYP12, 0.5, 2, 1, [3.0, 6.0, 8.0, 10.0])  # < 2^k
     with pytest.raises(ValueError):
         sweep_blowup(HYP12, 0.5, 0, 1, [4.0, 6.0, 8.0, 10.0])  # k < 1
@@ -304,12 +307,7 @@ class TestHypercontractivity:
         assert 1.0 < r2.ratio_numeric < r3.ratio_numeric
 
     def test_numeric_matches_closed_form(self):
-        for lam in (0.5, 1.0, 2.0):
-            for t in (0.3, 1.0):
-                for p in (1.2, 1.5, 2.0):
-                    res = hypercontractivity_check(t, p, lam)
-                    assert res.ratio_numeric == pytest.approx(
-                        res.ratio_closed_form, rel=1e-6)
+        selftest.check_hypercontractivity_agreement(np.random.default_rng(0))
 
     @pytest.mark.parametrize("t, p, lam", [(1.0, 1.9, 20.0), (0.5, 1.5, 10.0)])
     def test_large_lambda_matches_closed_form(self, t, p, lam):

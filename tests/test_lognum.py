@@ -1,26 +1,19 @@
-"""LogNumber arithmetic and log-space reduction tests."""
+"""LogNumber construction and log-space reduction tests."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mehler.lognum import LogNumber, log_diff_exp, log_sum_weighted
-
-
-def test_from_float_roundtrip():
-    rng = np.random.default_rng(7)
-    for v in rng.uniform(-50, 50, size=200):
-        back = LogNumber.from_float(v).to_float()
-        assert back == pytest.approx(float(v), rel=1e-15)
+from mehler.lognum import LogNumber, log_sum_weighted
 
 
 def test_zero_representation():
-    z = LogNumber.from_float(0.0)
+    z = LogNumber.zero()
     assert z.sign == 0
     assert z.log_magnitude == -math.inf
     assert z.to_float() == 0.0
-    assert LogNumber.from_log(-math.inf).sign == 0
+    assert LogNumber.from_log(-math.inf) == z
 
 
 def test_invalid_construction_rejected():
@@ -34,50 +27,8 @@ def test_invalid_construction_rejected():
         LogNumber(1, math.nan)
 
 
-def test_multiplication_and_division():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a, b = rng.uniform(-20, 20, size=2)
-        if b == 0:
-            continue
-        la, lb = LogNumber.from_float(a), LogNumber.from_float(b)
-        assert (la * lb).to_float() == pytest.approx(a * b, rel=1e-13)
-        assert (la / lb).to_float() == pytest.approx(a / b, rel=1e-13)
-    with pytest.raises(ZeroDivisionError):
-        LogNumber.one() / LogNumber.zero()
-
-
-def test_signed_addition_matches_linear():
-    rng = np.random.default_rng(13)
-    for _ in range(500):
-        a, b = rng.uniform(-10, 10, size=2)
-        got = (LogNumber.from_float(a) + LogNumber.from_float(b)).to_float()
-        assert got == pytest.approx(a + b, rel=1e-12, abs=1e-13)
-
-
-def test_subtraction_exact_cancellation():
-    a = LogNumber.from_log(3.5)
-    assert (a - a).sign == 0
-
-
-def test_power_rules():
-    x = LogNumber.from_float(2.0)
-    assert (x ** 3.0).to_float() == pytest.approx(8.0, rel=1e-14)
-    assert (LogNumber.zero() ** 2.0).sign == 0
-    assert (LogNumber.zero() ** 0.0) == LogNumber.one()
-    with pytest.raises(ValueError):
-        LogNumber.from_float(-1.0) ** 0.5
-    with pytest.raises(ZeroDivisionError):
-        LogNumber.zero() ** -1.0
-
-
 def test_huge_magnitudes_never_overflow():
-    # same-sign addition at log magnitude 1700 stays finite in log domain
     a = LogNumber.from_log(1700.0)
-    total = a + a
-    assert math.isfinite(total.log_magnitude)
-    assert total.log_magnitude == pytest.approx(1700.0 + math.log(2.0), rel=1e-14)
-    assert (a * a).log_magnitude == 3400.0
     assert not a.is_finite_float()
     assert a.to_float() == math.inf  # saturates, no exception
 
@@ -91,30 +42,3 @@ def test_log_sum_weighted_extreme_inputs():
     expected = mags.max() + math.log(np.sum(np.exp(shifted)))
     assert total == pytest.approx(expected, rel=1e-13)
     assert log_sum_weighted([]) == -math.inf
-
-
-def test_log_diff_exp():
-    assert log_diff_exp(1.0, 1.0) == -math.inf
-    assert log_diff_exp(5.0, -math.inf) == 5.0
-    got = log_diff_exp(2.0, 1.0)
-    assert got == pytest.approx(math.log(math.e ** 2 - math.e), rel=1e-14)
-    with pytest.raises(ValueError):
-        log_diff_exp(0.0, 1.0)
-
-
-def test_comparisons_follow_value_order():
-    vals = [-3.0, -0.5, 0.0, 0.25, 7.0]
-    nums = [LogNumber.from_float(v) for v in vals]
-    for i, a in enumerate(nums):
-        for j, b in enumerate(nums):
-            assert (a < b) == (vals[i] < vals[j])
-            assert (a >= b) == (vals[i] >= vals[j])
-
-
-def test_rel_diff():
-    a = LogNumber.from_float(2.0)
-    b = LogNumber.from_float(2.0000002)
-    assert a.rel_diff(b) == pytest.approx(1e-7, rel=1e-5)
-    assert LogNumber.from_float(-2.0).rel_diff(a) == pytest.approx(2.0)
-    with pytest.raises(ZeroDivisionError):
-        a.rel_diff(LogNumber.zero())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mehler import quadrature
+from mehler import quadrature, selftest
 from mehler.geometry import Annulus, Ball, FullSpace
 from mehler.kernel import mehler_log_values
 from mehler.lognum import log_sum_weighted
@@ -14,7 +14,6 @@ from mehler.quadrature import (
     MAX_NODES,
     QuadratureConvergenceError,
     QuadratureSpec,
-    gauss_hermite_gamma_nodes,
     integrate_gamma_log,
     lq_norm_log,
 )
@@ -56,14 +55,7 @@ def test_interval_measure_matches_erf():
 
 def test_gauss_hermite_moment_exactness():
     # with m = 5 nodes, monomials up to degree 9 are exact
-    x, w = gauss_hermite_gamma_nodes(5)
-    for d in range(10):
-        got = float(np.sum(w * x ** d))
-        if d % 2 == 1:
-            assert abs(got) < 1e-12
-        else:
-            want = math.prod(range(1, d, 2)) / 2.0 ** (d // 2)
-            assert got == pytest.approx(want, rel=1e-12)
+    selftest.check_gauss_hermite_exactness(np.random.default_rng(0))
 
 
 def test_logsumexp_accumulation_overflow_free():
@@ -86,16 +78,7 @@ def test_reassociation_stability():
 
 
 def test_refinement_history_monotone_on_smooth_kernel_integrand():
-    ball = Ball([6.0], 1.0 / 6.0)
-    y = np.array([[6.4]])
-    history = []
-    integrate_gamma_log(lambda pts: mehler_log_values(0.7, pts, y),
-                        ball, QuadratureSpec(order=4, tol=1e-10),
-                        history=history)
-    errs = [abs(math.expm1(b - a))
-            for (_, a), (_, b) in zip(history, history[1:])]
-    assert len(errs) >= 2
-    assert all(e2 <= e1 * 1.01 + 1e-15 for e1, e2 in zip(errs, errs[1:]))
+    selftest.check_refinement_monotone(np.random.default_rng(0))
 
 
 def test_convergence_error_carries_last_iterates():
