@@ -45,7 +45,8 @@ print("\nHermite eigenfunctions: e^{tL} H_k = e^{-kt} H_k")
 print(f"{'k':>3} {'x':>6} {'numeric':>18} {'e^{-kt} H_k(x)':>18} {'rel err':>10}")
 for k in range(6):
     x = 1.5
-    got = apply_via_translation(t, lambda pts, k=k: eval_hermite(k, pts[:, 0]), [x])
+    got = apply_via_translation(t, lambda pts, k=k: eval_hermite(k, pts[:, 0]), [x],
+                                breakpoints=())
     want = math.exp(-k * t) * float(eval_hermite(k, x))
     print(f"{k:>3} {x:>6} {got:>18.10f} {want:>18.10f} "
           f"{abs(got / want - 1):>10.2e}")
@@ -54,6 +55,7 @@ print("\nexponential moments: e^{tL} e^{lam .}(x) = "
       "exp(lam e^{-t} x + lam^2 (1 - e^{-2t})/4)")
 for lam in (0.5, 1.0, 2.0):
     x = 1.2
-    got = apply_via_translation(t, lambda pts, lam=lam: np.exp(lam * pts[:, 0]), [x])
+    got = apply_via_translation(t, lambda pts, lam=lam: np.exp(lam * pts[:, 0]), [x],
+                                breakpoints=())
     want = math.exp(lam * math.exp(-t) * x - lam * lam * math.expm1(-2 * t) / 4)
     print(f"  lam={lam}:  numeric {got:.12f}   closed {want:.12f}")

@@ -60,7 +60,6 @@ from .measure import gamma_log, log_gamma_ball, log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    gauss_hermite_gamma_nodes,
     integrate_gamma_log,
     lq_norm_log,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "failure_threshold",
     "fit_affine",
     "gamma_log",
-    "gauss_hermite_gamma_nodes",
     "hypercontractivity_check",
     "implied_constant_log",
     "integrate_gamma_log",

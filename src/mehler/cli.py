@@ -54,11 +54,13 @@ def _point(text: str) -> np.ndarray:
 
 
 def _add_quad_options(sub):
-    sub.add_argument("--order", type=int, default=16,
+    defaults = QuadratureSpec()
+    sub.add_argument("--order", type=int, default=defaults.order,
                      help="base quadrature order (doubled on refinement)")
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--tol", type=float, default=defaults.tol,
                      help="relative tolerance (default 1e-8)")
-    sub.add_argument("--max-refinements", type=int, default=12)
+    sub.add_argument("--max-refinements", type=int,
+                     default=defaults.max_refinements)
 
 
 def _add_output_options(sub):
@@ -68,10 +70,8 @@ def _add_output_options(sub):
 
 
 def _spec_from(args) -> QuadratureSpec:
-    kwargs = {"order": args.order, "max_refinements": args.max_refinements}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    return QuadratureSpec(**kwargs)
+    return QuadratureSpec(order=args.order, tol=args.tol,
+                          max_refinements=args.max_refinements)
 
 
 def _emit(args, text: str):

@@ -26,6 +26,7 @@ stays an independent route and is not used here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -219,8 +220,9 @@ def _require_testing_family(ball: Ball, k: int) -> None:
     if abs(ball.radius - r_max) > 1e-9 * r_max:
         raise ValueError(
             "ball must be maximal admissible: radius == min(1, |c|^-1)")
-    if ball.center_norm < 2.0 ** k:
-        raise ValueError("the testing family needs |c_B| >= 2^k")
+    # a finite |c_B| is below 2^max_exp, where 2.0 ** k would overflow
+    if k >= sys.float_info.max_exp or ball.center_norm < 2.0 ** k:
+        raise ValueError(f"the testing family needs |c_B| >= 2^k, k = {k}")
 
 
 def implied_constant_log(hyp: OffDiagHypothesis, t: float, ball: Ball, k: int,

@@ -7,6 +7,7 @@ maximal admissible balls together with their dyadic annuli.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,9 @@ class Annulus:
         k = int(self.k)
         if k != self.k or k < 0:
             raise ValueError("k must be a non-negative integer")
+        if k + 1 >= sys.float_info.max_exp:
+            raise ValueError(f"annulus index k = {k} is too large: the "
+                             f"outer radius 2^(k+1) r_B overflows a float")
         object.__setattr__(self, "k", k)
 
     @property

@@ -24,9 +24,10 @@ given by log f, ``_translation_log_values`` evaluates the same average
 at many points x in one log-domain Gauss-Hermite pass per order; the
 hypercontractivity check applies the semigroup that way.  The scalar
 QUADPACK route ``apply_via_translation`` stays the independent
-cross-check.  The kernel is evaluated only in log domain: the linear
-value overflows once the exponent passes ~709, and the blow-up
-experiments push exponents toward 900.
+cross-check: one-dimensional, with the caller's ``breakpoints`` (the
+jumps of f) as its only panel boundaries.  The kernel is evaluated only
+in log domain: the linear value overflows once the exponent passes ~709,
+and the blow-up experiments push exponents toward 900.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .measure import log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    _check_node_budget,
     _fullspace_nodes,
     _refine_each,
     integrate_gamma_log,
@@ -128,39 +128,52 @@ def apply_indicator_closed_log(t: float, a: float, b: float, y: float) -> float:
     return log_gamma_interval((a - em * y) / s, (b - em * y) / s)
 
 
-def _translation_quad_1d(f, shift: float, scale: float, tol: float,
-                         breakpoints) -> float:
-    # integral f(shift + scale*u) pi^{-1/2} e^{-u^2} du on u in [-12, 12].
-    # For bounded f the dropped tail is below e^{-144} relative.  A growing
-    # f moves the mass outward: for f(z) = e^{lam z} it peaks at
-    # u = lam*scale/2, and near the cut the dropped tail is of the order
-    # of the integrand at u = +-12, so a value whose edge integrand
-    # exceeds tol relative raises instead of coming back too small.
-    # The caller's breakpoints, mapped to u, are the only interior panel
-    # boundaries: between them the integrand is smooth, so QUADPACK's
-    # error estimate holds without more panels.  Without breakpoints the
-    # unit grid stands in for jumps the caller did not name.
+def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
+                          *, breakpoints) -> float:
+    """e^{tL} f(x) for a point x with one coordinate, by QUADPACK.
+
+    Adaptive Gauss-Kronrod on  integral f(e^{-t} x + s u) dgamma(u),
+    s = sqrt(1 - e^{-2t}): a route sharing nothing with the log-domain
+    kernel quadrature.  ``f`` maps an (m, 1) array of points to (m,)
+    values; only ``spec.tol`` is used.  ``breakpoints`` (required) names
+    every place where f jumps or kinks; those inside the |u| < 12 window
+    are the only panel boundaries, and ``()`` declares f smooth, one
+    panel.  A point with more coordinates raises ``ValueError``.
+
+    Only |u| <= 12 is integrated, exact to double precision for bounded
+    f.  A growing f moves the mass outward (e^{lam z} peaks at
+    u = lam s / 2), and the dropped tail is of the order of the
+    integrand at u = +-12; when that exceeds ``tol`` relative to the
+    value, ``QuadratureConvergenceError`` is raised (at t = 1, lam = 15
+    passes with an edge ratio of 6e-12; lam = 20, low by 7e-5, raises).
+    """
     # Imported here: only this route uses QUADPACK, and scipy.integrate
     # pulls in scipy.optimize, scipy.sparse.linalg and scipy.fft.
     from scipy import integrate
 
+    t = check_time(t)
+    tol = (spec if spec is not None else QuadratureSpec()).tol
+    xv = as_point(x)
+    if xv.size != 1:
+        raise ValueError(
+            f"the translation route is one-dimensional, got a point with "
+            f"{xv.size} coordinates")
+    em, one_minus, _ = _time_factors(t)
+    shift, scale = em * float(xv[0]), math.sqrt(one_minus)
     cut = 12.0
 
     def integrand(u):
         z = np.array([[shift + scale * u]])
         return float(f(z)[0]) * math.exp(-u * u) / math.sqrt(math.pi)
 
-    if breakpoints is None:
-        pins = range(-int(cut), int(cut) + 1)
-    else:
-        mapped = ((float(z) - shift) / scale for z in breakpoints)
-        pins = {u for u in mapped if -cut < u < cut}
+    mapped = ((float(z) - shift) / scale for z in breakpoints)
+    pins = sorted({u for u in mapped if -cut < u < cut})
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            value, abserr = integrate.quad(
+            value, _ = integrate.quad(
                 integrand, -cut, cut, epsabs=0.0, epsrel=tol,
-                limit=800, points=sorted(pins) or None)
+                limit=800, points=pins or None)
         except integrate.IntegrationWarning as exc:
             raise QuadratureConvergenceError(
                 f"translation-route quadrature did not converge: {exc}",
@@ -172,72 +185,6 @@ def _translation_quad_1d(f, shift: float, scale: float, tol: float,
             f"integrand there is {edge}, above {tol} relative to the value "
             f"{value}", (math.nan, math.nan))
     return value
-
-
-def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
-                          breakpoints=None) -> float:
-    """e^{tL} f(x) through the translated-Gaussian average.
-
-    Parameters
-    ----------
-    t : float
-        Semigroup time.
-    f : callable
-        Maps an (m, n) array of points to an (m,) array of values; must
-        be gamma-integrable at the translated arguments.
-    x : array_like
-        Evaluation point.
-    spec : QuadratureSpec, optional
-        Only ``tol`` (and for n >= 2 ``order``/``max_refinements``) are
-        used.
-    breakpoints : iterable of float, optional
-        One-dimensional only: every location where f jumps or kinks.
-        They become the only interior panel boundaries of the adaptive
-        rule (those outside the |u| <= 12 window are dropped), so an
-        indicator costs a few panels.  Without them the rule pins the
-        integers of [-12, 12] in u as panel boundaries instead, to catch
-        jumps it was not told of.
-
-    In one dimension this runs adaptive Gauss-Kronrod (QUADPACK) on the
-    translated integrand, a route sharing nothing with the log-domain
-    kernel quadrature; in n = 2, 3 it falls back to tensor Gauss-Hermite
-    refinement and expects a smooth f.
-
-    The one-dimensional rule integrates u over [-12, 12] only, which is
-    exact to double precision when f is bounded.  When f grows, its
-    weighted mass must lie well inside that window: for f(z) = e^{lam z}
-    the integrand peaks at u = lam sqrt(1 - e^{-2t}) / 2.  When the
-    integrand at u = +-12 exceeds ``tol`` relative to the value, the
-    window has cut off mass and ``QuadratureConvergenceError`` is raised
-    (at t = 1, lam = 15 passes with an edge ratio of 6e-12; lam = 20,
-    whose window value is low by about 7e-5, raises).
-    """
-    t = check_time(t)
-    spec = spec if spec is not None else QuadratureSpec()
-    xv = as_point(x)
-    em, one_minus, _ = _time_factors(t)
-    s = math.sqrt(one_minus)
-    n = xv.size
-    if n == 1:
-        return _translation_quad_1d(f, em * float(xv[0]), s, spec.tol,
-                                    breakpoints)
-    if n > 3:
-        raise ValueError("supported dimensions are 1..3")
-
-    order = spec.order
-    prev = None
-    cur = None
-    for _ in range(spec.max_refinements + 1):
-        _check_node_budget("translation route", n, order, order ** n, cur)
-        pts, lw = _fullspace_nodes(n, order)
-        vals = np.asarray(f(em * xv[None, :] + s * pts), dtype=float)
-        prev, cur = cur, float(np.sum(vals * np.exp(lw)))
-        if prev is not None and _rel_close(cur, prev, spec.tol):
-            return cur
-        order *= 2
-    raise QuadratureConvergenceError(
-        f"translation-route refinement exhausted; last two values ({prev}, {cur})",
-        (prev, cur))
 
 
 def _translation_log_values(t: float, f_log, xs,
@@ -272,9 +219,3 @@ def _translation_log_values(t: float, f_log, xs,
                         spec.tol, "translation-route Gauss-Hermite pass",
                         lambda i: f"x = {np.ravel(xs)[i]}")
 
-
-def _rel_close(a: float, b: float, tol: float) -> bool:
-    if a == b:
-        return True
-    scale = max(abs(a), abs(b))
-    return abs(a - b) <= tol * scale

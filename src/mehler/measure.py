@@ -60,6 +60,8 @@ def log_gamma_interval(a, b):
         # right tail: gamma([lo, hi]) = Q(lo) - Q(hi), Q(x) = Phi(-sqrt(2) x)
         upper = log_ndtr(-_SQRT2 * lo)
         tail = upper + np.log(-np.expm1(log_ndtr(-_SQRT2 * hi) - upper))
+        # past lo ~ 1.3e154 upper underflows, and -inf - (-inf) is NaN
+        tail = np.where(upper == -math.inf, upper, tail)
         # straddles the origin: the two halves add, no cancellation
         middle = np.log(0.5 * (erf(hi) + erf(-lo)))
     out = np.where(hi == math.inf, upper, np.where(lo >= 0.0, tail, middle))

@@ -48,7 +48,6 @@ __all__ = [
     "integrate_gamma_log",
     "integrate_axial_log",
     "lq_norm_log",
-    "gauss_hermite_gamma_nodes",
 ]
 
 MAX_DIM = 3
@@ -111,16 +110,6 @@ def _legendre_rule(order: int):
     nodes.setflags(write=False)
     logw.setflags(write=False)
     return nodes, logw
-
-
-def gauss_hermite_gamma_nodes(order: int):
-    """Nodes and linear weights integrating against gamma in one dimension.
-
-    Returns (x, w) with  sum_i w_i g(x_i) ~ integral g dgamma,  exact for
-    polynomials of degree <= 2*order - 1.
-    """
-    nodes, weights = roots_hermite(order)
-    return nodes.copy(), weights / math.sqrt(math.pi)
 
 
 # -- node builders: points (m, n) and log-weights (m,) ----------------

@@ -16,6 +16,7 @@ from mehler.cli import main
 from mehler.estimates import OffDiagHypothesis
 from mehler.experiments import sweep_blowup
 from mehler.kernel import mehler_log
+from mehler.quadrature import QuadratureSpec
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,14 @@ def test_gamma_annulus(capsys):
     code, out, _ = run_cli(capsys, "gamma", "--center", "5", "--k", "1")
     assert code == 0
     assert out.startswith("log_measure,measure")
+
+
+def test_far_annulus_measure_is_zero_not_nan(capsys):
+    # the annulus lies past |x| ~ 1.3e154, where the tail log-CDF
+    # underflows; the measure prints as -inf, as it does in n = 2
+    code, out, _ = run_cli(capsys, "gamma", "--center", "8", "--k", "520")
+    assert code == 0
+    assert out == "log_measure,measure\n-inf,0\n"
 
 
 def test_apply_includes_erf_column_in_1d(capsys):
@@ -182,6 +191,33 @@ def test_invalid_parameters_exit_2(capsys):
                            "--y", "0")
     assert code == 2
     assert "invalid parameters" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--center", "8", "--k", "1023"],
+    ["gamma", "--center", "8,0", "--k", "1023"],
+    ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1024",
+     "--n", "1", "--cmin", "4", "--cmax", "12", "--steps", "5"],
+])
+def test_huge_annulus_index_exits_2(capsys, argv):
+    # 2^k overflows a float here; the error is typed and names k
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    k = argv[argv.index("--k") + 1]
+    assert "invalid parameters" in err and f"k = {k}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--center", "8"],
+    ["apply", "--t", "0.5", "--center", "8", "--y", "8.5"],
+    ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--cmin", "4",
+     "--cmax", "12", "--steps", "5"],
+    ["hypercheck", "--t", "0.5", "--p", "1.5", "--lambda", "2"],
+])
+def test_quadrature_flags_default_to_the_spec(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert cli._spec_from(args) == QuadratureSpec()
 
 
 def test_usage_error_exits_2(capsys):

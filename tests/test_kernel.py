@@ -132,7 +132,7 @@ def test_three_routes_agree_on_random_indicators():
 
 def test_named_breakpoints_are_the_only_panels():
     # with both jumps named, three smooth panels suffice: a few dozen
-    # integrand calls where the unit grid of [-12, 12] took over 500
+    # integrand calls where pinning the integers of [-12, 12] took over 500
     tight = QuadratureSpec(tol=1e-10)
     for t, a, b, y in _criterion_3_draws(20):
         f, calls = _counted_indicator(a, b)
@@ -154,19 +154,9 @@ def test_breakpoints_outside_the_window(a, b):
     assert abs(got - want) <= 1e-15
 
 
-def test_unnamed_breakpoints_fall_back_to_the_unit_grid():
-    # without breakpoints QUADPACK only sees the jumps through its error
-    # estimate, which they fool by up to 1.5e-7 on this draw whatever
-    # the tolerance; with no unit panels one draw comes back as 0
-    for t, a, b, y in _criterion_3_draws(20):
-        f, _ = _counted_indicator(a, b)
-        trans = apply_via_translation(t, f, [y], QuadratureSpec(tol=1e-10))
-        closed = apply_indicator_closed_log(t, a, b, y)
-        assert abs(trans / math.exp(closed) - 1.0) <= 1e-6
-
-
 def test_translation_of_constant_is_identity():
-    got = apply_via_translation(0.8, lambda pts: np.ones(len(pts)), [1.5])
+    got = apply_via_translation(0.8, lambda pts: np.ones(len(pts)), [1.5],
+                                breakpoints=())
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
@@ -177,7 +167,7 @@ def test_hermite_eigenfunctions(t, k):
     # the semigroup scales H_k by e^{-kt}
     for x in (0.3, -0.8, 1.5, 2.2, -2.6):
         got = apply_via_translation(
-            t, lambda pts: eval_hermite(k, pts[:, 0]), [x])
+            t, lambda pts: eval_hermite(k, pts[:, 0]), [x], breakpoints=())
         want = math.exp(-k * t) * float(eval_hermite(k, x))
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -203,7 +193,7 @@ def test_exponential_moment_formula():
         t = rng.uniform(0.1, 2.0)
         x = rng.uniform(-2.0, 2.0)
         got = apply_via_translation(
-            t, lambda pts: np.exp(lam * pts[:, 0]), [x])
+            t, lambda pts: np.exp(lam * pts[:, 0]), [x], breakpoints=())
         s2 = -math.expm1(-2.0 * t)
         want = math.exp(lam * math.exp(-t) * x + lam * lam * s2 / 4.0)
         assert got == pytest.approx(want, rel=1e-9)
@@ -215,40 +205,25 @@ def test_translation_route_raises_when_its_window_cuts_mass():
     # of the mass at lam = 15 and drops 7e-5 of it at lam = 20
     s2 = -math.expm1(-2.0)
     got = apply_via_translation(1.0, lambda pts: np.exp(15.0 * pts[:, 0]),
-                                [0.0])
+                                [0.0], breakpoints=())
     assert abs(got / math.exp(225.0 * s2 / 4.0) - 1.0) <= 1e-9
     with pytest.raises(QuadratureConvergenceError, match="truncated"):
         apply_via_translation(1.0, lambda pts: np.exp(20.0 * pts[:, 0]),
-                              [0.0])
-
-
-def test_translation_route_2d_second_moment():
-    # e^{tL}(x_1^2)(x) = e^{-2t} x_1^2 + (1 - e^{-2t})/2 from the OU flow
-    t, x = 0.6, np.array([1.4, -0.3])
-    got = apply_via_translation(t, lambda pts: pts[:, 0] ** 2, x)
-    want = math.exp(-2 * t) * x[0] ** 2 + (-math.expm1(-2 * t)) / 2.0
-    assert got == pytest.approx(want, rel=1e-8)
+                              [0.0], breakpoints=())
 
 
 def test_translation_route_dimension_cap():
-    with pytest.raises(ValueError):
-        apply_via_translation(1.0, lambda pts: np.ones(len(pts)),
-                              np.zeros(4))
+    for n in (2, 3, 4):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            apply_via_translation(1.0, lambda pts: np.ones(len(pts)),
+                                  np.zeros(n), breakpoints=())
 
 
-def test_translation_route_work_is_capped():
-    # seeded noise never converges; the tensor grid in n = 3 must stop
-    # at the node cap instead of growing by 8x per doubling
-    rng = np.random.default_rng(5)
-    sizes = []
-
-    def noise(pts):
-        sizes.append(len(pts))
-        return rng.normal(size=len(pts))
-
-    with pytest.raises(QuadratureConvergenceError, match="order 128"):
-        apply_via_translation(0.5, noise, np.zeros(3))
-    assert max(sizes) <= MAX_NODES
+def test_translation_route_requires_breakpoints():
+    # the route never guesses where f jumps: the caller names the jumps,
+    # or passes () for a smooth f
+    with pytest.raises(TypeError, match="breakpoints"):
+        apply_via_translation(0.8, lambda pts: np.ones(len(pts)), [1.5])
 
 
 @pytest.mark.parametrize("t", [0.2, 2.0])
@@ -261,7 +236,8 @@ def test_batched_translation_matches_quadpack(t, lam):
     got = _translation_log_values(t, lambda z: lam * z, xs, tight)
     for x, log_val in zip(xs, got):
         want = apply_via_translation(
-            t, lambda pts: np.exp(lam * pts[:, 0]), [x], tight)
+            t, lambda pts: np.exp(lam * pts[:, 0]), [x], tight,
+            breakpoints=())
         assert abs(math.exp(log_val) / want - 1.0) <= 1e-10
 
 

@@ -84,6 +84,16 @@ def test_interval_edge_cases():
         log_gamma_interval(math.nan, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(1e155, 2e155), (-2e200, -1e200)])
+def test_interval_past_the_tail_underflow_is_empty(a, b):
+    # beyond |x| ~ 1.3e154 log_ndtr underflows to -inf at both endpoints;
+    # the measure is exp(-1e310) or less, so its log is -inf, not NaN
+    assert log_gamma_interval(a, b) == -math.inf
+    got = log_gamma_interval(np.array([a, 1.0]), np.array([b, 2.0]))
+    assert got[0] == -math.inf
+    assert got[1] == log_gamma_interval(1.0, 2.0)
+
+
 def test_full_space_is_probability():
     for n in (1, 2, 3):
         assert gamma_log(FullSpace(n)).log_magnitude == 0.0
