@@ -47,6 +47,8 @@ from .measure import gamma_log, log_gamma_ball
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
+    _check_q,
+    _inner_tol,
     integrate_axial_log,
     integrate_gamma_log,
 )
@@ -178,9 +180,7 @@ def _annulus_lq_log(t: float, q: float, norms, radii, k: int, n: int,
     # B = B(c, r) with |c| in norms and r in radii, in one refinement, no
     # admissibility constraints; e^{tL} 1_B(y) = gamma(B((c - e^{-t} y)/s,
     # r/s)) with s = sqrt(1 - e^{-2t}), the translation route
-    q = float(q)
-    if not (q >= 1.0 and math.isfinite(q)):
-        raise ValueError("q must lie in [1, inf)")
+    q = _check_q(q)
     norms = np.atleast_1d(np.asarray(norms, dtype=float))
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     em, one_minus, _ = _time_factors(t)
@@ -329,7 +329,7 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     closed = math.exp(lam * lam * (1.0 + math.exp(-2.0 * t) - p) / 4.0)
 
     spec = spec if spec is not None else QuadratureSpec()
-    inner = replace(spec, tol=max(spec.tol * 1e-2, 1e-12))
+    inner = replace(spec, tol=_inner_tol(spec))
     full = FullSpace(1)
 
     def log_sq_applied(x):

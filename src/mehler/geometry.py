@@ -2,7 +2,9 @@
 
 The Gaussian measure is doubling only at the admissible scale
 r <= min(1, |c|^{-1}); the testing sets of the negative experiments are
-maximal admissible balls together with their dyadic annuli.
+maximal admissible balls together with their dyadic annuli.  Balls and
+annuli share one shape: ``center``, ``center_norm``, ``inner_radius``
+and ``outer_radius``, the inner radius of a ball being 0.
 """
 
 from __future__ import annotations
@@ -37,18 +39,9 @@ def as_point(coords) -> Point:
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class Ball:
-    """Euclidean ball B(center, radius) = {x : |x - center| < radius}."""
-
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0.0 and np.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+class _Region:
+    """A ball or annulus, seen as its ``center`` and the bounds
+    ``inner_radius`` and ``outer_radius`` on |x - center|."""
 
     @property
     def dim(self) -> int:
@@ -57,6 +50,25 @@ class Ball:
     @property
     def center_norm(self) -> float:
         return float(np.linalg.norm(self.center))
+
+
+@dataclass(frozen=True, eq=False)
+class Ball(_Region):
+    """Euclidean ball B(center, radius) = {x : |x - center| < radius}."""
+
+    center: Point
+    radius: float
+    inner_radius = 0.0  # not a field: a ball is the region with no hole
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", as_point(self.center))
+        object.__setattr__(self, "radius", float(self.radius))
+        if not (self.radius > 0.0 and np.isfinite(self.radius)):
+            raise ValueError("radius must be positive and finite")
+
+    @property
+    def outer_radius(self) -> float:
+        return self.radius
 
     def expand(self, factor: float) -> "Ball":
         """The dilation factor*B (same center, scaled radius)."""
@@ -71,7 +83,7 @@ class Ball:
 
 
 @dataclass(frozen=True, eq=False)
-class Annulus:
+class Annulus(_Region):
     """C_k(B): the ball 2B for k = 0; the shell 2^(k+1)B minus 2^k B for k >= 1."""
 
     base: Ball
@@ -89,8 +101,8 @@ class Annulus:
         object.__setattr__(self, "k", k)
 
     @property
-    def dim(self) -> int:
-        return self.base.dim
+    def center(self) -> Point:
+        return self.base.center
 
     @property
     def inner_radius(self) -> float:
@@ -143,6 +155,4 @@ def set_distance(ball: Ball, annulus: Annulus) -> float:
     """
     if not annulus.base.same_ball(ball):
         raise ValueError("annulus must be built on the given ball")
-    if annulus.k == 0:
-        return 0.0
-    return (2.0 ** annulus.k - 1.0) * ball.radius
+    return max(annulus.inner_radius - ball.radius, 0.0)

@@ -88,9 +88,10 @@ def mehler_log_values(t: float, x, y):
     n = x.shape[-1]
     diff2 = np.sum((x - y) ** 2, axis=-1)
     sumsq = np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)
-    return (-0.5 * n * math.log(one_minus)
-            - em * diff2 / one_minus
-            + em * sumsq / one_plus)
+    with np.errstate(over="ignore"):  # tiny t: the log kernel is -inf
+        return (-0.5 * n * math.log(one_minus)
+                - em * diff2 / one_minus
+                + em * sumsq / one_plus)
 
 
 def mehler_log(t: float, x, y) -> LogNumber:
@@ -105,7 +106,7 @@ def apply_indicator_log(t: float, ball: Ball, y,
     """log of  e^{tL} 1_B(y) = integral_B M_t(x, y) dgamma(x).
 
     Kernel-form route: log-domain quadrature of the Mehler kernel over
-    the ball (interval nodes in n = 1, polar nodes in n = 2, 3).
+    the ball, on the polar nodes about its center.
     """
     t = check_time(t)
     yv = as_point(y)

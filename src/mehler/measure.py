@@ -8,8 +8,9 @@ which keeps full relative precision for magnitudes like exp(-900).
 array-valued over the center distance and the radius and, in n = 2, 3,
 reduces a ball to a one-dimensional integral along its axis
 (closed-form transverse slices); the sweep evaluates e^{tL} 1_B at every
-annulus node through it, and ``gamma_log`` measures every ball through
-it.  Annuli in n = 2, 3 are the axial rule of
+annulus node through it, and ``gamma_log`` measures every region of
+inner radius 0 through it: the balls and C_0(B) = 2B.  The other annuli
+in n = 2, 3 are the axial rule of
 ``quadrature.integrate_axial_log`` with a zero integrand: a sum of
 positive terms, where gamma(outer ball) - gamma(inner ball) would cancel
 when both are near 1.
@@ -25,8 +26,9 @@ from scipy.special import erf, log_ndtr
 from .geometry import Annulus, Ball, FullSpace
 from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
+    _LOG_SQRT_PI,
     QuadratureSpec,
-    _intervals_1d,
+    _inner_tol,
     _legendre_rule,
     _refine_each,
     integrate_axial_log,
@@ -35,7 +37,6 @@ from .quadrature import (
 __all__ = ["log_gamma_interval", "log_gamma_ball", "gamma_log"]
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
 def log_gamma_interval(a, b):
@@ -105,7 +106,7 @@ def log_gamma_ball(center_norms, radius, n: int,
     return _refine_each(
         lambda order: _log_ball_slices(norms, radius, n, order),
         lambda order: math.prod(shape) * order, n, spec,
-        max(spec.tol * 1e-2, 1e-12), f"ball measure in n = {n}",
+        _inner_tol(spec), f"ball measure in n = {n}",
         lambda i: (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
                    f"center distance {np.broadcast_to(norms, shape).flat[i]}"))
 
@@ -129,20 +130,21 @@ def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:
     """Log Gaussian measure of a ball, annulus or the full space.
 
     Supported dimensions are 1, 2 and 3.  The full space has measure 1
-    (gamma is a probability measure).  Balls go through
-    ``log_gamma_ball``; annuli through the erf closed form in n = 1 and
-    the axial rule in n = 2, 3.
+    (gamma is a probability measure).  A region with inner radius 0 (a
+    ball, or C_0(B) = 2B) goes through ``log_gamma_ball``; other annuli
+    through the erf closed form in n = 1 and the axial rule in n = 2, 3.
     """
     if isinstance(region, FullSpace):
         return LogNumber.one()
-    if isinstance(region, Ball):
-        return LogNumber.from_log(float(log_gamma_ball(
-            region.center_norm, region.radius, region.dim, spec)))
-    if not isinstance(region, Annulus):
+    if not isinstance(region, (Ball, Annulus)):
         raise TypeError(f"cannot measure {type(region).__name__}")
-    if region.dim == 1:
-        return LogNumber.from_log(float(np.logaddexp.reduce(
-            [log_gamma_interval(a, b) for a, b in _intervals_1d(region)])))
-    return LogNumber.from_log(float(integrate_axial_log(
-        lambda x, z: np.zeros(x.shape), region.base.center_norm,
-        region.inner_radius, region.outer_radius, region.dim, spec)[0]))
+    c, ri, ro = region.center_norm, region.inner_radius, region.outer_radius
+    if ri == 0.0:
+        log = log_gamma_ball(c, ro, region.dim, spec)
+    elif region.dim == 1:
+        log = np.logaddexp(log_gamma_interval(c - ro, c - ri),
+                           log_gamma_interval(c + ri, c + ro))
+    else:
+        log = integrate_axial_log(lambda x, z: np.zeros(x.shape), c, ri, ro,
+                                  region.dim, spec)[0]
+    return LogNumber.from_log(float(log))

@@ -5,13 +5,12 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 
 * full space: tensor Gauss-Hermite, whose weight function is exactly the
   gamma density up to the pi^{-n/2} factor;
-* intervals (balls and annuli in n = 1): Gauss-Legendre with the density
-  folded into the log-weights;
-* balls and annuli in n = 2, 3: Gauss-Legendre radially times equispaced
-  angular grids, centered at the ball center so integrands stay smooth
-  (the trapezoid rule is spectrally accurate for periodic integrands).
-  This polar grid serves direct ``integrate_gamma_log`` calls, among
-  them the kernel-form route of ``kernel.apply_indicator_log``;
+* balls and annuli, in every n: the polar rule about the center,
+  Gauss-Legendre in rho = |x - c| times a unit-sphere rule (S^0 =
+  {-1, +1}), so integrands stay smooth.  A region is seen only through
+  its center and its inner and outer radii (0 for a ball).  This grid
+  serves direct ``integrate_gamma_log`` calls, among them the
+  kernel-form route of ``kernel.apply_indicator_log``;
 * the axial rule of ``integrate_axial_log``: annuli about many centers c
   at once, for integrands that see y only through its coordinate along
   c and its distance from that axis.  Gauss-Legendre in rho = |y - c|
@@ -66,8 +65,7 @@ class QuadratureSpec:
     """Base order, relative tolerance and refinement cap.
 
     The domain selects the node family: Gauss-Hermite on the full space,
-    Gauss-Legendre on intervals, the polar product on balls and annuli in
-    n >= 2.
+    the polar rule on balls and annuli.
     """
 
     order: int = 16
@@ -81,6 +79,18 @@ class QuadratureSpec:
             raise ValueError("tol must lie in (0, 1)")
         if int(self.max_refinements) != self.max_refinements or self.max_refinements < 1:
             raise ValueError("max_refinements must be a positive integer")
+
+
+def _inner_tol(spec: QuadratureSpec) -> float:
+    # the tolerance of an inner step nested in an outer rule at spec.tol
+    return max(spec.tol * 1e-2, 1e-12)
+
+
+def _check_q(q) -> float:
+    q = float(q)
+    if not (q >= 1.0 and math.isfinite(q)):
+        raise ValueError("q must lie in [1, inf)")
+    return q
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -114,25 +124,6 @@ def _legendre_rule(order: int):
 
 # -- node builders: points (m, n) and log-weights (m,) ----------------
 
-def _interval_nodes(a: float, b: float, order: int):
-    nodes, logw = _legendre_rule(order)
-    half = 0.5 * (b - a)
-    x = half * nodes + 0.5 * (b + a)
-    lw = logw + math.log(half) - x * x - _LOG_SQRT_PI
-    return x[:, None], lw
-
-
-def _intervals_1d(region) -> list[tuple[float, float]]:
-    if isinstance(region, Ball):
-        c = float(region.center[0])
-        return [(c - region.radius, c + region.radius)]
-    c = float(region.base.center[0])
-    ri, ro = region.inner_radius, region.outer_radius
-    if region.k == 0:
-        return [(c - ro, c + ro)]
-    return [(c - ro, c - ri), (c + ri, c + ro)]
-
-
 def _fullspace_nodes(n: int, order: int):
     nodes, logw = _hermite_rule(order)
     if n == 1:
@@ -144,9 +135,26 @@ def _fullspace_nodes(n: int, order: int):
     return pts, lw
 
 
-def _angular_grid(m: int):
-    phi = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-    return phi, math.log(2.0 * math.pi / m)
+def _sphere_rule(n: int, order: int):
+    # the unit sphere S^{n-1}: directions (m, n), their log-weights (m,)
+    # and the azimuth's log-weight log(2 pi / (2 order)), added last.
+    # S^0 = {-1, +1}; in n = 2, 3 equispaced azimuths (the trapezoid rule
+    # is spectrally accurate for periodic integrands), in n = 3 times
+    # Gauss-Legendre in the polar cosine.
+    if n == 1:
+        direction, dlw, lphi = np.array([[-1.0], [1.0]]), np.zeros(2), 0.0
+    else:
+        m = 2 * order
+        phi = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
+        lphi = math.log(2.0 * math.pi / m)
+        direction, dlw = np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.zeros(m)
+    if n == 3:
+        u, ulogw = _legendre_rule(order)
+        ring = np.sqrt(1.0 - u * u)[:, None, None] * direction  # (order, m, 2)
+        axis = np.broadcast_to(u[:, None, None], ring.shape[:2] + (1,))
+        direction = np.concatenate([ring, axis], axis=-1).reshape(-1, 3)
+        dlw = np.repeat(ulogw, m)
+    return direction, dlw, lphi
 
 
 @lru_cache(maxsize=4)
@@ -159,27 +167,9 @@ def _polar_frame(n: int, order: int, r_inner: float, r_outer: float):
     half = 0.5 * (r_outer - r_inner)
     rho = half * rnodes + 0.5 * (r_outer + r_inner)
     rlw = rlogw + math.log(half) + (n - 1) * np.log(rho)
-
-    if n == 2:
-        phi, lphi = _angular_grid(2 * order)
-        direction = np.stack([np.cos(phi), np.sin(phi)], axis=-1)  # (mphi, 2)
-        offsets = rho[:, None, None] * direction[None, :, :]
-        lw = np.broadcast_to(rlw[:, None] + lphi, offsets.shape[:2])
-    else:
-        unodes, ulogw = _legendre_rule(order)
-        phi, lphi = _angular_grid(2 * order)
-        sin_theta = np.sqrt(1.0 - unodes * unodes)
-        dx = sin_theta[:, None] * np.cos(phi)[None, :]
-        dy = sin_theta[:, None] * np.sin(phi)[None, :]
-        dz = np.broadcast_to(unodes[:, None], dx.shape)
-        direction = np.stack([dx, dy, dz], axis=-1)  # (mu, mphi, 3)
-        offsets = rho[:, None, None, None] * direction[None, :, :, :]
-        lw = np.broadcast_to(
-            rlw[:, None, None] + ulogw[None, :, None] + lphi,
-            offsets.shape[:3])
-
-    offsets = offsets.reshape(-1, n)
-    lw = lw.reshape(-1)
+    direction, dlw, lphi = _sphere_rule(n, order)
+    offsets = (rho[:, None, None] * direction).reshape(-1, n)
+    lw = ((rlw[:, None] + dlw) + lphi).reshape(-1)
     offsets.setflags(write=False)
     lw.setflags(write=False)
     return offsets, lw
@@ -218,39 +208,23 @@ def _axial_nodes(norms, r_inner, r_outer, n: int, order: int):
     u, v, ulw = _axial_factor(n, order)
     x = norms[:, None, None] + rho[..., None] * u
     z = rho[..., None] * v
-    lw = (rlw[..., None] + ulw) - (x * x + z * z) - n * _LOG_SQRT_PI
+    with np.errstate(over="ignore"):  # |y|^2 past float range: weight 0
+        lw = (rlw[..., None] + ulw) - (x * x + z * z) - n * _LOG_SQRT_PI
     rows = norms.size
     return x.reshape(rows, -1), z.reshape(rows, -1), lw.reshape(rows, -1)
-
-
-def _radii(region) -> tuple[float, float]:
-    if isinstance(region, Ball):
-        return 0.0, region.radius
-    return region.inner_radius, region.outer_radius
 
 
 def _nodes_for(region, order: int):
     if isinstance(region, FullSpace):
         return _fullspace_nodes(region.dim, order)
-    n = region.dim
-    if n == 1:
-        parts = [_interval_nodes(a, b, order) for a, b in _intervals_1d(region)]
-        pts = np.concatenate([p for p, _ in parts], axis=0)
-        lw = np.concatenate([w for _, w in parts], axis=0)
-        return pts, lw
-    center = region.center if isinstance(region, Ball) else region.base.center
-    ri, ro = _radii(region)
-    return _polar_nodes(center, ri, ro, n, order)
+    return _polar_nodes(region.center, region.inner_radius,
+                        region.outer_radius, region.dim, order)
 
 
 def _node_count(region, order: int) -> int:
     # the size of _nodes_for(region, order), known before building it
     n = region.dim
-    if isinstance(region, FullSpace):
-        return order ** n
-    if n == 1:
-        return order * len(_intervals_1d(region))
-    return 2 * order ** n
+    return order ** n if isinstance(region, FullSpace) else 2 * order ** n
 
 
 def _check_node_budget(what: str, n: int, order: int, count: int,
@@ -407,9 +381,7 @@ def lq_norm_log(g_log, region, q: float, spec: QuadratureSpec | None = None,
     ``g_log`` follows the same vectorized calling convention as the
     integrand of :func:`integrate_gamma_log`.
     """
-    q = float(q)
-    if not (q >= 1.0 and math.isfinite(q)):
-        raise ValueError("q must lie in [1, inf)")
+    q = _check_q(q)
     total = integrate_gamma_log(
         lambda pts: q * np.asarray(g_log(pts), dtype=float),
         region, spec, history)

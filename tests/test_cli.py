@@ -63,11 +63,18 @@ def test_gamma_annulus(capsys):
 
 
 def test_far_annulus_measure_is_zero_not_nan(capsys):
-    # the annulus lies past |x| ~ 1.3e154, where the tail log-CDF
-    # underflows; the measure prints as -inf, as it does in n = 2
-    code, out, _ = run_cli(capsys, "gamma", "--center", "8", "--k", "520")
-    assert code == 0
-    assert out == "log_measure,measure\n-inf,0\n"
+    # past |x| ~ 1.3e154 the tail log-CDF underflows (n = 1) and |y|^2
+    # leaves float range (n = 2, 3, k = 600), as does the kernel's
+    # exponent at t = 1e-320: each value prints as -inf, with no numpy
+    # overflow warning (pytest turns RuntimeWarning into an error)
+    gamma_out = "log_measure,measure\n-inf,0\n"
+    for argv, want in (
+            ("gamma --center 8 --k 520", gamma_out),
+            ("gamma --center 8,0 --k 600", gamma_out),
+            ("gamma --center 8,0,0 --k 600", gamma_out),
+            ("apply --t 1e-320 --center 8 --y 8.5",
+             "log_value,value,log_erf_closed_form\n-inf,0,-inf\n")):
+        assert run_cli(capsys, *argv.split()) == (0, want, ""), argv
 
 
 def test_apply_includes_erf_column_in_1d(capsys):

@@ -81,6 +81,16 @@ def test_annulus_radii():
     assert (c2.inner_radius, c2.outer_radius) == (1.0, 2.0)
 
 
+def test_balls_and_annuli_share_one_shape():
+    # quadrature and measure see a region only as its center and radii
+    ball = Ball([3.0, -4.0], 0.25)
+    for region, radii in ((ball, (0.0, 0.25)), (Annulus(ball, 0), (0.0, 0.5)),
+                          (Annulus(ball, 2), (1.0, 2.0))):
+        assert np.array_equal(region.center, ball.center)
+        assert region.center_norm == 5.0
+        assert (region.inner_radius, region.outer_radius) == radii
+
+
 def test_annulus_rejects_negative_k():
     with pytest.raises(ValueError):
         Annulus(Ball([0.0], 1.0), -1)

@@ -210,7 +210,7 @@ def _polar_log(ball):
     return integrate_gamma_log(lambda p: np.zeros(len(p)), ball).log_magnitude
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_ball_measure_matches_polar_engine(n):
     for c in (0.0, 1.3, 8.0, 20.0, 30.0):
         for rho in (0.03, 0.3, 1.2):
@@ -260,7 +260,7 @@ ANNULI = [(0.0, 2.0, 0), (0.2, 1.5, 0), (0.3, 0.25, 1), (1.3, 0.35, 2),
           (30.0, 1.0 / 30.0, 1), (29.0, 1.0 / 29.0, 3)]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_annulus_measure_matches_polar_engine(n):
     # relative error of the measure, that is |delta log| <= 1e-12,
     # against the polar grid about the center in a seeded direction
@@ -273,6 +273,15 @@ def test_annulus_measure_matches_polar_engine(n):
         assert abs(got - _polar_log(ann)) <= 1e-12
         logs.append(got)
     assert logs[0] > -1e-6 and min(logs) < -890.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_first_annulus_is_the_doubled_ball(n):
+    # C_0(B) = 2B: the same region shape, so the same measure, bit for bit
+    for c in (0.0, 1.3, 8.0, 30.0):
+        ball = Ball(np.r_[c, np.zeros(n - 1)], 0.3)
+        assert (gamma_log(Annulus(ball, 0)).log_magnitude
+                == gamma_log(ball.expand(2.0)).log_magnitude)
 
 
 @settings(max_examples=12, deadline=None)

@@ -148,7 +148,7 @@ def test_polar_engine_dimension_cap():
         integrate_gamma_log(lambda p: np.zeros(len(p)), FullSpace(4))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_polar_nodes_do_not_depend_on_call_history(n):
     # the center-free part of the grid is cached per (n, order, radii):
     # a center's nodes must come out bit for bit as from a cold cache,
