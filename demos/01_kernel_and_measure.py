@@ -61,6 +61,6 @@ for k in range(4):
     print(f"  C_{k}: radii [{ann.inner_radius:.4g}, {ann.outer_radius:.4g}]"
           f"  dist(B, C_k) = {d:.4g}  log gamma = {lg.log_magnitude:+.4f}")
 
-print("\nmeasures in n = 2 (polar quadrature):")
+print("\nmeasures in n = 2 (one axis integral):")
 for ball in (Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 0.2)):
     print(f"  {ball}: log gamma = {gamma_log(ball).log_magnitude:+.8f}")

@@ -23,17 +23,18 @@ sweeps in ``experiments`` evaluate e^{tL} 1_B.  For a smooth positive f
 given by log f, ``_translation_log_values`` evaluates the same average
 at many points x in one log-domain Gauss-Hermite pass per order; the
 hypercontractivity check applies the semigroup that way.  The scalar
-QUADPACK route ``apply_via_translation`` stays the independent
-cross-check: one-dimensional, with the caller's ``breakpoints`` (the
-jumps of f) as its only panel boundaries.  The kernel is evaluated only
-in log domain: the linear value overflows once the exponent passes ~709,
-and the blow-up experiments push exponents toward 900.
+route ``apply_via_translation`` stays the independent cross-check:
+one-dimensional adaptive Gauss-Kronrod (QUADPACK's QK21 rule and error
+estimate, every panel of a pass in one call of f), with the caller's
+``breakpoints`` (the jumps of f) as its initial panel boundaries.  The
+kernel is evaluated only in log domain: the linear value overflows once
+the exponent passes ~709, and the blow-up experiments push exponents
+toward 900.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -129,17 +130,64 @@ def apply_indicator_closed_log(t: float, a: float, b: float, y: float) -> float:
     return log_gamma_interval((a - em * y) / s, (b - em * y) / s)
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule (QK21) on [-1, 1], to double
+# precision: the Kronrod nodes in [0, 1] from the outside in, ending at 0,
+# their weights, and the weights of the 10-point Gauss rule on every
+# second node from the outside (0.9739..., ..., 0.1488...)
+_QK21_X = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+           0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+           0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+           0.14887433898163122, 0.0)
+_QK21_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+            0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+            0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+            0.14773910490133849, 0.1494455540029169)
+_QK21_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+            0.26926671930999635, 0.29552422471475287)
+# the same rule over all 21 nodes in ascending order, Gauss weights 0 off
+# the Gauss nodes
+_GK_X = np.concatenate((np.negative(_QK21_X[:-1]), _QK21_X[::-1]))
+_GK_WK = np.array(_QK21_WK[:-1] + _QK21_WK[::-1])
+_GK_WG = np.zeros(21)
+_GK_WG[1:10:2] = _QK21_WG
+_GK_WG[11:20:2] = _QK21_WG[::-1]
+# QUADPACK's cap on the subintervals of one adaptive integral
+MAX_PANELS = 800
+
+
+def _gauss_kronrod(fv, half):
+    """QK21 value and QUADPACK error estimate of each panel (row of fv)."""
+    resk = fv @ _GK_WK
+    err = np.abs(resk - fv @ _GK_WG) * half
+    # |K - G| scaled by the deviation of f from its mean on the panel, then
+    # floored at the roundoff of the panel's sum
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WK * half
+    ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    eps = np.finfo(float).eps
+    return resk * half, np.maximum(50.0 * eps * (np.abs(fv) @ _GK_WK) * half,
+                                   err)
+
+
 def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
                           *, breakpoints) -> float:
-    """e^{tL} f(x) for a point x with one coordinate, by QUADPACK.
+    """e^{tL} f(x) for a point x with one coordinate, by adaptive QK21.
 
     Adaptive Gauss-Kronrod on  integral f(e^{-t} x + s u) dgamma(u),
     s = sqrt(1 - e^{-2t}): a route sharing nothing with the log-domain
     kernel quadrature.  ``f`` maps an (m, 1) array of points to (m,)
     values; only ``spec.tol`` is used.  ``breakpoints`` (required) names
     every place where f jumps or kinks; those inside the |u| < 12 window
-    are the only panel boundaries, and ``()`` declares f smooth, one
-    panel.  A point with more coordinates raises ``ValueError``.
+    are the only initial panel boundaries, and ``()`` declares f smooth,
+    one panel.  A point with more coordinates raises ``ValueError``.
+
+    Each pass evaluates QUADPACK's 21-point Gauss-Kronrod rule on every
+    new panel in one call of ``f``, with QUADPACK's error estimate per
+    panel.  It stops once the estimates sum to at most ``tol`` relative
+    to the value; otherwise the panels carrying the excess error, largest
+    first, are bisected.  Past ``MAX_PANELS`` panels, or when ``f``
+    returns a value that is not finite or the sums overflow,
+    ``QuadratureConvergenceError`` is raised.
 
     Only |u| <= 12 is integrated, exact to double precision for bounded
     f.  A growing f moves the mass outward (e^{lam z} peaks at
@@ -148,10 +196,6 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
     value, ``QuadratureConvergenceError`` is raised (at t = 1, lam = 15
     passes with an edge ratio of 6e-12; lam = 20, low by 7e-5, raises).
     """
-    # Imported here: only this route uses QUADPACK, and scipy.integrate
-    # pulls in scipy.optimize, scipy.sparse.linalg and scipy.fft.
-    from scipy import integrate
-
     t = check_time(t)
     tol = (spec if spec is not None else QuadratureSpec()).tol
     xv = as_point(x)
@@ -163,29 +207,67 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
     shift, scale = em * float(xv[0]), math.sqrt(one_minus)
     cut = 12.0
 
-    def integrand(u):
-        z = np.array([[shift + scale * u]])
-        return float(f(z)[0]) * math.exp(-u * u) / math.sqrt(math.pi)
+    def evaluate(lo, hi, extra=()):
+        # one call of f on the QK21 nodes of every panel [lo, hi], plus
+        # the points ``extra``; e^{-u^2} >= e^{-144} on the window, so the
+        # weight never underflows.  Returns the rows lo, hi, value, error.
+        half = 0.5 * (hi - lo)
+        u = np.append((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X,
+                      extra)
+        z = shift + scale * u
+        # one value per point: an (m, 1) result must not broadcast to (m, m)
+        fz = np.asarray(f(z[:, None]), dtype=float).reshape(u.shape)
+        if not np.all(np.isfinite(fz)):
+            raise QuadratureConvergenceError(
+                f"translation-route integrand is not finite at "
+                f"z = {z[~np.isfinite(fz)][0]}", (math.nan, math.nan))
+        fv = fz * np.exp(-u * u) / math.sqrt(math.pi)
+        rule = _gauss_kronrod(fv[:21 * lo.size].reshape(-1, 21), half)
+        return np.stack((lo, hi, *rule)), fv[21 * lo.size:]
 
     mapped = ((float(z) - shift) / scale for z in breakpoints)
-    pins = sorted({u for u in mapped if -cut < u < cut})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, _ = integrate.quad(
-                integrand, -cut, cut, epsabs=0.0, epsrel=tol,
-                limit=800, points=pins or None)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureConvergenceError(
-                f"translation-route quadrature did not converge: {exc}",
-                (math.nan, math.nan)) from exc
-    edge = max(abs(integrand(-cut)), abs(integrand(cut)))
-    if edge > tol * abs(value):
+    edges = np.array([-cut, *sorted({u for u in mapped if -cut < u < cut}),
+                      cut])
+    # overflow in f or in the panel sums shows as a value that is not
+    # finite, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the first call also takes the window's two edge points
+        panels, at_edges = evaluate(edges[:-1], edges[1:], (-cut, cut))
+        while True:
+            lo, hi, value, err = panels
+            total = float(np.sum(value))
+            excess = float(np.sum(err)) - tol * abs(total)
+            if not math.isfinite(excess):
+                raise QuadratureConvergenceError(
+                    f"translation-route quadrature overflows: value "
+                    f"{total}, error estimate {np.sum(err)}",
+                    (math.nan, math.nan))
+            if excess <= 0.0:
+                break
+            if lo.size >= MAX_PANELS:
+                raise QuadratureConvergenceError(
+                    f"translation-route quadrature did not converge within "
+                    f"the cap of {MAX_PANELS} subintervals: {lo.size} "
+                    f"subintervals leave an error estimate of {np.sum(err)}, "
+                    f"above {tol} relative to the value {total}",
+                    (math.nan, math.nan))
+            # bisect the fewest largest-error panels whose errors cover the
+            # excess, as many as the cap leaves room for
+            order = np.argsort(-err)
+            count = int(np.searchsorted(np.cumsum(err[order]), excess)) + 1
+            split = order[:min(count, MAX_PANELS - lo.size)]
+            mid = 0.5 * (lo[split] + hi[split])
+            halves, _ = evaluate(np.concatenate((lo[split], mid)),
+                                 np.concatenate((mid, hi[split])))
+            panels = np.concatenate(
+                (np.delete(panels, split, axis=1), halves), axis=1)
+    edge = float(np.max(np.abs(at_edges)))
+    if edge > tol * abs(total):
         raise QuadratureConvergenceError(
             f"translation-route quadrature truncated at |u| = {cut}: the "
             f"integrand there is {edge}, above {tol} relative to the value "
-            f"{value}", (math.nan, math.nan))
-    return value
+            f"{total}", (math.nan, math.nan))
+    return total
 
 
 def _translation_log_values(t: float, f_log, xs,

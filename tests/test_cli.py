@@ -301,11 +301,15 @@ def test_one_parser_serves_calls_in_sequence(tmp_path, capsys, monkeypatch):
 
 def test_import_leaves_quadpack_unloaded():
     # scipy.integrate pulls in scipy.optimize, scipy.sparse.linalg and
-    # scipy.fft; only the QUADPACK route needs it, so it loads there
+    # scipy.fft; nothing in the package needs it, the translation route
+    # included
     src = str(Path(mehler.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mehler; print('scipy.integrate' in sys.modules)"],
+         "import sys, numpy, mehler\n"
+         "mehler.apply_via_translation(\n"
+         "    1.0, lambda pts: numpy.ones(len(pts)), [0.5], breakpoints=())\n"
+         "print('scipy.integrate' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"

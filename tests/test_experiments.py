@@ -312,7 +312,7 @@ class TestHypercontractivity:
     @pytest.mark.parametrize("t, p, lam", [(1.0, 1.9, 20.0), (0.5, 1.5, 10.0)])
     def test_large_lambda_matches_closed_form(self, t, p, lam):
         # the inner mass of e^{lam x} peaks at u = lam s / 2, outside the
-        # [-12, 12] window of the QUADPACK route at (1, 1.9, 20)
+        # [-12, 12] window of the translation route at (1, 1.9, 20)
         # the ratio is as small as 6e-34, so no absolute slack
         res = hypercontractivity_check(t, p, lam)
         assert abs(res.ratio_numeric / res.ratio_closed_form - 1.0) <= 1e-6

@@ -1,18 +1,21 @@
 """Mehler kernel values and the three semigroup application routes.
 
-The kernel-form quadrature, the translation-route quadrature (QUADPACK)
-and the erf closed form are mutually independent; their agreement is the
-backbone oracle of the package.
+The kernel-form quadrature, the translation-route quadrature (adaptive
+Gauss-Kronrod) and the erf closed form are mutually independent; their
+agreement is the backbone oracle of the package.  QUADPACK, called here
+and nowhere in the package, is the translation route's reference.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import eval_hermite
 
 from mehler.geometry import Ball
 from mehler.kernel import (
+    MAX_PANELS,
     _translation_log_values,
     apply_indicator_closed_log,
     apply_indicator_log,
@@ -142,6 +145,95 @@ def test_named_breakpoints_are_the_only_panels():
         assert abs(trans / math.exp(closed) - 1.0) <= 1e-10
 
 
+def test_translation_route_calls_f_once_per_pass():
+    # each pass evaluates every panel in one call, the window's edge points
+    # included; with both jumps named the first pass already converges
+    tight = QuadratureSpec(tol=1e-10)
+    for t, a, b, y in _criterion_3_draws(20):
+        f, calls = _counted_indicator(a, b)
+        trans = apply_via_translation(t, f, [y], tight, breakpoints=(a, b))
+        assert len(calls) <= 2
+        closed = apply_indicator_closed_log(t, a, b, y)
+        assert abs(trans / math.exp(closed) - 1.0) <= 1e-10
+
+
+def _quadpack_translation(t, f, x, tol, breakpoints):
+    # the same window, panel points, stop rule and cap, by scipy's QUADPACK
+    shift, s = math.exp(-t) * x, math.sqrt(-math.expm1(-2.0 * t))
+    mapped = ((z - shift) / s for z in breakpoints)
+    pins = sorted({u for u in mapped if -12.0 < u < 12.0})
+    value, _ = integrate.quad(
+        lambda u: float(f(np.array([[shift + s * u]]))[0])
+        * math.exp(-u * u) / math.sqrt(math.pi),
+        -12.0, 12.0, epsabs=0.0, epsrel=tol, limit=800, points=pins or None)
+    return value
+
+
+def _translation_oracle_cases():
+    for t, a, b, y in _criterion_3_draws(20):
+        yield t, _counted_indicator(a, b)[0], y, (a, b)
+    for t in (0.3, 1.0):
+        for k in range(6):
+            for x in (0.3, -0.8, 1.5, 2.2, -2.6):
+                yield t, lambda pts, k=k: eval_hermite(k, pts[:, 0]), x, ()
+    for lam in (-2.5, -1.0, 0.5, 2.5):
+        for t in (0.2, 1.0, 2.0):
+            for x in (-2.0, 0.0, 1.5):
+                yield t, lambda pts, lam=lam: np.exp(lam * pts[:, 0]), x, ()
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_translation_route_matches_quadpack(tol):
+    # the vectorized QK21 rule against QUADPACK's own, on indicators,
+    # Hermite H_k (k <= 5) and e^{lam z} (|lam| <= 2.5); the largest gap
+    # measured was 8.7e-15, for H_k near a zero of its value
+    spec = QuadratureSpec(tol=tol)
+    for t, f, x, breakpoints in _translation_oracle_cases():
+        got = apply_via_translation(t, f, [x], spec, breakpoints=breakpoints)
+        want = _quadpack_translation(t, f, x, tol, breakpoints)
+        assert abs(got / want - 1.0) <= 1e-13
+
+
+def test_translation_route_stops_at_the_panel_cap():
+    # 2 + sin(1e5 z) oscillates ~3e5 times across the window; bisection
+    # stops at the cap after 13 calls of f, having evaluated at most
+    # 2 MAX_PANELS - 1 panels (raised after 5 ms, where QUADPACK took 0.45 s)
+    sizes = []
+
+    def f(pts):
+        sizes.append(len(pts))
+        return 2.0 + np.sin(1e5 * pts[:, 0])
+
+    with pytest.raises(QuadratureConvergenceError,
+                       match=f"cap of {MAX_PANELS} subintervals: "
+                             f"{MAX_PANELS} subintervals"):
+        apply_via_translation(1.0, f, [0.0], breakpoints=())
+    assert len(sizes) <= 20
+    assert sum(sizes) <= 21 * (2 * MAX_PANELS - 1) + 2
+
+
+@pytest.mark.parametrize("g, match", [
+    (lambda z: np.where(z > 1.0, math.inf, 1.0), "not finite"),
+    (lambda z: np.where(z > 1.0, -math.inf, 1.0), "not finite"),
+    (lambda z: np.where(z > 1.0, math.nan, 1.0), "not finite"),
+    (lambda z: np.exp(1000.0 * z), "not finite"),
+    (lambda z: np.full(z.shape, 1e308), "overflows"),
+])
+def test_translation_route_rejects_non_finite_values(g, match):
+    # raised on the first call (after 0.1 ms), before the stop rule reads
+    # a value: an overflow in f or in the panel sums raises as well, and
+    # no RuntimeWarning escapes (pytest turns those into errors here)
+    calls = []
+
+    def f(pts):
+        calls.append(len(pts))
+        return g(pts[:, 0])
+
+    with pytest.raises(QuadratureConvergenceError, match=match):
+        apply_via_translation(1.0, f, [0.0], breakpoints=())
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("a, b", [(-15.0, 15.0), (20.0, 25.0)])
 def test_breakpoints_outside_the_window(a, b):
     # at t = 1, y = 0 both jumps map past |u| = 12, so the window is one
@@ -158,6 +250,13 @@ def test_translation_of_constant_is_identity():
     got = apply_via_translation(0.8, lambda pts: np.ones(len(pts)), [1.5],
                                 breakpoints=())
     assert got == pytest.approx(1.0, rel=1e-12)
+    # values as a column, one per point, are the same values
+    column = apply_via_translation(0.8, lambda pts: np.ones((len(pts), 1)),
+                                   [1.5], breakpoints=())
+    assert column == got
+    with pytest.raises(ValueError):
+        apply_via_translation(0.8, lambda pts: np.ones(2 * len(pts)), [1.5],
+                              breakpoints=())
 
 
 @pytest.mark.parametrize("t", [0.3, 1.0])
@@ -230,7 +329,8 @@ def test_translation_route_requires_breakpoints():
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_batched_translation_matches_quadpack(t, lam):
     # the batched log-domain Gauss-Hermite step against the scalar
-    # QUADPACK route, with f = e^{lam x} given to each in its own form
+    # adaptive Gauss-Kronrod route, with f = e^{lam x} given to each in
+    # its own form
     tight = QuadratureSpec(tol=1e-12)
     xs = np.array([-2.0, -0.3, 0.0, 1.1, 3.0])
     got = _translation_log_values(t, lambda z: lam * z, xs, tight)
