@@ -1,6 +1,6 @@
 """Tour of the log-domain basics: Mehler kernel values and Gaussian measures.
 
-Everything that can over- or underflow is carried as (sign, log) pairs,
+Everything that can over- or underflow is carried as its natural log,
 so quantities like gamma(B) ~ exp(-900) for a ball centered at |c| = 30
 stay fully resolved.
 """

@@ -10,6 +10,7 @@ balls.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .kernel import check_time
@@ -52,26 +53,19 @@ class OffDiagHypothesis:
             raise ValueError("c must be > 0")
 
 
-def _check_mcintosh(C: float) -> float:
-    C = float(C)
-    if not (C > 0.0 and math.isfinite(C)):
-        raise ValueError("the L^2 off-diagonal constant must be positive")
-    return C
+def davies_gaffney_bound(t: float, d: float) -> float:
+    """The L^2-L^2 off-diagonal bound  (t/d) exp(-d^2 / 2t)  at distance d.
 
-
-def davies_gaffney_bound(t: float, d: float, C: float = 1.0) -> float:
-    """The L^2-L^2 off-diagonal bound  C (t/d) exp(-d^2 / 2t)  at distance d.
-
-    The constant C is not pinned down by theory; it defaults to 1 and all
-    downstream checks are constant-free (ratios, monotonicity, slopes).
-    Vacuous at d = 0, which callers handle separately (k = 0 annuli).
+    The constant in front is not pinned down by theory; it is taken as 1,
+    and all downstream checks are constant-free (ratios, monotonicity,
+    slopes).  Vacuous at d = 0, which callers handle separately (k = 0
+    annuli).
     """
     t = check_time(t)
-    C = _check_mcintosh(C)
     d = float(d)
     if not d > 0.0:
         raise ValueError("distance must be positive (the bound is vacuous at 0)")
-    return C * (t / d) * math.exp(-d * d / (2.0 * t))
+    return (t / d) * math.exp(-d * d / (2.0 * t))
 
 
 def nelson_min_p(t: float) -> float:
@@ -97,16 +91,21 @@ def delta_exponent(p: float, t: float) -> float:
     return (0.5 - 1.0 / p) / (0.5 - 1.0 / p_min)
 
 
-def interpolated_bound_log(p: float, t: float, d: float,
-                           C: float = 1.0) -> LogNumber:
+def interpolated_bound_log(p: float, t: float, d: float) -> LogNumber:
     """Log of the interpolated L^p-L^2 off-diagonal bound.
 
     The L^2-L^2 bound raised to the power 1 - delta(p, t): interpolation
     between the distance-decaying estimate and the L^p-L^2 contraction.
+    Where the linear bound is not a normal float (d^2 / 2t beyond about
+    700) its log is taken term by term instead.
     """
     delta = delta_exponent(p, t)
-    base_log = math.log(davies_gaffney_bound(t, d, C))
-    return LogNumber.from_log((1.0 - delta) * base_log)
+    bound = davies_gaffney_bound(t, d)
+    if bound >= sys.float_info.min:
+        base_log = math.log(bound)
+    else:
+        base_log = math.log(t) - math.log(d) - d * d / (2.0 * t)
+    return LogNumber((1.0 - delta) * base_log)
 
 
 def failure_threshold(p: float, q: float) -> float:
@@ -122,6 +121,12 @@ def failure_threshold(p: float, q: float) -> float:
     return math.log1p(D) - math.log1p(-D)
 
 
+def _gain(t: float) -> float:
+    """2 / (e^t + 1).  Beyond t = 39 the callers' -1 absorbs it, so
+    capping e^t at e^709 changes no result and avoids the overflow."""
+    return 2.0 / (math.exp(min(t, 709.0)) + 1.0)
+
+
 def blowup_slope(p: float, q: float, t: float) -> float:
     """Growth rate of the log implied constant against |c_B|^2.
 
@@ -132,7 +137,7 @@ def blowup_slope(p: float, q: float, t: float) -> float:
     p, q = float(p), float(q)
     if not (1.0 <= p < q < math.inf):
         raise ValueError("need 1 <= p < q < inf")
-    return 2.0 / (math.exp(t) + 1.0) - 1.0 + (1.0 / p - 1.0 / q)
+    return _gain(t) - 1.0 + (1.0 / p - 1.0 / q)
 
 
 def lemma_lower_bound_log(t: float, q: float, n: int,
@@ -158,5 +163,5 @@ def lemma_lower_bound_log(t: float, q: float, n: int,
     if not c >= 2.0:
         raise ValueError("the testing family needs |c_B| >= 2^k with k >= 1")
     value = (-n * (1.0 + 1.0 / q) * math.log(c)
-             + c * c * (2.0 / (math.exp(t) + 1.0) - 1.0 - 1.0 / q))
-    return LogNumber.from_log(value)
+             + c * c * (_gain(t) - 1.0 - 1.0 / q))
+    return LogNumber(value)

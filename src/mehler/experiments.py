@@ -209,8 +209,8 @@ def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
     """
     t = check_time(t)
     _require_testing_family(ball, k)
-    return LogNumber.from_log(float(_annulus_lq_log(
-        t, q, ball.center_norm, ball.radius, k, ball.dim, spec)[0]))
+    return LogNumber(_annulus_lq_log(
+        t, q, ball.center_norm, ball.radius, k, ball.dim, spec)[0])
 
 
 def _require_testing_family(ball: Ball, k: int) -> None:
@@ -236,7 +236,7 @@ def implied_constant_log(hyp: OffDiagHypothesis, t: float, ball: Ball, k: int,
     t = check_time(t)
     lhs = offdiag_lhs_log(t, hyp.q, ball, k, spec)
     lgB = gamma_log(ball, spec).log_magnitude
-    return LogNumber.from_log(
+    return LogNumber(
         _implied_from_parts(hyp, t, ball, k, lhs.log_magnitude, lgB))
 
 
@@ -318,6 +318,7 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     over (outer node x inner node) arrays per inner order
     (``kernel._translation_log_values`` with log f = lam x), in chunks of
     ``INNER_CHUNK`` outer nodes, refined to max(tol / 100, 1e-12).
+    A closed form beyond float64's range is inf.
     """
     t = check_time(t)
     p = float(p)
@@ -326,7 +327,10 @@ def hypercontractivity_check(t: float, p: float, lam: float,
         raise ValueError("p must lie in (1, 2]")
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    closed = math.exp(lam * lam * (1.0 + math.exp(-2.0 * t) - p) / 4.0)
+    try:
+        closed = math.exp(lam * lam * (1.0 + math.exp(-2.0 * t) - p) / 4.0)
+    except OverflowError:
+        closed = math.inf
 
     spec = spec if spec is not None else QuadratureSpec()
     inner = replace(spec, tol=_inner_tol(spec))

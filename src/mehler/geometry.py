@@ -141,9 +141,9 @@ def make_maximal_admissible_ball(center) -> Ball:
     return Ball(c, admissible_radius(c))
 
 
-def is_admissible(ball: Ball, rel_tol: float = 1e-12) -> bool:
-    """Whether r_B <= min(1, |c_B|^{-1}) up to relative slack ``rel_tol``."""
-    return ball.radius <= admissible_radius(ball.center) * (1.0 + rel_tol)
+def is_admissible(ball: Ball) -> bool:
+    """Whether r_B <= min(1, |c_B|^{-1}) up to a relative slack of 1e-12."""
+    return ball.radius <= admissible_radius(ball.center) * (1.0 + 1e-12)
 
 
 def set_distance(ball: Ball, annulus: Annulus) -> float:

@@ -99,7 +99,7 @@ def mehler_log(t: float, x, y) -> LogNumber:
     """log M_t(x, y) at a single pair of points; the kernel is positive."""
     xv = as_point(x)
     yv = as_point(y)
-    return LogNumber.from_log(float(mehler_log_values(t, xv, yv)))
+    return LogNumber(mehler_log_values(t, xv, yv))
 
 
 def apply_indicator_log(t: float, ball: Ball, y,

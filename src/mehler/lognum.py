@@ -5,7 +5,8 @@ with |c| up to ~30, i.e. natural-log magnitudes near 1000, far outside
 float64's linear range.  Every measure, kernel value and norm the
 library computes is a nonnegative magnitude, so it is carried as its
 natural log and accumulated with log-sum-exp; ``LogNumber`` wraps one
-such log magnitude for the public API and the CLI.
+such log magnitude for the public API and the CLI, with ``-inf`` for
+zero.
 """
 
 from __future__ import annotations
@@ -20,59 +21,27 @@ __all__ = ["LogNumber", "log_sum_weighted"]
 
 @dataclass(frozen=True)
 class LogNumber:
-    """A real number stored as a sign and the natural log of its magnitude.
+    """A nonnegative number stored as its natural log; ``-inf`` is zero.
 
-    ``sign`` is +1, 0 or -1, and ``log_magnitude`` is ``-inf`` exactly
-    when ``sign`` is 0.  The library builds only nonnegative values
-    (``from_log``, ``zero``, ``one``); sums stay in the log domain
-    through ``log_sum_weighted``.
+    Build one as ``LogNumber(log)``; ``LogNumber(0.0)`` is one.  Sums
+    stay in the log domain through ``log_sum_weighted``.
     """
 
-    sign: int
     log_magnitude: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sign", int(self.sign))
         object.__setattr__(self, "log_magnitude", float(self.log_magnitude))
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
         if math.isnan(self.log_magnitude):
             raise ValueError("log_magnitude must not be NaN")
-        if self.sign == 0 and self.log_magnitude != -math.inf:
-            raise ValueError("a zero LogNumber requires log_magnitude == -inf")
-        if self.sign != 0 and self.log_magnitude == -math.inf:
-            raise ValueError("log_magnitude == -inf requires sign == 0")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_log(cls, log_magnitude: float) -> "LogNumber":
-        """Build a nonnegative value from its log; ``-inf`` is zero."""
-        lm = float(log_magnitude)
-        if lm == -math.inf:
-            return cls(0, -math.inf)
-        return cls(1, lm)
-
-    @classmethod
-    def zero(cls) -> "LogNumber":
-        return cls(0, -math.inf)
-
-    @classmethod
-    def one(cls) -> "LogNumber":
-        return cls(1, 0.0)
-
-    # -- conversions ---------------------------------------------------
 
     def to_float(self) -> float:
-        """Linear value; saturates to +-inf above log magnitude ~709.8."""
-        if self.sign == 0:
-            return 0.0
+        """Linear value; saturates to inf above log magnitude ~709.8."""
         with np.errstate(over="ignore"):
-            return float(self.sign * np.exp(self.log_magnitude))
+            return float(np.exp(self.log_magnitude))
 
     def is_finite_float(self) -> bool:
         """True when the linear value is representable in float64."""
-        return self.sign == 0 or self.log_magnitude < 709.782712893384
+        return self.log_magnitude < 709.782712893384
 
 
 def log_sum_weighted(log_values, log_weights=None, axis=None):

@@ -135,7 +135,7 @@ def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:
     through the erf closed form in n = 1 and the axial rule in n = 2, 3.
     """
     if isinstance(region, FullSpace):
-        return LogNumber.one()
+        return LogNumber(0.0)
     if not isinstance(region, (Ball, Annulus)):
         raise TypeError(f"cannot measure {type(region).__name__}")
     c, ri, ro = region.center_norm, region.inner_radius, region.outer_radius
@@ -147,4 +147,4 @@ def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:
     else:
         log = integrate_axial_log(lambda x, z: np.zeros(x.shape), c, ri, ro,
                                   region.dim, spec)[0]
-    return LogNumber.from_log(float(log))
+    return LogNumber(log)

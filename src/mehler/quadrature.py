@@ -335,7 +335,7 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
             history.append((order, value))
         return value
 
-    return LogNumber.from_log(_refine_each(
+    return LogNumber(_refine_each(
         one_pass, lambda order: _node_count(region, order), region.dim,
         spec, spec.tol, "integral", lambda _: f"over {region!r}"))
 
@@ -385,6 +385,4 @@ def lq_norm_log(g_log, region, q: float, spec: QuadratureSpec | None = None,
     total = integrate_gamma_log(
         lambda pts: q * np.asarray(g_log(pts), dtype=float),
         region, spec, history)
-    if total.sign == 0:
-        return LogNumber.zero()
-    return LogNumber.from_log(total.log_magnitude / q)
+    return LogNumber(total.log_magnitude / q)

@@ -254,6 +254,29 @@ def test_hypercheck_out_of_range_exits_3(capsys):
     assert "order 65536" in err and "FullSpace(dim=1)" in err
 
 
+@pytest.mark.parametrize("n, t", [("1", "800"), ("2", "720")])
+def test_sweep_past_exp_overflow_exits_0(capsys, n, t):
+    # e^t overflows a float; the predicted slope is its t -> inf limit
+    code, out, err = run_cli(capsys, "sweep", "--t", t, "--p", "1", "--q",
+                             "2", "--k", "1", "--n", n, "--cmin", "4",
+                             "--cmax", "12", "--steps", "5")
+    assert code == 0 and err == ""
+    footer = dict(tok.split("=") for tok in
+                  out.strip().splitlines()[-1][2:].split())
+    assert float(footer["predicted_slope"]) == -0.5
+    assert float(footer["rel_err"]) < 0.15
+
+
+def test_hypercheck_closed_form_overflow_exits_3(capsys):
+    # the closed-form ratio e^{lam^2 (1 + e^{-2t} - p) / 4} is past
+    # float64 (it saturates to inf); the numeric side hits the node cap
+    code, out, err = run_cli(capsys, "hypercheck", "--t", "0.1", "--p",
+                             "1.05", "--lambda", "70")
+    assert code == 3
+    assert out == ""
+    assert "numerical non-convergence" in err
+
+
 def test_selftest_subcommand(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--seed", "42")
     assert code == 0

@@ -1,6 +1,7 @@
 """Closed-form estimate quantities: frozen values and algebraic identities."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,8 +58,6 @@ class TestDaviesGaffneyBound:
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
             davies_gaffney_bound(1.0, 0.0)
-        with pytest.raises(ValueError):
-            davies_gaffney_bound(1.0, 1.0, C=0.0)
 
 
 class TestNelsonThreshold:
@@ -120,6 +119,18 @@ class TestInterpolatedBound:
         want = (1.0 - 0.4376784284997772) * math.log(0.06766764161830635)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_log_domain_where_linear_bound_underflows(self):
+        # (t/d) e^{-d^2/2t} is below the smallest normal float here, but
+        # its log is representable
+        for p, t, d in ((2.0, 0.5, 38.0), (1.99, 0.01, 4.0)):
+            assert davies_gaffney_bound(t, d) < sys.float_info.min
+            got = interpolated_bound_log(p, t, d).log_magnitude
+            want = ((1.0 - delta_exponent(p, t))
+                    * (math.log(t / d) - d * d / (2.0 * t)))
+            assert got == pytest.approx(want, rel=1e-14)
+        assert interpolated_bound_log(2.0, 0.5, 38.0).log_magnitude == \
+            pytest.approx(-1448.3307333402863, rel=1e-14)
+
 
 class TestFailureThreshold:
     def test_log3_for_p1_q2(self):
@@ -179,6 +190,11 @@ class TestBlowupSlope:
     def test_sign_matches_threshold(self):
         selftest.check_threshold_slope_signs(np.random.default_rng(35))
 
+    def test_large_t_limit(self):
+        # e^t overflows past t = 709.78; the slope is -1 + (1/p - 1/q)
+        for t in (40.0, 709.0, 709.9, 800.0, 1e300):
+            assert blowup_slope(1.0, 2.0, t) == -0.5
+
 
 class TestLowerBound:
     def test_frozen_value(self):
@@ -200,6 +216,12 @@ class TestLowerBound:
                - lemma_lower_bound_log(t, q, n, b).log_magnitude)
         want = coef * (a * a - b * b) - n * (1.0 + 1.0 / q) * math.log(a / b)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_large_t_limit(self):
+        # past t = 39 the exponent coefficient is -1 - 1/q exactly
+        for t in (40.0, 720.0, 800.0):
+            got = lemma_lower_bound_log(t, 2.0, 2, 8.0).log_magnitude
+            assert got == -2 * 1.5 * math.log(8.0) + 64.0 * (-1.0 - 0.5)
 
     def test_rejects_small_center(self):
         with pytest.raises(ValueError):

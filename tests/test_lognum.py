@@ -1,6 +1,7 @@
 """LogNumber construction and log-space reduction tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,28 +10,29 @@ from mehler.lognum import LogNumber, log_sum_weighted
 
 
 def test_zero_representation():
-    z = LogNumber.zero()
-    assert z.sign == 0
+    z = LogNumber(-math.inf)
     assert z.log_magnitude == -math.inf
     assert z.to_float() == 0.0
-    assert LogNumber.from_log(-math.inf) == z
+    assert z.is_finite_float()
 
 
 def test_invalid_construction_rejected():
     with pytest.raises(ValueError):
-        LogNumber(2, 0.0)
-    with pytest.raises(ValueError):
-        LogNumber(0, 0.0)  # zero must carry -inf
-    with pytest.raises(ValueError):
-        LogNumber(1, -math.inf)  # -inf must carry sign 0
-    with pytest.raises(ValueError):
-        LogNumber(1, math.nan)
+        LogNumber(math.nan)
 
 
 def test_huge_magnitudes_never_overflow():
-    a = LogNumber.from_log(1700.0)
+    a = LogNumber(1700.0)
     assert not a.is_finite_float()
-    assert a.to_float() == math.inf  # saturates, no exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert a.to_float() == math.inf  # saturates, no exception or warning
+
+
+def test_equal_logs_are_equal_values():
+    assert LogNumber(2.5) == LogNumber(np.float64(2.5))
+    assert LogNumber(-math.inf) == LogNumber(-math.inf)
+    assert LogNumber(0.0).to_float() == 1.0
 
 
 def test_log_sum_weighted_extreme_inputs():
