@@ -31,10 +31,11 @@ Point = np.ndarray  # 1-d float64 array of shape (n,), n >= 1
 
 def as_point(coords) -> Point:
     """Coerce to a finite 1-d float64 array with at least one coordinate."""
-    x = np.atleast_1d(np.asarray(coords, dtype=float))
+    x = np.asarray(coords, dtype=float)
+    x = x.reshape(1) if x.ndim == 0 else x
     if x.ndim != 1 or x.size < 1:
         raise ValueError("a point is a 1-d array with at least one coordinate")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("point coordinates must be finite")
     return x
 

@@ -87,9 +87,10 @@ def mehler_log_values(t: float, x, y):
     if x.shape[-1] != y.shape[-1]:
         raise ValueError("x and y must share the coordinate dimension")
     n = x.shape[-1]
-    diff2 = np.sum((x - y) ** 2, axis=-1)
-    sumsq = np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)
-    with np.errstate(over="ignore"):  # tiny t: the log kernel is -inf
+    # tiny t gives -inf, far-out points NaN (inf - inf): LogNumber refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff2 = np.square(x - y).sum(axis=-1)
+        sumsq = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
         return (-0.5 * n * math.log(one_minus)
                 - em * diff2 / one_minus
                 + em * sumsq / one_plus)
@@ -153,6 +154,7 @@ _GK_WG[1:10:2] = _QK21_WG
 _GK_WG[11:20:2] = _QK21_WG[::-1]
 # QUADPACK's cap on the subintervals of one adaptive integral
 MAX_PANELS = 800
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def _gauss_kronrod(fv, half):
@@ -164,8 +166,7 @@ def _gauss_kronrod(fv, half):
     resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WK * half
     ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
     err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    eps = np.finfo(float).eps
-    return resk * half, np.maximum(50.0 * eps * (np.abs(fv) @ _GK_WK) * half,
+    return resk * half, np.maximum(_ROUNDOFF * (np.abs(fv) @ _GK_WK) * half,
                                    err)
 
 
@@ -212,18 +213,19 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
         # the points ``extra``; e^{-u^2} >= e^{-144} on the window, so the
         # weight never underflows.  Returns the rows lo, hi, value, error.
         half = 0.5 * (hi - lo)
-        u = np.append((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X,
-                      extra)
+        u = np.concatenate((
+            ((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X).ravel(),
+            extra))
         z = shift + scale * u
         # one value per point: an (m, 1) result must not broadcast to (m, m)
         fz = np.asarray(f(z[:, None]), dtype=float).reshape(u.shape)
-        if not np.all(np.isfinite(fz)):
+        if not np.isfinite(fz).all():
             raise QuadratureConvergenceError(
                 f"translation-route integrand is not finite at "
                 f"z = {z[~np.isfinite(fz)][0]}", (math.nan, math.nan))
         fv = fz * np.exp(-u * u) / math.sqrt(math.pi)
         rule = _gauss_kronrod(fv[:21 * lo.size].reshape(-1, 21), half)
-        return np.stack((lo, hi, *rule)), fv[21 * lo.size:]
+        return np.array((lo, hi, *rule)), fv[21 * lo.size:]
 
     mapped = ((float(z) - shift) / scale for z in breakpoints)
     edges = np.array([-cut, *sorted({u for u in mapped if -cut < u < cut}),
@@ -235,12 +237,12 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
         panels, at_edges = evaluate(edges[:-1], edges[1:], (-cut, cut))
         while True:
             lo, hi, value, err = panels
-            total = float(np.sum(value))
-            excess = float(np.sum(err)) - tol * abs(total)
+            total = float(value.sum())
+            excess = float(err.sum()) - tol * abs(total)
             if not math.isfinite(excess):
                 raise QuadratureConvergenceError(
                     f"translation-route quadrature overflows: value "
-                    f"{total}, error estimate {np.sum(err)}",
+                    f"{total}, error estimate {err.sum()}",
                     (math.nan, math.nan))
             if excess <= 0.0:
                 break
@@ -248,7 +250,7 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
                 raise QuadratureConvergenceError(
                     f"translation-route quadrature did not converge within "
                     f"the cap of {MAX_PANELS} subintervals: {lo.size} "
-                    f"subintervals leave an error estimate of {np.sum(err)}, "
+                    f"subintervals leave an error estimate of {err.sum()}, "
                     f"above {tol} relative to the value {total}",
                     (math.nan, math.nan))
             # bisect the fewest largest-error panels whose errors cover the
@@ -261,7 +263,7 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
                                  np.concatenate((mid, hi[split])))
             panels = np.concatenate(
                 (np.delete(panels, split, axis=1), halves), axis=1)
-    edge = float(np.max(np.abs(at_edges)))
+    edge = float(np.abs(at_edges).max())
     if edge > tol * abs(total):
         raise QuadratureConvergenceError(
             f"translation-route quadrature truncated at |u| = {cut}: the "

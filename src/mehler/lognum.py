@@ -50,17 +50,27 @@ def log_sum_weighted(log_values, log_weights=None, axis=None):
     Safe for log magnitudes up to ~1700 and far beyond: the reduction
     shifts by the maximum before exponentiating.  With ``axis=None`` the
     sum runs over every entry and the result is a float; otherwise it
-    runs along ``axis`` and the result is an array.
+    runs along ``axis`` and the result is an array.  With ``axis=None``
+    the maximum is checked in Python; along an axis only rows whose
+    maximum is not finite take the guarded path.  A finite maximum makes
+    the largest term exp(0) = 1, so no sum is 0; a maximum of -inf (all
+    terms zero), +inf or NaN is the result as is.
     """
     a = np.asarray(log_values, dtype=float)
     if log_weights is not None:
-        a = a + np.asarray(log_weights, dtype=float)
+        a = a + log_weights
     if a.size == 0:
         return -math.inf
-    top = np.max(a, axis=axis, keepdims=True)
-    # a maximum of -inf (all terms zero), +inf or NaN is the result as is
-    shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        out = shift + np.log(np.sum(np.exp(a - shift), axis=axis,
-                                    keepdims=True))
-    return float(out.reshape(())) if axis is None else np.squeeze(out, axis)
+    if axis is None:
+        top = a.max()
+        return float(top + np.log(np.exp(a - top).sum())
+                     if math.isfinite(top) else top)
+    top = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(top)
+    if finite.all():
+        out = top + np.log(np.exp(a - top).sum(axis, keepdims=True))
+    else:
+        shift = np.where(finite, top, 0.0)
+        with np.errstate(divide="ignore"):
+            out = shift + np.log(np.exp(a - shift).sum(axis, keepdims=True))
+    return out.squeeze(axis)

@@ -47,12 +47,11 @@ def log_gamma_interval(a, b):
     Array-valued: ``a`` and ``b`` broadcast, and scalar endpoints give a
     float.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
-                               np.asarray(b, dtype=float))
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise ValueError("interval endpoints must not be NaN")
-    if (b < a).any():
-        raise ValueError("interval needs a <= b")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (a <= b).all():  # one scan: a NaN endpoint fails it too
+        raise ValueError("interval endpoints must not be NaN"
+                         if np.isnan(a).any() or np.isnan(b).any()
+                         else "interval needs a <= b")
     # reflect intervals in the left half-line into the right one
     flip = b <= 0.0
     lo = np.where(flip, -b, a)

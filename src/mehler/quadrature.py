@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import roots_hermite, roots_legendre
@@ -103,9 +103,10 @@ class QuadratureConvergenceError(RuntimeError):
 
 # -- node caches ------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _hermite_rule(order: int):
-    nodes, weights = roots_hermite(order)
+@lru_cache(maxsize=128)
+def _log_rule(roots, order: int):
+    # a Gauss rule's nodes and log-weights, read-only and shared
+    nodes, weights = roots(order)
     with np.errstate(divide="ignore"):  # extreme weights may underflow to 0
         logw = np.log(weights)
     nodes.setflags(write=False)
@@ -113,13 +114,8 @@ def _hermite_rule(order: int):
     return nodes, logw
 
 
-@lru_cache(maxsize=64)
-def _legendre_rule(order: int):
-    nodes, weights = roots_legendre(order)
-    logw = np.log(weights)
-    nodes.setflags(write=False)
-    logw.setflags(write=False)
-    return nodes, logw
+_hermite_rule = partial(_log_rule, roots_hermite)
+_legendre_rule = partial(_log_rule, roots_legendre)
 
 
 # -- node builders: points (m, n) and log-weights (m,) ----------------
@@ -178,7 +174,7 @@ def _polar_frame(n: int, order: int, r_inner: float, r_outer: float):
 def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
     offsets, lw = _polar_frame(n, order, r_inner, r_outer)
     pts = center + offsets
-    lw = lw - np.sum(pts * pts, axis=-1) - n * _LOG_SQRT_PI
+    lw = lw - (pts * pts).sum(axis=-1) - n * _LOG_SQRT_PI
     return pts, lw
 
 
@@ -252,13 +248,20 @@ def _check_region(region):
 
 
 def _log_rel_converged(cur, prev, tol: float) -> bool:
-    """True when every entry of cur moved from prev by <= tol relative."""
+    """True when every entry of cur moved from prev by <= tol relative.
+
+    Equality covers the exactly-zero (-inf) case; NaN never passes.  Two
+    floats are compared in Python, where a log step of 1 or more (e - 1 >
+    tol) fails before ``math.expm1`` could overflow; arrays in numpy.
+    """
+    if isinstance(cur, float) and isinstance(prev, float):
+        step = cur - prev
+        return cur == prev or (step < 1.0 and abs(math.expm1(step)) <= tol)
     cur = np.asarray(cur, dtype=float)
     prev = np.asarray(prev, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # equality covers the exactly-zero (-inf) case; inf - inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
         ok = (cur == prev) | (np.abs(np.expm1(cur - prev)) <= tol)
-    return bool(np.all(ok))
+    return bool(ok.all())
 
 
 def _refine_each(one_pass, count, n: int, spec: QuadratureSpec,

@@ -200,6 +200,15 @@ def test_invalid_parameters_exit_2(capsys):
     assert "invalid parameters" in err
 
 
+def test_far_out_kernel_exits_2_with_a_clean_stderr(capsys):
+    # |x|^2 overflows to inf, and inf - inf makes the log kernel NaN; numpy
+    # must not warn on the way to the typed error
+    code, out, err = run_cli(capsys, "kernel", "--t", "1e300", "--x",
+                             "1e200", "--y", "1e200")
+    assert (code, out, err) == (
+        2, "", "mehler: invalid parameters: log_magnitude must not be NaN\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--center", "8", "--k", "1023"],
     ["gamma", "--center", "8,0", "--k", "1023"],

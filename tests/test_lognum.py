@@ -3,8 +3,12 @@
 import math
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from mehler.lognum import LogNumber, log_sum_weighted
 
@@ -44,3 +48,84 @@ def test_log_sum_weighted_extreme_inputs():
     expected = mags.max() + math.log(np.sum(np.exp(shifted)))
     assert total == pytest.approx(expected, rel=1e-13)
     assert log_sum_weighted([]) == -math.inf
+
+
+def _reference_log_sum(log_values, log_weights=None, axis=None):
+    # the formula the scalar path replaced, kept as the bitwise reference:
+    # every row shifted by its maximum, a maximum that is not finite by 0
+    # (over="ignore" only silences exp of a finite term next to +inf)
+    a = np.asarray(log_values, dtype=float)
+    if log_weights is not None:
+        a = a + np.asarray(log_weights, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    top = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = shift + np.log(np.sum(np.exp(a - shift), axis=axis,
+                                    keepdims=True))
+    return float(out.reshape(())) if axis is None else np.squeeze(out, axis)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert (got[~nan].view(np.int64) == want[~nan].view(np.int64)).all()
+
+
+_INF, _NAN = math.inf, math.nan
+# each case is a matrix of rows: an edge case mixed with finite rows
+_EDGE_ROWS = {
+    "all -inf row": [[-_INF, -_INF, -_INF], [0.5, -_INF, 1.0]],
+    "+inf row": [[_INF, 1.0, 2.0], [1.0, 2.0, 3.0]],
+    "NaN row": [[_NAN, 1.0, 2.0], [1.0, 2.0, 3.0]],
+    "one-term rows": [[3.0], [-_INF], [-2.5], [0.0]],
+    "near +900": np.random.default_rng(1).uniform(895.0, 905.0, (5, 32)),
+    "near -900": np.random.default_rng(2).uniform(-905.0, -895.0, (5, 32)),
+    "mixed signs and zeros": [[-900.0, 900.0, -_INF], [0.0, -0.0, -1e-300]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_ROWS))
+@pytest.mark.parametrize("weighted", [False, True])
+def test_log_sum_weighted_edge_cases_match_the_reference_bits(name, weighted):
+    rows = np.asarray(_EDGE_ROWS[name], dtype=float)
+    weights = (np.linspace(-1.0, 1.0, rows.shape[-1]) if weighted else None)
+    # every row alone and the whole matrix take the scalar path ...
+    for row in [*rows, rows]:
+        got = log_sum_weighted(row, weights)
+        assert type(got) is float
+        _assert_same_bits(got, _reference_log_sum(row, weights))
+    # ... and the rows at once the axis=-1 path
+    got = log_sum_weighted(rows, weights, axis=-1)
+    assert got.shape == rows.shape[:-1]
+    _assert_same_bits(got, _reference_log_sum(rows, weights, axis=-1))
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
+@pytest.mark.parametrize("axis", [None, -1])
+def test_log_sum_weighted_of_nothing_is_zero(shape, axis):
+    assert log_sum_weighted(np.empty(shape), axis=axis) == -math.inf
+    assert _reference_log_sum(np.empty(shape), axis=axis) == -math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_log_sum_weighted_matches_scipy_logsumexp(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=9))
+    values = data.draw(hnp.arrays(
+        float, shape, elements=st.floats(-1000.0, 1000.0)))
+    zero = data.draw(hnp.arrays(bool, shape))
+    a = np.where(zero, -math.inf, values)
+    # rounding in top + log(sum) is relative to the largest magnitude
+    atol = 1e-13 * max(1.0, float(np.abs(values).max()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-zero rows: log(0) in scipy
+        want = (logsumexp(a), logsumexp(a, axis=-1))
+    got = (log_sum_weighted(a), log_sum_weighted(a, axis=-1))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-13, atol=atol)
+    _assert_same_bits(got[0], _reference_log_sum(a))
+    _assert_same_bits(got[1], _reference_log_sum(a, axis=-1))

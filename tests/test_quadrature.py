@@ -163,3 +163,45 @@ def test_polar_nodes_do_not_depend_on_call_history(n):
     lw[:] = 0.0
     got = quadrature._polar_nodes(center, 0.3, 0.9, n, 6)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# _log_rel_converged sees floats (scalar integrals) and arrays (batched
+# ones, a single entry included); both paths must give one verdict
+def _as_array(v):
+    return np.array([v])
+
+
+@pytest.mark.parametrize("wrap", [float, _as_array])
+@pytest.mark.parametrize("cur, prev, want", [
+    (-math.inf, -math.inf, True),    # zero stays zero
+    (-3.0, -math.inf, False),        # zero became nonzero
+    (-math.inf, -3.0, False),
+    (math.nan, -3.0, False),
+    (-3.0, math.nan, False),
+    (math.nan, math.nan, False),
+    (math.inf, math.inf, True),
+    (800.0, 0.0, False),             # expm1(800) would overflow
+    (0.0, 800.0, False),
+    (-2.0, -2.0, True),
+])
+def test_log_rel_converged_special_values(wrap, cur, prev, want):
+    assert quadrature._log_rel_converged(wrap(cur), wrap(prev), 1e-8) is want
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("prev", [0.0, -37.5])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_log_rel_converged_paths_agree_at_the_tolerance(tol, prev, side):
+    # steps within 40 ulps of log(1 +- tol), where the verdict flips
+    edge = prev + math.log1p(side * tol)
+    steps = [edge]
+    for direction in (math.inf, -math.inf):
+        cur = edge
+        for _ in range(40):
+            cur = math.nextafter(cur, direction)
+            steps.append(cur)
+    verdicts = [quadrature._log_rel_converged(cur, prev, tol)
+                for cur in steps]
+    assert verdicts == [quadrature._log_rel_converged(
+        _as_array(cur), _as_array(prev), tol) for cur in steps]
+    assert True in verdicts and False in verdicts

@@ -1,0 +1,116 @@
+"""Per-call cost of the library's layers at the sizes the CLI serves.
+
+    python3 tools/microbench.py                 # 15 repeats per layer
+    python3 tools/microbench.py --repeat 1 --calls 1   # a smoke run
+
+Each layer is called ``--calls`` times per repeat (by default as many as
+fill about 20 ms), and the median over the repeats of the time per call
+is printed in microseconds.  The inputs are fixed: a 1-D interval route
+at a criterion-3-like draw, the README ``hypercheck``.  The library is
+imported from the ``src`` directory next to this one; one process, one
+thread, nothing cached between layers except what the library caches
+itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from mehler import cli, experiments, kernel, lognum, quadrature  # noqa: E402
+from mehler.geometry import Ball  # noqa: E402
+
+# a criterion-3 draw (t, [a, b], y) at the benchmark's tolerance
+T, A, B, Y = 0.7, -0.4, 0.6, 0.9
+SPEC = quadrature.QuadratureSpec(tol=1e-10)
+# the README hypercheck
+HYPER = (0.5, 1.3678794411714423, 2.0)
+
+
+def _indicator(pts):
+    z = pts[:, 0]
+    return ((z >= A) & (z < B)).astype(float)
+
+
+def _cli_hypercheck():
+    argv = ["hypercheck", "--t", repr(HYPER[0]), "--p", repr(HYPER[1]),
+            "--lambda", repr(HYPER[2])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def layers():
+    """(name, zero-argument call) for every layer, inputs built once."""
+    rng = np.random.default_rng(0)
+    terms = rng.normal(scale=10.0, size=32)
+    rows = rng.normal(scale=10.0, size=(16, 32))
+    x = rng.normal(size=(64, 1))
+    y = np.array([[0.3]])
+    ball = Ball(np.array([0.5 * (A + B)]), 0.5 * (B - A))
+    return [
+        ("lognum.log_sum_weighted, 32 terms",
+         lambda: lognum.log_sum_weighted(terms)),
+        ("lognum.log_sum_weighted, 16 x 32 rows",
+         lambda: lognum.log_sum_weighted(rows, axis=-1)),
+        ("quadrature._log_rel_converged, floats",
+         lambda: quadrature._log_rel_converged(-1.25, -1.25 + 1e-12, 1e-8)),
+        ("kernel.mehler_log_values, 64 points",
+         lambda: kernel.mehler_log_values(T, x, y)),
+        ("kernel.apply_indicator_closed_log (erf)",
+         lambda: kernel.apply_indicator_closed_log(T, A, B, Y)),
+        ("kernel.apply_indicator_log (kernel form)",
+         lambda: kernel.apply_indicator_log(T, ball, np.array([Y]), SPEC)),
+        ("kernel.apply_via_translation (QK21)",
+         lambda: kernel.apply_via_translation(T, _indicator, np.array([Y]),
+                                              SPEC, breakpoints=(A, B))),
+        ("experiments.hypercontractivity_check",
+         lambda: experiments.hypercontractivity_check(*HYPER)),
+        ("cli hypercheck", _cli_hypercheck),
+    ]
+
+
+def _per_call_s(call, calls: int) -> float:
+    start = time.perf_counter()
+    for _ in range(calls):
+        call()
+    return (time.perf_counter() - start) / calls
+
+
+def measure(repeat: int, calls: int | None = None):
+    """(name, median microseconds per call) for every layer."""
+    out = []
+    for name, call in layers():
+        call()  # warm the library's node caches
+        n = calls or max(1, int(0.02 / max(_per_call_s(call, 3), 1e-9)))
+        times = [_per_call_s(call, n) for _ in range(repeat)]
+        out.append((name, 1e6 * statistics.median(times)))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=15)
+    parser.add_argument("--calls", type=int, default=None,
+                        help="calls per repeat (default: about 20 ms worth)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or (args.calls is not None and args.calls < 1):
+        parser.error("--repeat and --calls must be positive")
+    rows = measure(args.repeat, args.calls)
+    width = max(len(name) for name, _ in rows)
+    print(f"{'layer':<{width}}  us/call")
+    for name, us in rows:
+        print(f"{name:<{width}}  {us:9.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
