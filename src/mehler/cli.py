@@ -59,8 +59,6 @@ def _add_quad_options(sub):
                      help="base quadrature order (doubled on refinement)")
     sub.add_argument("--tol", type=float, default=defaults.tol,
                      help="relative tolerance (default 1e-8)")
-    sub.add_argument("--max-refinements", type=int,
-                     default=defaults.max_refinements)
 
 
 def _add_output_options(sub):
@@ -70,8 +68,7 @@ def _add_output_options(sub):
 
 
 def _spec_from(args) -> QuadratureSpec:
-    return QuadratureSpec(order=args.order, tol=args.tol,
-                          max_refinements=args.max_refinements)
+    return QuadratureSpec(order=args.order, tol=args.tol)
 
 
 def _emit(args, text: str):
@@ -102,14 +99,15 @@ def _linear_or_none(value: LogNumber):
     return value.to_float() if value.is_finite_float() else None
 
 
-def _scalar_output(args, fields: dict):
+def _scalar_output(args, fields: dict, comments=(),
+                   extras: dict | None = None):
     if args.format == "json":
-        _emit(args, json.dumps(fields, indent=2) + "\n")
+        _emit(args, json.dumps({**fields, **(extras or {})}, indent=2) + "\n")
         return
-    header = ",".join(fields)
     row = ",".join("" if v is None else (_fmt(v) if isinstance(v, float) else str(v))
                    for v in fields.values())
-    _emit(args, header + "\n" + row + "\n")
+    lines = [",".join(fields), row, *(f"# {comment}" for comment in comments)]
+    _emit(args, "\n".join(lines) + "\n")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -199,21 +197,11 @@ def _cmd_hypercheck(args) -> int:
     verdict = ("contraction (p >= 1 + e^{-2t})"
                if args.p >= threshold else
                "no contraction (p < 1 + e^{-2t})")
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "ratio_closed_form": res.ratio_closed_form,
-            "ratio_numeric": res.ratio_numeric,
-            "p_nelson": threshold,
-            "verdict": verdict,
-        }, indent=2) + "\n")
-        return 0
-    lines = [
-        "ratio_closed_form,ratio_numeric,p_nelson",
-        ",".join(_fmt(v) for v in (res.ratio_closed_form, res.ratio_numeric,
-                                   threshold)),
-        f"# verdict: {verdict}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
+    _scalar_output(args, {
+        "ratio_closed_form": res.ratio_closed_form,
+        "ratio_numeric": res.ratio_numeric,
+        "p_nelson": threshold,
+    }, [f"verdict: {verdict}"], extras={"verdict": verdict})
     return 0
 
 

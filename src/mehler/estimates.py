@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+def _check_pq(p: float, q: float) -> None:
+    if not (1.0 <= p < q < math.inf):
+        raise ValueError("need 1 <= p < q < inf")
+
+
 @dataclass(frozen=True)
 class OffDiagHypothesis:
     """Parameters (p, q, theta, c) of the off-diagonal estimate template
@@ -45,8 +50,7 @@ class OffDiagHypothesis:
     c: float = 0.5
 
     def __post_init__(self):
-        if not (1.0 <= self.p < self.q < math.inf):
-            raise ValueError("need 1 <= p < q < inf")
+        _check_pq(self.p, self.q)
         if not self.theta >= 0.0:
             raise ValueError("theta must be >= 0")
         if not self.c > 0.0:
@@ -115,8 +119,7 @@ def failure_threshold(p: float, q: float) -> float:
     1 <= p < q < inf, so some failure range of t always exists.
     """
     p, q = float(p), float(q)
-    if not (1.0 <= p < q < math.inf):
-        raise ValueError("need 1 <= p < q < inf")
+    _check_pq(p, q)
     D = 1.0 / p - 1.0 / q
     return math.log1p(D) - math.log1p(-D)
 
@@ -135,8 +138,7 @@ def blowup_slope(p: float, q: float, t: float) -> float:
     """
     t = check_time(t)
     p, q = float(p), float(q)
-    if not (1.0 <= p < q < math.inf):
-        raise ValueError("need 1 <= p < q < inf")
+    _check_pq(p, q)
     return _gain(t) - 1.0 + (1.0 / p - 1.0 / q)
 
 

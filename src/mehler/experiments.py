@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +48,6 @@ from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _check_q,
-    _inner_tol,
     integrate_axial_log,
     integrate_gamma_log,
 )
@@ -316,8 +315,9 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     and uses no closed form.  The semigroup is applied through the
     translation route, for all outer nodes at once: one log-domain pass
     over (outer node x inner node) arrays per inner order
-    (``kernel._translation_log_values`` with log f = lam x), in chunks of
-    ``INNER_CHUNK`` outer nodes, refined to max(tol / 100, 1e-12).
+    (``kernel._translation_log_values`` with log f = lam x, which refines
+    to the inner tolerance max(tol / 100, 1e-12)), in chunks of
+    ``INNER_CHUNK`` outer nodes.
     A closed form beyond float64's range is inf.
     """
     t = check_time(t)
@@ -332,12 +332,10 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     except OverflowError:
         closed = math.inf
 
-    spec = spec if spec is not None else QuadratureSpec()
-    inner = replace(spec, tol=_inner_tol(spec))
     full = FullSpace(1)
 
     def log_sq_applied(x):
-        return 2.0 * _translation_log_values(t, lambda z: lam * z, x, inner)
+        return 2.0 * _translation_log_values(t, lambda z: lam * z, x, spec)
 
     norm2_log = integrate_gamma_log(
         lambda pts: _in_chunks(log_sq_applied, pts)[:, 0],

@@ -45,6 +45,7 @@ from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _fullspace_nodes,
+    _inner_tol,
     _refine_each,
     integrate_gamma_log,
 )
@@ -284,10 +285,11 @@ def _translation_log_values(t: float, f_log, xs,
     evaluated for all points and nodes as one (points, order) array, so
     f may grow far past float range.  ``f_log`` maps an array of
     arguments to log f elementwise; f must be smooth.  The order doubles
-    from ``spec.order`` until every entry changes by at most ``spec.tol``
-    relative; a pass over more than ``quadrature.MAX_NODES`` (point,
-    node) pairs raises instead, so callers with many points pass them in
-    chunks.
+    from ``spec.order`` until every entry changes by at most the inner
+    tolerance max(spec.tol / 100, 1e-12) relative, as the values feed an
+    outer rule at ``spec.tol``; a pass over more than
+    ``quadrature.MAX_NODES`` (point, node) pairs raises instead, so
+    callers with many points pass them in chunks.
     """
     t = check_time(t)
     spec = spec if spec is not None else QuadratureSpec()
@@ -301,6 +303,7 @@ def _translation_log_values(t: float, f_log, xs,
                                 axis=-1)
 
     return _refine_each(one_pass, lambda order: xs.size * order, 1, spec,
-                        spec.tol, "translation-route Gauss-Hermite pass",
+                        _inner_tol(spec),
+                        "translation-route Gauss-Hermite pass",
                         lambda i: f"x = {np.ravel(xs)[i]}")
 

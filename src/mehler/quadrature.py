@@ -5,26 +5,27 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 
 * full space: tensor Gauss-Hermite, whose weight function is exactly the
   gamma density up to the pi^{-n/2} factor;
-* balls and annuli, in every n: the polar rule about the center,
-  Gauss-Legendre in rho = |x - c| times a unit-sphere rule (S^0 =
-  {-1, +1}), so integrands stay smooth.  A region is seen only through
-  its center and its inner and outer radii (0 for a ball).  This grid
-  serves direct ``integrate_gamma_log`` calls, among them the
-  kernel-form route of ``kernel.apply_indicator_log``;
-* the axial rule of ``integrate_axial_log``: annuli about many centers c
-  at once, for integrands that see y only through its coordinate along
-  c and its distance from that axis.  Gauss-Legendre in rho = |y - c|
-  times a rule in u = <(y - c)/rho, c/|c|>, the azimuth integrated
-  exactly: order^2 nodes per center in n = 2, 3 where the polar grid
-  needs 2 order^n.  The sweeps and the annulus measures in n = 2, 3
-  use it.
+* balls and annuli about a center c, seen only through c and the inner
+  and outer radii (0 for a ball): one radial rule, Gauss-Legendre in
+  rho = |y - c| with the weight rho^{n-1}, and one unit-sphere rule,
+  cached per (n, order): the axial factor (a rule in the cosine u to an
+  axis, the azimuth integrated exactly) with the azimuth spread out by
+  the sphere rule one dimension down.  The polar grid, rho times the
+  sphere rule, serves direct ``integrate_gamma_log`` calls, among them
+  the kernel-form route of ``kernel.apply_indicator_log``.  The axial
+  rule of ``integrate_axial_log``, rho times the axial factor about
+  c/|c|, serves annuli about many centers at once, for integrands that
+  see y only through its coordinate along c and its distance from that
+  axis: order^2 nodes per center in n = 2, 3 where the polar grid needs
+  2 order^n.  The sweeps and the annulus measures in n = 2, 3 use it.
 
 Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
-log-domain refinement loop: it doubles the order until the relative
-change of every value drops below the tolerance, and a pass that would
-build more than ``MAX_NODES`` nodes raises instead.  It drives
-``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
-measure in ``measure`` and the batched translation step in ``kernel``.
+log-domain refinement loop: it doubles the order, at most
+``MAX_REFINEMENTS`` times, until the relative change of every value
+drops below the tolerance, and a pass that would build more than
+``MAX_NODES`` nodes raises instead.  It drives ``integrate_gamma_log``
+and ``integrate_axial_log`` here, the ball measure in ``measure`` and
+the batched translation step in ``kernel``.
 The default relative tolerance is 1e-8; only ``QuadratureSpec(tol=)``
 (the CLI's ``--tol``) changes it.
 """
@@ -52,17 +53,19 @@ __all__ = [
 MAX_DIM = 3
 
 # Largest node set one refinement pass may build.  A doubling multiplies
-# the node count by 2^n, so in n = 3 the refinement cap alone would let a
+# the node count by 2^n, so in n = 3 MAX_REFINEMENTS alone would let a
 # non-converging integrand allocate gigabytes; polar grids stay below
 # this cap up to order 80 in n = 3 and order 724 in n = 2.
 MAX_NODES = 2 ** 20
+# Order doublings one refinement may make (a Gauss rule costs ~order^2).
+MAX_REFINEMENTS = 12
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Base order, relative tolerance and refinement cap.
+    """Base order and relative tolerance.
 
     The domain selects the node family: Gauss-Hermite on the full space,
     the polar rule on balls and annuli.
@@ -70,15 +73,12 @@ class QuadratureSpec:
 
     order: int = 16
     tol: float = 1e-8
-    max_refinements: int = 12
 
     def __post_init__(self):
         if int(self.order) != self.order or self.order < 2:
             raise ValueError("order must be an integer >= 2")
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        if int(self.max_refinements) != self.max_refinements or self.max_refinements < 1:
-            raise ValueError("max_refinements must be a positive integer")
 
 
 def _inner_tol(spec: QuadratureSpec) -> float:
@@ -131,58 +131,10 @@ def _fullspace_nodes(n: int, order: int):
     return pts, lw
 
 
-def _sphere_rule(n: int, order: int):
-    # the unit sphere S^{n-1}: directions (m, n), their log-weights (m,)
-    # and the azimuth's log-weight log(2 pi / (2 order)), added last.
-    # S^0 = {-1, +1}; in n = 2, 3 equispaced azimuths (the trapezoid rule
-    # is spectrally accurate for periodic integrands), in n = 3 times
-    # Gauss-Legendre in the polar cosine.
-    if n == 1:
-        direction, dlw, lphi = np.array([[-1.0], [1.0]]), np.zeros(2), 0.0
-    else:
-        m = 2 * order
-        phi = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-        lphi = math.log(2.0 * math.pi / m)
-        direction, dlw = np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.zeros(m)
-    if n == 3:
-        u, ulogw = _legendre_rule(order)
-        ring = np.sqrt(1.0 - u * u)[:, None, None] * direction  # (order, m, 2)
-        axis = np.broadcast_to(u[:, None, None], ring.shape[:2] + (1,))
-        direction = np.concatenate([ring, axis], axis=-1).reshape(-1, 3)
-        dlw = np.repeat(ulogw, m)
-    return direction, dlw, lphi
-
-
-@lru_cache(maxsize=4)
-def _polar_frame(n: int, order: int, r_inner: float, r_outer: float):
-    # the polar grid about the origin: offsets (m, n) and log-weights (m,)
-    # without the density, which depends on the center.  Read-only and
-    # shared.  Four entries hold the orders one refinement of a ball
-    # visits; each holds at most MAX_NODES * (n + 1) floats (33 MB).
-    rnodes, rlogw = _legendre_rule(order)
-    half = 0.5 * (r_outer - r_inner)
-    rho = half * rnodes + 0.5 * (r_outer + r_inner)
-    rlw = rlogw + math.log(half) + (n - 1) * np.log(rho)
-    direction, dlw, lphi = _sphere_rule(n, order)
-    offsets = (rho[:, None, None] * direction).reshape(-1, n)
-    lw = ((rlw[:, None] + dlw) + lphi).reshape(-1)
-    offsets.setflags(write=False)
-    lw.setflags(write=False)
-    return offsets, lw
-
-
-def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
-    offsets, lw = _polar_frame(n, order, r_inner, r_outer)
-    pts = center + offsets
-    lw = lw - (pts * pts).sum(axis=-1) - n * _LOG_SQRT_PI
-    return pts, lw
-
-
 def _axial_factor(n: int, order: int):
-    # directions omega about the center's axis: u = <omega, c/|c|>,
+    # directions omega about the last coordinate axis: u = <omega, e_n>,
     # v = sqrt(1 - u^2) and the log-weights of the unit sphere's measure
-    # with the azimuth integrated exactly (the integrands depend on y
-    # only through u)
+    # with the azimuth integrated exactly (see ``integrate_axial_log``)
     if n == 1:
         return np.array([-1.0, 1.0]), np.zeros(2), np.zeros(2)
     if n == 2:
@@ -193,14 +145,51 @@ def _axial_factor(n: int, order: int):
     return u, np.sqrt(1.0 - u * u), lw + math.log(2.0 * math.pi)
 
 
+@lru_cache(maxsize=64)
+def _sphere_rule(n: int, order: int):
+    # the unit sphere S^{n-1}: directions (m, n) and log-weights (m,),
+    # read-only and shared.  The axial factor about e_n, each ring spread
+    # over S^{n-2} by this rule one dimension down, divided by its mass:
+    # S^0 = {-1, +1}, in n = 2 a ring of 2 order equispaced directions
+    # (the trapezoid rule, spectrally accurate for periodic integrands).
+    u, v, ulw = _axial_factor(n, order)
+    if n == 1:
+        direction, lw = u[:, None], ulw
+    else:
+        ring, rlw = _sphere_rule(n - 1, order)
+        across = v[:, None, None] * ring  # (u nodes, ring, n - 1)
+        along = np.broadcast_to(u[:, None, None], across.shape[:2] + (1,))
+        direction = np.concatenate([across, along], axis=-1).reshape(-1, n)
+        ring_mass = 2.0 if n == 2 else 2.0 * math.pi  # |S^{n-2}|
+        lw = (ulw[:, None] + (rlw - math.log(ring_mass))).reshape(-1)
+    direction.setflags(write=False)
+    lw.setflags(write=False)
+    return direction, lw
+
+
+def _radial_rule(n: int, order: int, r_inner, r_outer):
+    # Gauss-Legendre in rho = |y - c| on [r_inner, r_outer] with weight
+    # rho^{n-1}: nodes and log-weights, a row per pair of column radii
+    rnodes, rlogw = _legendre_rule(order)
+    half = 0.5 * (r_outer - r_inner)
+    rho = half * rnodes + 0.5 * (r_outer + r_inner)
+    return rho, rlogw + np.log(half) + (n - 1) * np.log(rho)
+
+
+def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
+    direction, dlw = _sphere_rule(n, order)
+    rho, rlw = _radial_rule(n, order, r_inner, r_outer)
+    pts = center + (rho[:, None, None] * direction).reshape(-1, n)
+    lw = ((rlw[:, None] + dlw).reshape(-1) - (pts * pts).sum(axis=-1)
+          - n * _LOG_SQRT_PI)
+    return pts, lw
+
+
 def _axial_nodes(norms, r_inner, r_outer, n: int, order: int):
     # y = c + rho omega on the annuli, one row per center distance a = |c|:
     # the axial coordinate x = a + rho u, the transverse distance
     # z = rho v and log-weights with the density, |y|^2 = x^2 + z^2
-    rnodes, rlogw = _legendre_rule(order)
-    half = (0.5 * (r_outer - r_inner))[:, None]
-    rho = half * rnodes + (0.5 * (r_outer + r_inner))[:, None]
-    rlw = rlogw + np.log(half) + (n - 1) * np.log(rho)
+    rho, rlw = _radial_rule(n, order, r_inner[:, None], r_outer[:, None])
     u, v, ulw = _axial_factor(n, order)
     x = norms[:, None, None] + rho[..., None] * u
     z = rho[..., None] * v
@@ -270,16 +259,17 @@ def _refine_each(one_pass, count, n: int, spec: QuadratureSpec,
 
     ``one_pass(order)`` returns a log value, or an array of them, from a
     pass at ``order``, and ``count(order)`` is the number of nodes (over
-    all entries) that pass builds.  The order doubles from ``spec.order``
-    until every entry changes by at most ``tol`` relative; a pass over
-    more than ``MAX_NODES`` nodes raises before it runs.  On failure the
+    all entries) that pass builds.  The order doubles from ``spec.order``,
+    at most ``MAX_REFINEMENTS`` times, until every entry changes by at
+    most ``tol`` relative; a pass over more than ``MAX_NODES`` nodes
+    raises before it runs.  On failure the
     error names ``what``, the last order and ``label(i)`` for the entry i
     that moved most in the last doubling.
     """
     order = spec.order
     _check_node_budget(what, n, order, count(order))
     cur = one_pass(order)
-    for _ in range(spec.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         order *= 2
         _check_node_budget(what, n, order, count(order), cur)
         prev, cur = cur, one_pass(order)
@@ -290,7 +280,7 @@ def _refine_each(one_pass, count, n: int, spec: QuadratureSpec,
         worst = int(np.argmax(np.abs(cur - prev)))
     raise QuadratureConvergenceError(
         f"{what} did not converge to relative tolerance {tol} after "
-        f"{spec.max_refinements} order doublings (order {order}, "
+        f"{MAX_REFINEMENTS} order doublings (order {order}, "
         f"{label(worst)}); last two log values ({prev[worst]}, {cur[worst]})",
         (float(prev[worst]), float(cur[worst])))
 
@@ -309,8 +299,7 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     region : Ball | Annulus | FullSpace
         Integration domain, dimension <= 3.
     spec : QuadratureSpec, optional
-        Order/tolerance/refinement cap; defaults are shared across the
-        package.
+        Order and tolerance; defaults are shared across the package.
     history : list, optional
         When given, one (order, log_value) tuple is appended per
         refinement step; a convergence-inspection hook.
@@ -318,7 +307,7 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     Raises
     ------
     QuadratureConvergenceError
-        When ``max_refinements`` order doublings do not bring the
+        When ``MAX_REFINEMENTS`` order doublings do not bring the
         relative change below ``tol``, or when the next pass would build
         more than ``MAX_NODES`` nodes.  The message names the last order
         (and, without convergence, the region); ``last_two`` holds the
@@ -377,8 +366,8 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
         lambda i: f"center distance {norms[i]}")
 
 
-def lq_norm_log(g_log, region, q: float, spec: QuadratureSpec | None = None,
-                history: list | None = None) -> LogNumber:
+def lq_norm_log(g_log, region, q: float,
+                spec: QuadratureSpec | None = None) -> LogNumber:
     """Log of  ( integral_region exp(g_log)^q dgamma )^(1/q),  1 <= q < inf.
 
     ``g_log`` follows the same vectorized calling convention as the
@@ -387,5 +376,5 @@ def lq_norm_log(g_log, region, q: float, spec: QuadratureSpec | None = None,
     q = _check_q(q)
     total = integrate_gamma_log(
         lambda pts: q * np.asarray(g_log(pts), dtype=float),
-        region, spec, history)
+        region, spec)
     return LogNumber(total.log_magnitude / q)

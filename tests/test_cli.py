@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mehler
-from mehler import cli
+from mehler import cli, quadrature
 from mehler.cli import main
 from mehler.estimates import OffDiagHypothesis
 from mehler.experiments import sweep_blowup
@@ -242,10 +242,11 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_nonconvergence_exits_3(capsys):
+def test_nonconvergence_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
     args = ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1",
             "--n", "1", "--cmin", "4", "--cmax", "8", "--steps", "4",
-            "--order", "2", "--tol", "1e-15", "--max-refinements", "1"]
+            "--order", "2", "--tol", "1e-15"]
     code, _, err = run_cli(capsys, *args)
     assert code == 3
     assert "non-convergence" in err

@@ -273,8 +273,9 @@ def test_small_time_sweep_in_3d(capsys):
     assert rel_err < 0.055
 
 
-def test_sweep_abort_carries_partial_rows():
-    starved = QuadratureSpec(order=2, tol=1e-15, max_refinements=1)
+def test_sweep_abort_carries_partial_rows(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    starved = QuadratureSpec(order=2, tol=1e-15)
     with pytest.raises(SweepAborted) as err:
         sweep_blowup(HYP12, 0.5, 1, 1, [4.0, 6.0, 8.0, 10.0], starved)
     assert err.value.failed_at == 4.0

@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 from scipy.special import eval_hermite
 
+from mehler import quadrature
 from mehler.geometry import Ball
 from mehler.kernel import (
     MAX_PANELS,
@@ -341,10 +342,11 @@ def test_batched_translation_matches_quadpack(t, lam):
         assert abs(math.exp(log_val) / want - 1.0) <= 1e-10
 
 
-def test_batched_translation_failure_names_order_and_point():
+def test_batched_translation_failure_names_order_and_point(monkeypatch):
     # f = e^{z^2 / 5}: the order-2 and order-4 values differ most at the
     # outermost point
-    spec = QuadratureSpec(order=2, tol=1e-15, max_refinements=1)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    spec = QuadratureSpec(order=2, tol=1e-15)
     xs = np.array([0.0, 0.5, 3.0])
     with pytest.raises(QuadratureConvergenceError,
                        match=r"order 4, x = 3\.0\)"):

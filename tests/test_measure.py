@@ -298,9 +298,10 @@ def test_gamma_log_of_ball_matches_polar_engine(n, norm, rho, direction):
         _polar_log(ball), rel=1e-10)
 
 
-def test_ball_measure_raises_when_refinement_runs_out():
+def test_ball_measure_raises_when_refinement_runs_out(monkeypatch):
     # order 2 with one doubling cannot resolve 1e-12 relative
-    spec = QuadratureSpec(order=2, tol=1e-10, max_refinements=1)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    spec = QuadratureSpec(order=2, tol=1e-10)
     with pytest.raises(QuadratureConvergenceError):
         log_gamma_ball(np.array([0.0, 6.0]), 1.2, 3, spec)
     # a pass over more (center, node) pairs than the cap is never built

@@ -20,15 +20,13 @@ from mehler.quadrature import (
 
 
 def test_spec_validation():
-    QuadratureSpec(order=8, tol=1e-6, max_refinements=3)
+    QuadratureSpec(order=8, tol=1e-6)
     with pytest.raises(ValueError):
         QuadratureSpec(order=1)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_refinements=0)
 
 
 def test_constant_one_over_full_space():
@@ -81,9 +79,10 @@ def test_refinement_history_monotone_on_smooth_kernel_integrand():
     selftest.check_refinement_monotone(np.random.default_rng(0))
 
 
-def test_convergence_error_carries_last_iterates():
+def test_convergence_error_carries_last_iterates(monkeypatch):
     # order 2 with a single refinement cannot resolve a sharp kernel
-    spec = QuadratureSpec(order=2, tol=1e-14, max_refinements=1)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    spec = QuadratureSpec(order=2, tol=1e-14)
     y = np.array([[0.3]])
     with pytest.raises(QuadratureConvergenceError) as err:
         integrate_gamma_log(lambda pts: mehler_log_values(1e-3, pts, y),
@@ -93,7 +92,7 @@ def test_convergence_error_carries_last_iterates():
 
 
 def test_refinement_work_is_capped_before_allocation():
-    # seeded noise never converges; in n = 3 the cap, not max_refinements,
+    # seeded noise never converges; in n = 3 the cap, not MAX_REFINEMENTS,
     # must stop the doubling before a pass larger than MAX_NODES is built
     rng = np.random.default_rng(11)
     sizes = []
@@ -105,7 +104,7 @@ def test_refinement_work_is_capped_before_allocation():
     with pytest.raises(QuadratureConvergenceError) as err:
         integrate_gamma_log(noise, Ball([0.5, 0.0, 0.0], 1.0))
     assert max(sizes) <= MAX_NODES
-    assert len(sizes) < QuadratureSpec().max_refinements + 1
+    assert len(sizes) < quadrature.MAX_REFINEMENTS + 1
     message = str(err.value)
     assert "n = 3" in message and "order 128" in message
     assert str(2 * 128 ** 3) in message
@@ -150,12 +149,12 @@ def test_polar_engine_dimension_cap():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_polar_nodes_do_not_depend_on_call_history(n):
-    # the center-free part of the grid is cached per (n, order, radii):
-    # a center's nodes must come out bit for bit as from a cold cache,
-    # after other centers and after a caller wrote into its own copy
+    # the unit-sphere rule is cached per (n, order): a center's nodes must
+    # come out bit for bit as from a cold cache, after other centers and
+    # after a caller wrote into its own copy
     rng = np.random.default_rng(11)
     center, other = rng.normal(size=(2, n)) * 4.0
-    quadrature._polar_frame.cache_clear()
+    quadrature._sphere_rule.cache_clear()
     want = [a.copy() for a in quadrature._polar_nodes(center, 0.3, 0.9, n, 6)]
     quadrature._polar_nodes(other, 0.3, 0.9, n, 6)
     pts, lw = quadrature._polar_nodes(center, 0.3, 0.9, n, 6)
@@ -163,6 +162,24 @@ def test_polar_nodes_do_not_depend_on_call_history(n):
     lw[:] = 0.0
     got = quadrature._polar_nodes(center, 0.3, 0.9, n, 6)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("order", [6, 7])
+@pytest.mark.parametrize("n, mass", [(1, 2.0), (2, 2.0 * math.pi),
+                                     (3, 4.0 * math.pi)])
+def test_sphere_rule_moments(n, mass, order):
+    # |S^{n-1}| in total, |S^{n-1}| / n for each omega_i^2, and every
+    # monomial of odd degree up to 3 integrates to 0
+    direction, lw = quadrature._sphere_rule(n, order)
+    w = np.exp(lw)
+    assert w.sum() == pytest.approx(mass, rel=1e-14)
+    assert w @ direction ** 2 == pytest.approx(np.full(n, mass / n), rel=1e-14)
+    for i in range(n):
+        odd = [direction[:, i]] + [direction[:, i] * direction[:, j]
+                                   * direction[:, k]
+                                   for j in range(n) for k in range(n)]
+        assert max(abs(w @ m) for m in odd) <= 1e-14 * mass
+    assert not (direction.flags.writeable or lw.flags.writeable)
 
 
 # _log_rel_converged sees floats (scalar integrals) and arrays (batched

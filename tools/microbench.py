@@ -6,7 +6,10 @@
 Each layer is called ``--calls`` times per repeat (by default as many as
 fill about 20 ms), and the median over the repeats of the time per call
 is printed in microseconds.  The inputs are fixed: a 1-D interval route
-at a criterion-3-like draw, the README ``hypercheck``.  The library is
+at a criterion-3-like draw, the README ``hypercheck``.  The kernel-form
+route is timed twice: on that one interval, and cycling through seeded
+criterion-3 draws, each with its own interval, as the benchmark's
+``routes`` triples call it.  The library is
 imported from the ``src`` directory next to this one; one process, one
 thread, nothing cached between layers except what the library caches
 itself.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import statistics
 import sys
 import time
@@ -48,6 +52,17 @@ def _cli_hypercheck():
         return cli.main(argv)
 
 
+def _draws(rng, count: int):
+    # criterion-3 draws (t, interval as a ball, y), as in the ``routes``
+    # workload
+    for _ in range(count):
+        t = float(rng.uniform(0.2, 2.0))
+        a = float(rng.uniform(-2.5, 1.5))
+        b = a + float(rng.uniform(0.4, 1.5))
+        y = float(rng.uniform(a - 1.0, b + 1.0))
+        yield t, Ball(np.array([0.5 * (a + b)]), 0.5 * (b - a)), np.array([y])
+
+
 def layers():
     """(name, zero-argument call) for every layer, inputs built once."""
     rng = np.random.default_rng(0)
@@ -56,6 +71,7 @@ def layers():
     x = rng.normal(size=(64, 1))
     y = np.array([[0.3]])
     ball = Ball(np.array([0.5 * (A + B)]), 0.5 * (B - A))
+    draws = itertools.cycle(list(_draws(rng, 64)))
     return [
         ("lognum.log_sum_weighted, 32 terms",
          lambda: lognum.log_sum_weighted(terms)),
@@ -69,6 +85,8 @@ def layers():
          lambda: kernel.apply_indicator_closed_log(T, A, B, Y)),
         ("kernel.apply_indicator_log (kernel form)",
          lambda: kernel.apply_indicator_log(T, ball, np.array([Y]), SPEC)),
+        ("kernel.apply_indicator_log (kernel form), distinct intervals",
+         lambda: kernel.apply_indicator_log(*next(draws), SPEC)),
         ("kernel.apply_via_translation (QK21)",
          lambda: kernel.apply_via_translation(T, _indicator, np.array([Y]),
                                               SPEC, breakpoints=(A, B))),
