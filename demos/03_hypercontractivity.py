@@ -4,8 +4,9 @@ For the exponential family f(x) = e^{lam x} the ratio
 ||e^{tL} f||_2 / ||f||_p equals exp(lam^2 (1 + e^{-2t} - p)/4) exactly:
 it crosses 1 precisely at p = 1 + e^{-2t}.  The numeric column repeats
 the computation by quadrature with no closed forms involved: Gauss-Hermite
-for both norms, and for e^{tL} f one log-domain Gauss-Hermite pass over
-all outer nodes at once (the translation route).
+for both norms, the L^2 one as ||e^{tL} f||_2^2 = <f, e^{2tL} f>, one 2-D
+integral of f(x) f(e^{-2t} x + sqrt(1 - e^{-4t}) u) (self-adjointness,
+the semigroup law and the translation route).
 """
 
 from mehler import hypercontractivity_check, nelson_min_p

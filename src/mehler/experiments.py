@@ -41,12 +41,13 @@ from .geometry import (
     make_maximal_admissible_ball,
     set_distance,
 )
-from .kernel import _time_factors, _translation_log_values, check_time
+from .kernel import _time_factors, check_time
 from .lognum import LogNumber
 from .measure import gamma_log, log_gamma_ball
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
+    _check_dim,
     _check_q,
     integrate_axial_log,
     integrate_gamma_log,
@@ -73,9 +74,8 @@ __all__ = [
     "regime_map",
 ]
 
-# outer nodes per call of an inner step (the ball measure of the sweeps,
-# the translation pass of the hypercheck): bounds the (nodes x inner
-# order) arrays it builds
+# outer nodes per call of the sweeps' inner ball-measure step: bounds the
+# (nodes x inner order) arrays it builds
 INNER_CHUNK = 8192
 
 FAILS_RESTRICTED = "fails_restricted"
@@ -212,9 +212,15 @@ def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
         t, q, ball.center_norm, ball.radius, k, ball.dim, spec)[0])
 
 
+def _check_separated_index(k) -> int:
+    """k as an int when C_k(B) lies apart from B: k >= 1 (integral floats)."""
+    if not (k >= 1 and k % 1 == 0):
+        raise ValueError(f"annulus index k must be an integer >= 1, got {k}")
+    return int(k)
+
+
 def _require_testing_family(ball: Ball, k: int) -> None:
-    if int(k) != k or k < 1:
-        raise ValueError("annulus index k must be an integer >= 1")
+    k = _check_separated_index(k)
     r_max = admissible_radius(ball.center)
     if abs(ball.radius - r_max) > 1e-9 * r_max:
         raise ValueError(
@@ -262,12 +268,10 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     carrying the rows before it, if quadrature fails at a single point.
     """
     t = check_time(t)
-    if int(n) != n or not (1 <= n <= 3):
-        raise ValueError("dimension must be 1, 2 or 3")
+    n = _check_dim(n)
     grid = sorted(float(c) for c in cB_grid)
     if len(set(grid)) < 4:
         raise ValueError("sweep grid needs at least 4 distinct |c_B| values")
-    n = int(n)
     _require_testing_family(
         make_maximal_admissible_ball(np.r_[grid[0], np.zeros(n - 1)]), k)
 
@@ -312,12 +316,10 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     The closed form is exp(lam^2 (1 + e^{-2t} - p) / 4): equal to 1 at
     the threshold p = 1 + e^{-2t}, below 1 above it, above 1 below it.
     The numeric ratio recomputes both norms by Gauss-Hermite quadrature
-    and uses no closed form.  The semigroup is applied through the
-    translation route, for all outer nodes at once: one log-domain pass
-    over (outer node x inner node) arrays per inner order
-    (``kernel._translation_log_values`` with log f = lam x, which refines
-    to the inner tolerance max(tol / 100, 1e-12)), in chunks of
-    ``INNER_CHUNK`` outer nodes.
+    and uses no closed form.  e^{tL} is self-adjoint and a semigroup, so
+    ||e^{tL} f||_2^2 = <f, e^{2tL} f> is, by the translation route, one
+    2-D integral of f(x) f(e^{-2t} x + s2 u) dgamma(u, x) with
+    s2 = sqrt(1 - e^{-4t}).
     A closed form beyond float64's range is inf.
     """
     t = check_time(t)
@@ -332,16 +334,13 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     except OverflowError:
         closed = math.inf
 
-    full = FullSpace(1)
-
-    def log_sq_applied(x):
-        return 2.0 * _translation_log_values(t, lambda z: lam * z, x, spec)
-
+    _, one_minus, one_plus = _time_factors(2.0 * t)  # the route at 2t
+    s2 = math.sqrt(one_minus)
     norm2_log = integrate_gamma_log(
-        lambda pts: _in_chunks(log_sq_applied, pts)[:, 0],
-        full, spec).log_magnitude / 2.0
+        lambda pts: lam * (one_plus * pts[:, 0] + s2 * pts[:, 1]),
+        FullSpace(2), spec).log_magnitude / 2.0
     normp_log = integrate_gamma_log(lambda pts: p * lam * pts[:, 0],
-                                    full, spec).log_magnitude / p
+                                    FullSpace(1), spec).log_magnitude / p
     return HypercontractivityResult(closed, math.exp(norm2_log - normp_log))
 
 
@@ -358,12 +357,11 @@ def davies_gaffney_check(t: float, ball: Ball, k: int,
     imposes no admissibility or |c_B| >= 2^k constraint.
     """
     t = check_time(t)
-    if int(k) != k or k < 1:
-        raise ValueError("need k >= 1 for a positive separation")
+    k = _check_separated_index(k)
     lhs = float(_annulus_lq_log(t, 2.0, ball.center_norm, ball.radius, k,
                                 ball.dim, spec)[0])
     lhs -= 0.5 * gamma_log(ball, spec).log_magnitude
-    d = set_distance(ball, Annulus(ball, int(k)))
+    d = set_distance(ball, Annulus(ball, k))
     rhs = math.log(t / d) - d * d / (2.0 * t)
     return DaviesGaffneyResult(lhs, rhs)
 

@@ -19,11 +19,10 @@ which yields the translation route
 used here as an independent cross-check against the kernel-form
 quadrature.  For the indicator of a ball it gives the Gaussian measure
 of a translated ball (``measure.log_gamma_ball``), which is how the
-sweeps in ``experiments`` evaluate e^{tL} 1_B.  For a smooth positive f
-given by log f, ``_translation_log_values`` evaluates the same average
-at many points x in one log-domain Gauss-Hermite pass per order; the
-hypercontractivity check applies the semigroup that way.  The scalar
-route ``apply_via_translation`` stays the independent cross-check:
+sweeps in ``experiments`` evaluate e^{tL} 1_B; the hypercontractivity
+check writes ||e^{tL} f||_2^2 as <f, e^{2tL} f>, one 2-D Gauss-Hermite
+integral of the same average.  The scalar route
+``apply_via_translation`` stays the independent cross-check:
 one-dimensional adaptive Gauss-Kronrod (QUADPACK's QK21 rule and error
 estimate, every panel of a pass in one call of f), with the caller's
 ``breakpoints`` (the jumps of f) as its initial panel boundaries.  The
@@ -39,14 +38,11 @@ import math
 import numpy as np
 
 from .geometry import Ball, as_point
-from .lognum import LogNumber, log_sum_weighted
+from .lognum import LogNumber
 from .measure import log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    _fullspace_nodes,
-    _inner_tol,
-    _refine_each,
     integrate_gamma_log,
 )
 
@@ -271,39 +267,4 @@ def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,
             f"integrand there is {edge}, above {tol} relative to the value "
             f"{total}", (math.nan, math.nan))
     return total
-
-
-def _translation_log_values(t: float, f_log, xs,
-                            spec: QuadratureSpec | None = None):
-    """log e^{tL} f(x) for every x in ``xs`` (n = 1), f given by log f.
-
-    With s = sqrt(1 - e^{-2t}) and Gauss-Hermite nodes u_j, log-weights
-    log w_j against gamma,
-
-        log e^{tL} f(x) = logsumexp_j [log f(e^{-t} x + s u_j) + log w_j],
-
-    evaluated for all points and nodes as one (points, order) array, so
-    f may grow far past float range.  ``f_log`` maps an array of
-    arguments to log f elementwise; f must be smooth.  The order doubles
-    from ``spec.order`` until every entry changes by at most the inner
-    tolerance max(spec.tol / 100, 1e-12) relative, as the values feed an
-    outer rule at ``spec.tol``; a pass over more than
-    ``quadrature.MAX_NODES`` (point, node) pairs raises instead, so
-    callers with many points pass them in chunks.
-    """
-    t = check_time(t)
-    spec = spec if spec is not None else QuadratureSpec()
-    xs = np.asarray(xs, dtype=float)
-    em, one_minus, _ = _time_factors(t)
-    s = math.sqrt(one_minus)
-
-    def one_pass(order):
-        u, lw = _fullspace_nodes(1, order)
-        return log_sum_weighted(f_log(em * xs[..., None] + s * u[:, 0]), lw,
-                                axis=-1)
-
-    return _refine_each(one_pass, lambda order: xs.size * order, 1, spec,
-                        _inner_tol(spec),
-                        "translation-route Gauss-Hermite pass",
-                        lambda i: f"x = {np.ravel(xs)[i]}")
 

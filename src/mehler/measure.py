@@ -28,7 +28,7 @@ from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
     _LOG_SQRT_PI,
     QuadratureSpec,
-    _inner_tol,
+    _check_dim,
     _legendre_rule,
     _refine_each,
     integrate_axial_log,
@@ -69,6 +69,11 @@ def log_gamma_interval(a, b):
     return float(out) if out.ndim == 0 else out
 
 
+def _inner_tol(spec: QuadratureSpec) -> float:
+    # the tolerance of an inner step nested in an outer rule at spec.tol
+    return max(spec.tol * 1e-2, 1e-12)
+
+
 def log_gamma_ball(center_norms, radius, n: int,
                    spec: QuadratureSpec | None = None):
     """log gamma_n(B(m, radius)) for every |m| in ``center_norms``.
@@ -96,10 +101,9 @@ def log_gamma_ball(center_norms, radius, n: int,
     radius = np.asarray(radius, dtype=float)
     if not np.all((radius > 0.0) & np.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
+    n = _check_dim(n)
     if n == 1:
         return log_gamma_interval(norms - radius, norms + radius)
-    if n not in (2, 3):
-        raise ValueError("supported dimensions are 1..3")
     spec = spec if spec is not None else QuadratureSpec()
     shape = np.broadcast_shapes(norms.shape, radius.shape)
     return _refine_each(

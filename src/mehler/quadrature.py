@@ -24,8 +24,7 @@ log-domain refinement loop: it doubles the order, at most
 ``MAX_REFINEMENTS`` times, until the relative change of every value
 drops below the tolerance, and a pass that would build more than
 ``MAX_NODES`` nodes raises instead.  It drives ``integrate_gamma_log``
-and ``integrate_axial_log`` here, the ball measure in ``measure`` and
-the batched translation step in ``kernel``.
+and ``integrate_axial_log`` here and the ball measure in ``measure``.
 The default relative tolerance is 1e-8; only ``QuadratureSpec(tol=)``
 (the CLI's ``--tol``) changes it.
 """
@@ -51,6 +50,14 @@ __all__ = [
 ]
 
 MAX_DIM = 3
+
+
+def _check_dim(n) -> int:
+    """n as an int when it is one of 1..MAX_DIM (integral floats too)."""
+    if n not in range(1, MAX_DIM + 1):
+        raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {n}")
+    return int(n)
+
 
 # Largest node set one refinement pass may build.  A doubling multiplies
 # the node count by 2^n, so in n = 3 MAX_REFINEMENTS alone would let a
@@ -79,11 +86,6 @@ class QuadratureSpec:
             raise ValueError("order must be an integer >= 2")
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-
-
-def _inner_tol(spec: QuadratureSpec) -> float:
-    # the tolerance of an inner step nested in an outer rule at spec.tol
-    return max(spec.tol * 1e-2, 1e-12)
 
 
 def _check_q(q) -> float:
@@ -232,8 +234,7 @@ def _check_node_budget(what: str, n: int, order: int, count: int,
 def _check_region(region):
     if not isinstance(region, (Ball, Annulus, FullSpace)):
         raise TypeError(f"cannot integrate over {type(region).__name__}")
-    if region.dim > MAX_DIM:
-        raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {region.dim}")
+    _check_dim(region.dim)
 
 
 def _log_rel_converged(cur, prev, tol: float) -> bool:
@@ -349,8 +350,7 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
     at most ``spec.tol`` relative; a pass over more than ``MAX_NODES``
     (center, node) pairs raises ``QuadratureConvergenceError`` unbuilt.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {n}")
+    n = _check_dim(n)
     spec = spec if spec is not None else QuadratureSpec()
     norms, r_inner, r_outer = (np.ravel(a).astype(float) for a in
                                np.broadcast_arrays(center_norms, r_inner,

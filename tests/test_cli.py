@@ -279,12 +279,14 @@ def test_sweep_past_exp_overflow_exits_0(capsys, n, t):
 
 def test_hypercheck_closed_form_overflow_exits_3(capsys):
     # the closed-form ratio e^{lam^2 (1 + e^{-2t} - p) / 4} is past
-    # float64 (it saturates to inf); the numeric side hits the node cap
+    # float64 (it saturates to inf); the numeric side stops at the node
+    # cap of the 2-D Gauss-Hermite integral <f, e^{2tL} f>
     code, out, err = run_cli(capsys, "hypercheck", "--t", "0.1", "--p",
                              "1.05", "--lambda", "70")
     assert code == 3
     assert out == ""
     assert "numerical non-convergence" in err
+    assert "n = 2" in err
 
 
 def test_selftest_subcommand(capsys):

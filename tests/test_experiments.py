@@ -167,6 +167,30 @@ def test_sweep_validation():
         sweep_blowup(HYP12, 0.5, 1, 5, [4.0, 6.0, 8.0, 10.0])  # dim cap
 
 
+def test_dimension_and_annulus_index_checks_share_one_message():
+    # one check per invariant: every site accepts integral floats and
+    # refuses the rest with the same ValueError (the CLI's exit code 2)
+    grid = [4.0, 6.0, 8.0, 10.0]
+    for n in (0, 4, 2.5, math.nan):
+        for call in (lambda: log_gamma_ball(8.0, 0.125, n),
+                     lambda: sweep_blowup(HYP12, 0.5, 1, n, grid),
+                     lambda: quadrature.integrate_axial_log(
+                         lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, n)):
+            with pytest.raises(ValueError,
+                               match=r"supported dimensions are 1\.\.3, got"):
+                call()
+    assert log_gamma_ball(8.0, 0.125, 2.0) == log_gamma_ball(8.0, 0.125, 2)
+    ball = make_maximal_admissible_ball([8.0])
+    for k in (0, 1.5, math.inf, math.nan):
+        for call in (lambda: offdiag_lhs_log(0.5, 2.0, ball, k),
+                     lambda: davies_gaffney_check(0.5, ball, k)):
+            with pytest.raises(ValueError, match="annulus index k must be "
+                               "an integer >= 1, got"):
+                call()
+    assert davies_gaffney_check(0.5, ball, 2.0) == davies_gaffney_check(
+        0.5, ball, 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sweep_rows_match_single_points(n):
     # the whole grid runs in one refinement; every row must be what the
@@ -312,8 +336,6 @@ class TestHypercontractivity:
 
     @pytest.mark.parametrize("t, p, lam", [(1.0, 1.9, 20.0), (0.5, 1.5, 10.0)])
     def test_large_lambda_matches_closed_form(self, t, p, lam):
-        # the inner mass of e^{lam x} peaks at u = lam s / 2, outside the
-        # [-12, 12] window of the translation route at (1, 1.9, 20)
         # the ratio is as small as 6e-34, so no absolute slack
         res = hypercontractivity_check(t, p, lam)
         assert abs(res.ratio_numeric / res.ratio_closed_form - 1.0) <= 1e-6

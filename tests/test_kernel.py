@@ -13,18 +13,16 @@ import pytest
 from scipy import integrate
 from scipy.special import eval_hermite
 
-from mehler import quadrature
 from mehler.geometry import Ball
 from mehler.kernel import (
     MAX_PANELS,
-    _translation_log_values,
     apply_indicator_closed_log,
     apply_indicator_log,
     apply_via_translation,
     mehler_log,
     mehler_log_values,
 )
-from mehler.quadrature import MAX_NODES, QuadratureConvergenceError, QuadratureSpec
+from mehler.quadrature import QuadratureConvergenceError, QuadratureSpec
 
 
 def test_value_at_origin_pair():
@@ -324,45 +322,3 @@ def test_translation_route_requires_breakpoints():
     # or passes () for a smooth f
     with pytest.raises(TypeError, match="breakpoints"):
         apply_via_translation(0.8, lambda pts: np.ones(len(pts)), [1.5])
-
-
-@pytest.mark.parametrize("t", [0.2, 2.0])
-@pytest.mark.parametrize("lam", [0.5, 2.0])
-def test_batched_translation_matches_quadpack(t, lam):
-    # the batched log-domain Gauss-Hermite step against the scalar
-    # adaptive Gauss-Kronrod route, with f = e^{lam x} given to each in
-    # its own form
-    tight = QuadratureSpec(tol=1e-12)
-    xs = np.array([-2.0, -0.3, 0.0, 1.1, 3.0])
-    got = _translation_log_values(t, lambda z: lam * z, xs, tight)
-    for x, log_val in zip(xs, got):
-        want = apply_via_translation(
-            t, lambda pts: np.exp(lam * pts[:, 0]), [x], tight,
-            breakpoints=())
-        assert abs(math.exp(log_val) / want - 1.0) <= 1e-10
-
-
-def test_batched_translation_failure_names_order_and_point(monkeypatch):
-    # f = e^{z^2 / 5}: the order-2 and order-4 values differ most at the
-    # outermost point
-    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
-    spec = QuadratureSpec(order=2, tol=1e-15)
-    xs = np.array([0.0, 0.5, 3.0])
-    with pytest.raises(QuadratureConvergenceError,
-                       match=r"order 4, x = 3\.0\)"):
-        _translation_log_values(1.0, lambda z: 0.2 * z * z, xs, spec)
-
-
-def test_batched_translation_work_is_capped():
-    # seeded noise never converges; the (points x nodes) array must stop
-    # at the node cap
-    rng = np.random.default_rng(7)
-    sizes = []
-
-    def noise(z):
-        sizes.append(z.size)
-        return rng.normal(size=z.shape)
-
-    with pytest.raises(QuadratureConvergenceError, match="order 256"):
-        _translation_log_values(0.5, noise, np.zeros(8192))
-    assert max(sizes) <= MAX_NODES

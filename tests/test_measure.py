@@ -18,7 +18,12 @@ from scipy.special import erf
 from scipy.stats import ncx2
 
 from mehler import quadrature
-from mehler.geometry import Annulus, Ball, FullSpace
+from mehler.geometry import (
+    Annulus,
+    Ball,
+    FullSpace,
+    make_maximal_admissible_ball,
+)
 from mehler.measure import gamma_log, log_gamma_ball, log_gamma_interval
 from mehler.quadrature import (
     MAX_NODES,
@@ -273,6 +278,36 @@ def test_annulus_measure_matches_polar_engine(n):
         assert abs(got - _polar_log(ann)) <= 1e-12
         logs.append(got)
     assert logs[0] > -1e-6 and min(logs) < -890.0
+
+
+def _log_difference(log_outer, log_inner):
+    # log(e^outer - e^inner) for outer > inner
+    return log_outer + np.log(-np.expm1(log_inner - log_outer))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_annulus_measure_matches_chi2_and_ball_difference(n, k):
+    # the axial rule against two references that share neither its radial
+    # rule nor its axial factor, |delta log| <= 1e-12 on maximal
+    # admissible balls: the noncentral chi-square CDF at 2 r^2 and 2 R^2
+    # (scipy's logcdf breaks down at these radii from |c| = 12), and the
+    # difference of two ball measures of the theta-slice rule, which
+    # cancels when the inner ball's measure is near 1, so only |c| >= 4
+    for c in np.linspace(2.0, 30.0, 57):
+        ann = Annulus(make_maximal_admissible_ball(np.r_[c, np.zeros(n - 1)]),
+                      k)
+        r, R = ann.inner_radius, ann.outer_radius
+        got = gamma_log(ann).log_magnitude
+        if c <= 8.0:
+            want = _log_difference(ncx2.logcdf(2.0 * R * R, n, 2.0 * c * c),
+                                   ncx2.logcdf(2.0 * r * r, n, 2.0 * c * c))
+            assert abs(got - want) <= 1e-12
+        if c >= 4.0:
+            want = _log_difference(log_gamma_ball(c, R, n),
+                                   log_gamma_ball(c, r, n))
+            assert abs(got - want) <= 1e-12
+    assert got < -870.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

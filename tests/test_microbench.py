@@ -1,4 +1,5 @@
-"""Smoke test of tools/microbench.py: every layer runs and is reported."""
+"""Smoke test of tools/microbench.py: every layer runs and is reported
+with ordered quartiles."""
 
 import importlib.util
 import time
@@ -19,4 +20,5 @@ def test_microbench_runs_every_layer_once(capsys):
     assert len(lines) == 1 + len(names)
     for line, name in zip(lines[1:], names):
         assert line.startswith(name)
-        assert float(line.split()[-1]) > 0.0
+        median, q25, q75 = map(float, line.split()[-3:])
+        assert 0.0 < q25 <= median <= q75

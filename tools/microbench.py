@@ -4,15 +4,16 @@
     python3 tools/microbench.py --repeat 1 --calls 1   # a smoke run
 
 Each layer is called ``--calls`` times per repeat (by default as many as
-fill about 20 ms), and the median over the repeats of the time per call
-is printed in microseconds.  The inputs are fixed: a 1-D interval route
-at a criterion-3-like draw, the README ``hypercheck``.  The kernel-form
-route is timed twice: on that one interval, and cycling through seeded
-criterion-3 draws, each with its own interval, as the benchmark's
-``routes`` triples call it.  The library is
-imported from the ``src`` directory next to this one; one process, one
-thread, nothing cached between layers except what the library caches
-itself.
+fill about 20 ms).  Every repeat times all layers once, in an order
+rotated by one from the repeat before, so drift of a shared host lands on
+every layer alike; the median and the quartiles over the repeats of the
+time per call are printed in microseconds.  The inputs are fixed: a 1-D
+interval route at a criterion-3-like draw, the README ``hypercheck``.
+The kernel-form route is timed twice: on that one interval, and cycling
+through seeded criterion-3 draws, each with its own interval, as the
+benchmark's ``routes`` triples call it.  The library is imported from
+the ``src`` directory next to this one; one process, one thread, nothing
+cached between layers except what the library caches itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import contextlib
 import io
 import itertools
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -104,14 +104,26 @@ def _per_call_s(call, calls: int) -> float:
 
 
 def measure(repeat: int, calls: int | None = None):
-    """(name, median microseconds per call) for every layer."""
-    out = []
-    for name, call in layers():
+    """(name, median, lower and upper quartile) of the microseconds per
+    call for every layer.
+
+    The repeats go round-robin: each one times every layer once, starting
+    one layer later than the repeat before, so a host that speeds up or
+    slows down during the run moves every layer alike.
+    """
+    named = layers()
+    counts = []
+    for _, call in named:
         call()  # warm the library's node caches
-        n = calls or max(1, int(0.02 / max(_per_call_s(call, 3), 1e-9)))
-        times = [_per_call_s(call, n) for _ in range(repeat)]
-        out.append((name, 1e6 * statistics.median(times)))
-    return out
+        counts.append(
+            calls or max(1, int(0.02 / max(_per_call_s(call, 3), 1e-9))))
+    times = [[] for _ in named]
+    for r in range(repeat):
+        for j in range(len(named)):
+            i = (r + j) % len(named)
+            times[i].append(_per_call_s(named[i][1], counts[i]))
+    return [(name, *(1e6 * np.percentile(ts, (50, 25, 75))))
+            for (name, _), ts in zip(named, times)]
 
 
 def main(argv=None) -> int:
@@ -123,10 +135,10 @@ def main(argv=None) -> int:
     if args.repeat < 1 or (args.calls is not None and args.calls < 1):
         parser.error("--repeat and --calls must be positive")
     rows = measure(args.repeat, args.calls)
-    width = max(len(name) for name, _ in rows)
-    print(f"{'layer':<{width}}  us/call")
-    for name, us in rows:
-        print(f"{name:<{width}}  {us:9.1f}")
+    width = max(len(row[0]) for row in rows)
+    print(f"{'layer':<{width}}  {'median':>9} {'q25':>9} {'q75':>9}  us/call")
+    for name, median, q25, q75 in rows:
+        print(f"{name:<{width}}  {median:9.1f} {q25:9.1f} {q75:9.1f}")
     return 0
 
 
