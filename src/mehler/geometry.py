@@ -75,10 +75,6 @@ class Ball(_Region):
         """The dilation factor*B (same center, scaled radius)."""
         return Ball(self.center, factor * self.radius)
 
-    def same_ball(self, other: "Ball") -> bool:
-        return (self.radius == other.radius
-                and np.array_equal(self.center, other.center))
-
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
@@ -154,6 +150,8 @@ def set_distance(ball: Ball, annulus: Annulus) -> float:
     (2^k - 1) r_B for k >= 1: the nearest annulus point sits at radius
     2^k r_B from the center while B reaches out to r_B.
     """
-    if not annulus.base.same_ball(ball):
+    base = annulus.base
+    if not (base.radius == ball.radius
+            and np.array_equal(base.center, ball.center)):
         raise ValueError("annulus must be built on the given ball")
     return max(annulus.inner_radius - ball.radius, 0.0)

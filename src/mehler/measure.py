@@ -108,7 +108,7 @@ def log_gamma_ball(center_norms, radius, n: int,
     shape = np.broadcast_shapes(norms.shape, radius.shape)
     return _refine_each(
         lambda order: _log_ball_slices(norms, radius, n, order),
-        lambda order: math.prod(shape) * order, n, spec,
+        lambda order: math.prod(shape) * order, spec,
         _inner_tol(spec), f"ball measure in n = {n}",
         lambda i: (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
                    f"center distance {np.broadcast_to(norms, shape).flat[i]}"))

@@ -22,9 +22,11 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
 log-domain refinement loop: it doubles the order, at most
 ``MAX_REFINEMENTS`` times, until the relative change of every value
-drops below the tolerance, and a pass that would build more than
-``MAX_NODES`` nodes raises instead.  It drives ``integrate_gamma_log``
-and ``integrate_axial_log`` here and the ball measure in ``measure``.
+drops below the tolerance; a pass that would build more than
+``MAX_NODES`` nodes is not built.  Both stops raise one error that
+carries the last two values of the entry that moved most.  It drives
+``integrate_gamma_log`` and ``integrate_axial_log`` here and the ball
+measure in ``measure``.
 The default relative tolerance is 1e-8; only ``QuadratureSpec(tol=)``
 (the CLI's ``--tol``) changes it.
 """
@@ -214,23 +216,6 @@ def _node_count(region, order: int) -> int:
     return order ** n if isinstance(region, FullSpace) else 2 * order ** n
 
 
-def _check_node_budget(what: str, n: int, order: int, count: int,
-                       last=None) -> None:
-    """Raise before a refinement pass would build more than MAX_NODES nodes.
-
-    The error names ``what``, the integral being refined.  ``last`` holds the
-    value(s) of the previous pass, if any; the error carries their range,
-    computed only when it raises.
-    """
-    if count > MAX_NODES:
-        span = ((None, None) if last is None
-                else (float(np.min(last)), float(np.max(last))))
-        raise QuadratureConvergenceError(
-            f"{what}: refinement in n = {n} would build {count} nodes at "
-            f"order {order}, above the cap of {MAX_NODES}; last values span "
-            f"{span}", span)
-
-
 def _check_region(region):
     if not isinstance(region, (Ball, Annulus, FullSpace)):
         raise TypeError(f"cannot integrate over {type(region).__name__}")
@@ -254,8 +239,8 @@ def _log_rel_converged(cur, prev, tol: float) -> bool:
     return bool(ok.all())
 
 
-def _refine_each(one_pass, count, n: int, spec: QuadratureSpec,
-                 tol: float, what: str, label):
+def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
+                 what: str, label):
     """Double the order of a log-domain rule until every value settles.
 
     ``one_pass(order)`` returns a log value, or an array of them, from a
@@ -263,27 +248,31 @@ def _refine_each(one_pass, count, n: int, spec: QuadratureSpec,
     all entries) that pass builds.  The order doubles from ``spec.order``,
     at most ``MAX_REFINEMENTS`` times, until every entry changes by at
     most ``tol`` relative; a pass over more than ``MAX_NODES`` nodes
-    raises before it runs.  On failure the
-    error names ``what``, the last order and ``label(i)`` for the entry i
-    that moved most in the last doubling.
+    raises before it runs.  Either stop raises one error: it names
+    ``what``, the reason with the order and ``label(i)`` for the entry i
+    that moved most in the last doubling, and carries that entry's last
+    two values, NaN for a pass that never ran.
     """
-    order = spec.order
-    _check_node_budget(what, n, order, count(order))
-    cur = one_pass(order)
-    for _ in range(MAX_REFINEMENTS):
-        order *= 2
-        _check_node_budget(what, n, order, count(order), cur)
+    prev = cur = math.nan  # NaN never passes _log_rel_converged
+    for order in (spec.order * 2 ** i for i in range(MAX_REFINEMENTS + 1)):
+        nodes = count(order)
+        if nodes > MAX_NODES:
+            reason = (f"refinement would build {nodes} nodes at order "
+                      f"{order}, above the cap of {MAX_NODES}")
+            break
         prev, cur = cur, one_pass(order)
         if _log_rel_converged(cur, prev, tol):
             return cur
-    prev, cur = np.ravel(prev), np.ravel(cur)
-    with np.errstate(invalid="ignore"):
+    else:
+        reason = (f"did not converge to relative tolerance {tol} after "
+                  f"{MAX_REFINEMENTS} order doublings (order {order})")
+    prev, cur = (np.ravel(a) for a in np.broadcast_arrays(prev, cur))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
         worst = int(np.argmax(np.abs(cur - prev)))
+    last_two = (float(prev[worst]), float(cur[worst]))
     raise QuadratureConvergenceError(
-        f"{what} did not converge to relative tolerance {tol} after "
-        f"{MAX_REFINEMENTS} order doublings (order {order}, "
-        f"{label(worst)}); last two log values ({prev[worst]}, {cur[worst]})",
-        (float(prev[worst]), float(cur[worst])))
+        f"{what}: {reason}, {label(worst)}; last two log values {last_two}",
+        last_two)
 
 
 # -- engine ------------------------------------------------------------
@@ -310,10 +299,9 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     QuadratureConvergenceError
         When ``MAX_REFINEMENTS`` order doublings do not bring the
         relative change below ``tol``, or when the next pass would build
-        more than ``MAX_NODES`` nodes.  The message names the last order
-        (and, without convergence, the region); ``last_two`` holds the
-        last two iterates, or twice the last one when the node cap stops
-        the refinement.
+        more than ``MAX_NODES`` nodes.  The message names n, the reason,
+        the order and the region; ``last_two`` holds the last two
+        iterates, NaN for a pass that never ran.
     """
     spec = spec if spec is not None else QuadratureSpec()
     _check_region(region)
@@ -329,8 +317,8 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
         return value
 
     return LogNumber(_refine_each(
-        one_pass, lambda order: _node_count(region, order), region.dim,
-        spec, spec.tol, "integral", lambda _: f"over {region!r}"))
+        one_pass, lambda order: _node_count(region, order), spec, spec.tol,
+        f"integral in n = {region.dim}", lambda _: f"over {region!r}"))
 
 
 def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
@@ -362,7 +350,7 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
 
     return _refine_each(
         one_pass, lambda order: norms.size * order * (2 if n == 1 else order),
-        n, spec, spec.tol, f"annulus integral in n = {n}",
+        spec, spec.tol, f"annulus integral in n = {n}",
         lambda i: f"center distance {norms[i]}")
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -287,6 +288,9 @@ def test_hypercheck_closed_form_overflow_exits_3(capsys):
     assert out == ""
     assert "numerical non-convergence" in err
     assert "n = 2" in err
+    # the last two iterates of the integral, not one of them twice
+    prev, cur = err.split("last two log values (")[1].rstrip(")\n").split(", ")
+    assert float(prev) != float(cur)
 
 
 def test_selftest_subcommand(capsys):
@@ -295,6 +299,25 @@ def test_selftest_subcommand(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 20
     assert all(line.startswith("PASS") for line in lines)
+
+
+def _readme_cli_commands():
+    # the fenced block under "## CLI" in README.md, continuations joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.strip()]
+
+
+@pytest.mark.parametrize(
+    "command", [c for c in _readme_cli_commands() if c[1] != "selftest"],
+    ids=" ".join)
+def test_readme_cli_example_exits_0(command, capsys):
+    # selftest is run by test_selftest_subcommand
+    assert command[0] == "mehler"
+    code, out, err = run_cli(capsys, *command[1:])
+    assert code == 0, err
+    assert out
 
 
 def test_one_parser_serves_calls_in_sequence(tmp_path, capsys, monkeypatch):

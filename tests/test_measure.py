@@ -3,7 +3,9 @@
 Frozen reference values were produced by independent oracles: erf
 arithmetic for intervals, and one-dimensional radial reductions (Bessel
 and sinh kernels integrated with adaptive Gauss-Kronrod) for off-center
-balls in n = 2, 3.
+balls in n = 2, 3.  Across the whole envelope in n = 2, 3 the ball
+measure is checked against the Poisson mixture of central chi-square
+CDFs, summed in log domain.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, gammainc, gammaln, logsumexp, xlogy
 from scipy.stats import ncx2
 
 from mehler import quadrature
@@ -210,6 +212,57 @@ def test_ball_measure_matches_noncentral_chi2(n):
         assert np.all(np.isfinite(got)) and got.min() < -800.0
 
 
+def _log_ball_series(a, radius, n):
+    # gamma_n(B(a, R)) = sum_k e^{-a^2} a^{2k} / k! P(k + n/2, R^2), every
+    # term positive.  Once k + 1 >= 2 a R each term is at most a quarter
+    # of the one before, so 60 more terms leave a tail below 4^-60 of it.
+    # log P comes from gammainc, or from its power series where gammainc
+    # is subnormal:  P(s, x) = x^s e^-x / Gamma(s + 1) sum_j x^j / (s+1)_j
+    x = radius * radius
+    k = np.arange(math.ceil(2.0 * a * radius) + 60)
+    s = k + 0.5 * n
+    p = gammainc(s, x)
+    deep = p < np.finfo(float).tiny
+    log_p = np.log(np.where(deep, 1.0, p))
+    if deep.any():
+        steps = np.cumsum(
+            math.log(x) - np.log(s[deep, None] + np.arange(1, 64)), axis=1)
+        assert (steps[:, -1] < -40.0).all()  # the series has converged
+        log_p[deep] = (s[deep] * math.log(x) - x - gammaln(s[deep] + 1.0)
+                       + logsumexp(np.c_[np.zeros(len(steps)), steps], axis=1))
+    return logsumexp(-a * a + xlogy(k, a * a) - gammaln(k + 1.0) + log_p)
+
+
+def _translated_balls(t, norms):
+    # e^{tL} 1_B(y) = gamma(B((c - e^{-t} y) / s, r / s)), s^2 = 1 - e^{-2t},
+    # for maximal admissible B(c, r) and 15 points y on its annulus C_1(B):
+    # distances 2r, 3r, 4r from c, at five cosines to the axis of c
+    s, e = math.sqrt(-math.expm1(-2.0 * t)), math.exp(-t)
+    rho, u = (g.ravel() for g in np.meshgrid([2.0, 3.0, 4.0],
+                                            np.linspace(-1.0, 1.0, 5)))
+    c = np.repeat(norms, rho.size)
+    r = 1.0 / c
+    along = c * (1.0 - e) - e * r * np.tile(rho * u, norms.size)
+    across = e * r * np.tile(rho * np.sqrt(1.0 - u * u), norms.size)
+    return np.hypot(along, across) / s, r / s
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_measure_matches_poisson_series(n):
+    # maximal admissible balls over |c| in [2, 30] (logs down to -910) and
+    # the balls of the translation identity at small, middle and large t
+    # (logs down to -1132); the worst |error| / max(1, |log|) measured
+    # was 1.3e-14
+    norms = np.linspace(2.0, 30.0, 15)
+    cases = [(norms, 1.0 / norms)]
+    cases += [_translated_balls(t, norms) for t in (1e-3, 0.5, 2.0)]
+    for a, radius in cases:
+        got = log_gamma_ball(a, radius, n)
+        want = np.array([_log_ball_series(*ar, n) for ar in zip(a, radius)])
+        bound = 1e-13 * np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= bound)
+
+
 def _polar_log(ball):
     # the polar quadrature engine, independent of log_gamma_ball
     return integrate_gamma_log(lambda p: np.zeros(len(p)), ball).log_magnitude
@@ -339,10 +392,13 @@ def test_ball_measure_raises_when_refinement_runs_out(monkeypatch):
     spec = QuadratureSpec(order=2, tol=1e-10)
     with pytest.raises(QuadratureConvergenceError):
         log_gamma_ball(np.array([0.0, 6.0]), 1.2, 3, spec)
-    # a pass over more (center, node) pairs than the cap is never built
+    # a pass over more (center, node) pairs than the cap is never built,
+    # so the first pass has no iterates to report
     with pytest.raises(QuadratureConvergenceError,
-                       match="ball measure.*nodes at order 16"):
+                       match="ball measure.*nodes at order 16") as err:
         log_gamma_ball(np.zeros(MAX_NODES // 8), 0.3, 2)
+    assert all(math.isnan(v) for v in err.value.last_two)
+    assert "radius 0.3" in str(err.value)
     with pytest.raises(ValueError):
         log_gamma_ball(np.array([1.0]), 0.0, 2)
     with pytest.raises(ValueError):

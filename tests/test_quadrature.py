@@ -108,6 +108,12 @@ def test_refinement_work_is_capped_before_allocation():
     message = str(err.value)
     assert "n = 3" in message and "order 128" in message
     assert str(2 * 128 ** 3) in message
+    # the cap reports the last two iterates and the region, like a
+    # refinement that runs out of doublings
+    prev, cur = err.value.last_two
+    assert math.isfinite(prev) and math.isfinite(cur) and prev != cur
+    assert "Ball(center=[0.5, 0.0, 0.0], radius=1.0)" in message
+    assert f"last two log values ({prev!r}, {cur!r})" in message
 
 
 def test_lq_norm_of_constant():
