@@ -4,7 +4,8 @@ Every integral here has the shape  integral_S exp(f_log(x)) dgamma(x)
 with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 
 * full space: tensor Gauss-Hermite, whose weight function is exactly the
-  gamma density up to the pi^{-n/2} factor;
+  gamma density up to the pi^{-n/2} factor, one read-only grid cached
+  per (n, order) and shared by every call;
 * balls and annuli about a center c, seen only through c and the inner
   and outer radii (0 for a ball): one radial rule, Gauss-Legendre in
   rho = |y - c| with the weight rho^{n-1}, and one unit-sphere rule,
@@ -86,6 +87,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if int(self.order) != self.order or self.order < 2:
             raise ValueError("order must be an integer >= 2")
+        object.__setattr__(self, "order", int(self.order))
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
 
@@ -124,14 +126,19 @@ _legendre_rule = partial(_log_rule, roots_legendre)
 
 # -- node builders: points (m, n) and log-weights (m,) ----------------
 
+# One hypercheck visits 4 keys and ``selftest`` 9.  MAX_NODES caps an
+# entry at 2^20 (n + 1) floats, 32 MB, so the cache retains at most
+# 16 x 32 MB = 512 MB.
+@lru_cache(maxsize=16)
 def _fullspace_nodes(n: int, order: int):
+    # the tensor Gauss-Hermite grid, read-only and shared
     nodes, logw = _hermite_rule(order)
-    if n == 1:
-        return nodes[:, None], logw - _LOG_SQRT_PI
     grids = np.meshgrid(*([nodes] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wgrids = np.meshgrid(*([logw] * n), indexing="ij")
     lw = sum(w.ravel() for w in wgrids) - n * _LOG_SQRT_PI
+    pts.setflags(write=False)
+    lw.setflags(write=False)
     return pts, lw
 
 
@@ -285,7 +292,9 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     ----------
     f_log : callable
         Maps an (m, n) array of points to an (m,) array of log-integrand
-        values; ``-inf`` marks points where the integrand vanishes.
+        values; ``-inf`` marks points where the integrand vanishes.  It
+        must not write into the points: full-space grids are read-only
+        and shared between calls.
     region : Ball | Annulus | FullSpace
         Integration domain, dimension <= 3.
     spec : QuadratureSpec, optional

@@ -253,6 +253,28 @@ def test_nonconvergence_exits_3(capsys, monkeypatch):
     assert "non-convergence" in err
 
 
+def test_hypercheck_bytes_do_not_depend_on_the_grid_cache(capsys):
+    # full-space grids are cached per (n, order); a run on a cold cache
+    # and one on a warm cache must print the same bytes
+    calls = [["hypercheck", "--t", "0.5", "--p", "1.3678794411714423",
+              "--lambda", "2"],
+             ["hypercheck", "--t", "0.2", "--p", "1.2", "--lambda", "3",
+              "--format", "json"],
+             ["hypercheck", "--t", "1", "--p", "1.9", "--lambda", "5",
+              "--order", "8"]]
+
+    def run_all(cold):
+        outs = []
+        for argv in calls:
+            if cold:
+                quadrature._fullspace_nodes.cache_clear()
+            assert main(list(argv)) == 0
+            outs.append(capsys.readouterr().out.encode())
+        return outs
+
+    assert run_all(cold=True) == run_all(cold=False)
+
+
 def test_hypercheck_out_of_range_exits_3(capsys):
     # e^{60 x} has L^1(gamma) mass e^{900}, past what Gauss-Hermite
     # weights can represent; the run must end in a typed failure, fast

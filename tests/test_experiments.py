@@ -154,6 +154,15 @@ def test_sweep_rows_are_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_accepts_an_integral_float_order(n):
+    # QuadratureSpec keeps order as an int, so every node builder sees one
+    grid = [4.0, 6.0, 8.0, 10.0]
+    want = sweep_blowup(HYP12, 0.5, 1, n, grid, QuadratureSpec(order=16))
+    got = sweep_blowup(HYP12, 0.5, 1, n, grid, QuadratureSpec(order=16.0))
+    assert got.rows == want.rows
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_blowup(HYP12, 0.5, 1, 1, [4.0, 6.0, 8.0])  # too few points

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from mehler import quadrature, selftest
 from mehler.geometry import Annulus, Ball, FullSpace
@@ -168,6 +169,26 @@ def test_polar_nodes_do_not_depend_on_call_history(n):
     lw[:] = 0.0
     got = quadrature._polar_nodes(center, 0.3, 0.9, n, 6)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("order", [5, 16, 32])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fullspace_nodes_are_one_shared_read_only_grid(n, order):
+    # the tensor Gauss-Hermite grid is cached per (n, order): every call
+    # returns the same read-only arrays, bit for bit the meshgrid product
+    pts, lw = quadrature._fullspace_nodes(n, order)
+    again = quadrature._fullspace_nodes(n, order)
+    assert again[0] is pts and again[1] is lw
+    for a in (pts, lw):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    nodes, weights = roots_hermite(order)
+    grids = np.meshgrid(*([nodes] * n), indexing="ij")
+    want_pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrids = np.meshgrid(*([np.log(weights)] * n), indexing="ij")
+    want_lw = sum(w.ravel() for w in wgrids) - n * (0.5 * math.log(math.pi))
+    assert pts.shape == (order ** n, n)
+    assert np.array_equal(pts, want_pts) and np.array_equal(lw, want_lw)
 
 
 @pytest.mark.parametrize("order", [6, 7])

@@ -8,7 +8,8 @@ fill about 20 ms).  Every repeat times all layers once, in an order
 rotated by one from the repeat before, so drift of a shared host lands on
 every layer alike; the median and the quartiles over the repeats of the
 time per call are printed in microseconds.  The inputs are fixed: a 1-D
-interval route at a criterion-3-like draw, the README ``hypercheck``.
+interval route at a criterion-3-like draw, the README ``hypercheck``
+and, on its own, that hypercheck's 2-D L^2 integral over the full space.
 The kernel-form route is timed twice: on that one interval, and cycling
 through seeded criterion-3 draws, each with its own interval, as the
 benchmark's ``routes`` triples call it.  The library is imported from
@@ -31,13 +32,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from mehler import cli, experiments, kernel, lognum, quadrature  # noqa: E402
-from mehler.geometry import Ball  # noqa: E402
+from mehler.geometry import Ball, FullSpace  # noqa: E402
 
 # a criterion-3 draw (t, [a, b], y) at the benchmark's tolerance
 T, A, B, Y = 0.7, -0.4, 0.6, 0.9
 SPEC = quadrature.QuadratureSpec(tol=1e-10)
 # the README hypercheck
 HYPER = (0.5, 1.3678794411714423, 2.0)
+# its ||e^{tL} f||_2^2 = <f, e^{2tL} f> integrand for f(x) = e^{lam x},
+# lam ((1 + e^{-2t}) x + sqrt(1 - e^{-4t}) u) at (x, u)
+_, _ONE_MINUS, _ONE_PLUS = kernel._time_factors(2.0 * HYPER[0])
+_S2 = np.sqrt(_ONE_MINUS)
+
+
+def _l2_integrand(pts):
+    return HYPER[2] * (_ONE_PLUS * pts[:, 0] + _S2 * pts[:, 1])
 
 
 def _indicator(pts):
@@ -90,6 +99,9 @@ def layers():
         ("kernel.apply_via_translation (QK21)",
          lambda: kernel.apply_via_translation(T, _indicator, np.array([Y]),
                                               SPEC, breakpoints=(A, B))),
+        ("quadrature.integrate_gamma_log, FullSpace(2)",
+         lambda: quadrature.integrate_gamma_log(_l2_integrand,
+                                                FullSpace(2))),
         ("experiments.hypercontractivity_check",
          lambda: experiments.hypercontractivity_check(*HYPER)),
         ("cli hypercheck", _cli_hypercheck),
