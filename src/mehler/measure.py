@@ -7,10 +7,10 @@ which keeps full relative precision for magnitudes like exp(-900).
 ``log_gamma_ball`` is the one ball-measure primitive.  It is
 array-valued over the center distance and the radius and, in n = 2, 3,
 reduces a ball to a one-dimensional integral along its axis
-(closed-form transverse slices); the sweep evaluates e^{tL} 1_B at every
-annulus node through it, and ``gamma_log`` measures every region of
-inner radius 0 through it: the balls and C_0(B) = 2B.  The other annuli
-in n = 2, 3 are the axial rule of
+(incomplete-gamma transverse slices); the sweep evaluates e^{tL} 1_B at
+every annulus node through it, and ``gamma_log`` measures every region
+of inner radius 0 through it: the balls and C_0(B) = 2B.  The other
+annuli in n = 2, 3 are the axial rule of
 ``quadrature.integrate_axial_log`` with a zero integrand: a sum of
 positive terms, where gamma(outer ball) - gamma(inner ball) would cancel
 when both are near 1.
@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, log_ndtr
+from scipy.special import erf, gammainc, log_ndtr
 
 from .geometry import Annulus, Ball, FullSpace
 from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
     _LOG_SQRT_PI,
     QuadratureSpec,
+    _check_center_norms,
     _check_dim,
     _legendre_rule,
     _refine_each,
@@ -87,17 +88,17 @@ def log_gamma_ball(center_norms, radius, n: int,
         gamma_n(B) = int_0^pi pi^{-1/2} exp(-(a + radius cos theta)^2)
                      F_{n-1}(radius^2 sin^2 theta) radius sin theta dtheta,
 
-    where F_{n-1}(u) = erf(sqrt u) (n = 2) or -expm1(-u) (n = 3) is the
-    measure of the (n-1)-ball of squared radius u in the transverse
-    slice.  Every term is positive, so Gauss-Legendre nodes in theta are
-    summed by log-sum-exp; the order doubles from ``spec.order`` until
-    every entry changes by less than max(spec.tol / 100, 1e-12)
+    where F_{n-1}(u) = P((n - 1)/2, u), the regularized incomplete gamma
+    function, measures the (n-1)-ball of squared radius u in the
+    transverse slice.  Every term is positive, so Gauss-Legendre nodes in
+    theta are summed by log-sum-exp; the order doubles from ``spec.order``
+    until every entry changes by less than max(spec.tol / 100, 1e-12)
     relative.  A pass over more than ``quadrature.MAX_NODES`` (center,
     node) pairs raises instead, so callers with many centers pass them
     in chunks.  This is gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2), the
     noncentral chi-square CDF, kept in log domain far below exp(-700).
     """
-    norms = np.asarray(center_norms, dtype=float)
+    norms = _check_center_norms(center_norms)
     radius = np.asarray(radius, dtype=float)
     if not np.all((radius > 0.0) & np.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
@@ -123,7 +124,7 @@ def _log_ball_slices(norms, radius, n: int, order: int):
     radius = radius[..., None]
     x = norms[..., None] + radius * np.cos(theta)
     u = (radius * sin_t) ** 2
-    log_slice = np.log(erf(np.sqrt(u))) if n == 2 else np.log(-np.expm1(-u))
+    log_slice = np.log(gammainc(0.5 * (n - 1), u))
     log_terms = (logw + np.log(0.5 * math.pi * radius) - _LOG_SQRT_PI
                  + np.log(sin_t) + log_slice) - x * x
     return log_sum_weighted(log_terms, axis=-1)

@@ -9,8 +9,8 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 * balls and annuli about a center c, seen only through c and the inner
   and outer radii (0 for a ball): one radial rule, Gauss-Legendre in
   rho = |y - c| with the weight rho^{n-1}, and one unit-sphere rule,
-  cached per (n, order): the axial factor (a rule in the cosine u to an
-  axis, the azimuth integrated exactly) with the azimuth spread out by
+  cached per (n, order): the axial factor (a Gauss-Jacobi rule in the
+  cosine u to an axis, the azimuth exact) with the azimuth spread out by
   the sphere rule one dimension down.  The polar grid, rho times the
   sphere rule, serves direct ``integrate_gamma_log`` calls, among them
   the kernel-form route of ``kernel.apply_indicator_log``.  The axial
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import roots_hermite, roots_legendre
+from scipy.special import roots_hermite, roots_jacobi
 
 from .geometry import Annulus, Ball, FullSpace
 from .lognum import LogNumber, log_sum_weighted
@@ -99,6 +99,13 @@ def _check_q(q) -> float:
     return q
 
 
+def _check_center_norms(center_norms) -> np.ndarray:
+    norms = np.asarray(center_norms, dtype=float)
+    if np.isnan(norms).any():  # NaN never converges: every doubling runs
+        raise ValueError("center distances must not be NaN")
+    return norms
+
+
 class QuadratureConvergenceError(RuntimeError):
     """Refinement exhausted before the relative change met the tolerance."""
 
@@ -110,9 +117,9 @@ class QuadratureConvergenceError(RuntimeError):
 # -- node caches ------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _log_rule(roots, order: int):
+def _log_rule(roots, order: int, **params):
     # a Gauss rule's nodes and log-weights, read-only and shared
-    nodes, weights = roots(order)
+    nodes, weights = roots(order, **params)
     with np.errstate(divide="ignore"):  # extreme weights may underflow to 0
         logw = np.log(weights)
     nodes.setflags(write=False)
@@ -121,7 +128,11 @@ def _log_rule(roots, order: int):
 
 
 _hermite_rule = partial(_log_rule, roots_hermite)
-_legendre_rule = partial(_log_rule, roots_legendre)
+_legendre_rule = partial(_log_rule, roots_jacobi, alpha=0.0, beta=0.0)
+
+
+def _log_sphere_mass(n: int) -> float:  # log |S^{n-2}|, n >= 2
+    return math.log(2.0) + (n - 1) * _LOG_SQRT_PI - math.lgamma(0.5 * (n - 1))
 
 
 # -- node builders: points (m, n) and log-weights (m,) ----------------
@@ -145,15 +156,12 @@ def _fullspace_nodes(n: int, order: int):
 def _axial_factor(n: int, order: int):
     # directions omega about the last coordinate axis: u = <omega, e_n>,
     # v = sqrt(1 - u^2) and the log-weights of the unit sphere's measure
-    # with the azimuth integrated exactly (see ``integrate_axial_log``)
+    # |S^{n-2}| (1 - u^2)^{(n-3)/2} du, the azimuth integrated exactly
     if n == 1:
         return np.array([-1.0, 1.0]), np.zeros(2), np.zeros(2)
-    if n == 2:
-        theta = (np.arange(order) + 0.5) * (math.pi / order)
-        return (np.cos(theta), np.sin(theta),
-                np.full(order, math.log(2.0 * math.pi / order)))
-    u, lw = _legendre_rule(order)
-    return u, np.sqrt(1.0 - u * u), lw + math.log(2.0 * math.pi)
+    alpha = 0.5 * (n - 3)
+    u, lw = _log_rule(roots_jacobi, order, alpha=alpha, beta=alpha)
+    return u, np.sqrt(1.0 - u * u), lw + _log_sphere_mass(n)
 
 
 @lru_cache(maxsize=64)
@@ -171,8 +179,7 @@ def _sphere_rule(n: int, order: int):
         across = v[:, None, None] * ring  # (u nodes, ring, n - 1)
         along = np.broadcast_to(u[:, None, None], across.shape[:2] + (1,))
         direction = np.concatenate([across, along], axis=-1).reshape(-1, n)
-        ring_mass = 2.0 if n == 2 else 2.0 * math.pi  # |S^{n-2}|
-        lw = (ulw[:, None] + (rlw - math.log(ring_mass))).reshape(-1)
+        lw = (ulw[:, None] + (rlw - _log_sphere_mass(n))).reshape(-1)
     direction.setflags(write=False)
     lw.setflags(write=False)
     return direction, lw
@@ -339,19 +346,20 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
     the axis and its distance z >= 0 from it, as (centers, nodes)
     arrays, and returns one such array.  So does the density, so the
     azimuth is exact: with y = c + rho omega and u = <omega, c/|c|>,
-    Gauss-Legendre in rho with weight rho^{n-1} times u = +-1 (n = 1),
-    midpoints in arccos u on [0, pi] with weight 2 pi / order (n = 2) or
-    Gauss-Legendre in u with weight 2 pi (n = 3).  The radii broadcast
-    against ``center_norms``; the result is 1-D.  Every term is positive,
-    so nothing cancels.  The order doubles until every entry changes by
-    at most ``spec.tol`` relative; a pass over more than ``MAX_NODES``
-    (center, node) pairs raises ``QuadratureConvergenceError`` unbuilt.
+    Gauss-Legendre in rho with weight rho^{n-1} times u = +-1 (n = 1) or
+    Gauss-Jacobi in u for |S^{n-2}| (1 - u^2)^{(n-3)/2} du (n >= 2).  The
+    radii broadcast against ``center_norms`` (no NaN); the result is
+    1-D.  Every term is positive, so nothing cancels.  The order doubles
+    until every entry changes by at most ``spec.tol`` relative; a pass
+    over more than ``MAX_NODES`` (center, node) pairs raises
+    ``QuadratureConvergenceError`` unbuilt.
     """
     n = _check_dim(n)
     spec = spec if spec is not None else QuadratureSpec()
     norms, r_inner, r_outer = (np.ravel(a).astype(float) for a in
-                               np.broadcast_arrays(center_norms, r_inner,
-                                                   r_outer))
+                               np.broadcast_arrays(
+                                   _check_center_norms(center_norms),
+                                   r_inner, r_outer))
 
     def one_pass(order):
         x, z, lw = _axial_nodes(norms, r_inner, r_outer, n, order)

@@ -9,7 +9,9 @@ rotated by one from the repeat before, so drift of a shared host lands on
 every layer alike; the median and the quartiles over the repeats of the
 time per call are printed in microseconds.  The inputs are fixed: a 1-D
 interval route at a criterion-3-like draw, the README ``hypercheck``
-and, on its own, that hypercheck's 2-D L^2 integral over the full space.
+and, on its own, that hypercheck's 2-D L^2 integral over the full space;
+the ball measure on 1,024 translated balls of the README sweep at
+t = 0.5 in n = 2 and 3, and one n = 3 annulus measure on the axial rule.
 The kernel-form route is timed twice: on that one interval, and cycling
 through seeded criterion-3 draws, each with its own interval, as the
 benchmark's ``routes`` triples call it.  The library is imported from
@@ -33,6 +35,7 @@ import numpy as np  # noqa: E402
 
 from mehler import cli, experiments, kernel, lognum, quadrature  # noqa: E402
 from mehler.geometry import Ball, FullSpace  # noqa: E402
+from mehler.measure import log_gamma_ball  # noqa: E402
 
 # a criterion-3 draw (t, [a, b], y) at the benchmark's tolerance
 T, A, B, Y = 0.7, -0.4, 0.6, 0.9
@@ -61,6 +64,18 @@ def _cli_hypercheck():
         return cli.main(argv)
 
 
+def _translated_balls(n: int):
+    # the balls B((c - e^{-t} y)/s, r/s) whose measure is e^{tL} 1_B(y) at
+    # the order-16 axial nodes y of C_1(B), for the maximal admissible balls
+    # at |c| = 4, 6, 8, 10 of the README sweep at t = 0.5: 4 x 256 balls
+    norms = np.array([4.0, 6.0, 8.0, 10.0])
+    radii = 1.0 / norms
+    x, z, _ = quadrature._axial_nodes(norms, 2.0 * radii, 4.0 * radii, n, 16)
+    em, one_minus, _ = kernel._time_factors(0.5)
+    s = np.sqrt(one_minus)
+    return np.hypot(norms[:, None] - em * x, em * z) / s, radii[:, None] / s
+
+
 def _draws(rng, count: int):
     # criterion-3 draws (t, interval as a ball, y), as in the ``routes``
     # workload
@@ -81,6 +96,7 @@ def layers():
     y = np.array([[0.3]])
     ball = Ball(np.array([0.5 * (A + B)]), 0.5 * (B - A))
     draws = itertools.cycle(list(_draws(rng, 64)))
+    balls2, balls3 = _translated_balls(2), _translated_balls(3)
     return [
         ("lognum.log_sum_weighted, 32 terms",
          lambda: lognum.log_sum_weighted(terms)),
@@ -102,6 +118,13 @@ def layers():
         ("quadrature.integrate_gamma_log, FullSpace(2)",
          lambda: quadrature.integrate_gamma_log(_l2_integrand,
                                                 FullSpace(2))),
+        ("measure.log_gamma_ball, 1,024 translated balls, n = 2",
+         lambda: log_gamma_ball(*balls2, 2)),
+        ("measure.log_gamma_ball, 1,024 translated balls, n = 3",
+         lambda: log_gamma_ball(*balls3, 3)),
+        ("quadrature.integrate_axial_log, n = 3 annulus measure",
+         lambda: quadrature.integrate_axial_log(
+             lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, 3)),
         ("experiments.hypercontractivity_check",
          lambda: experiments.hypercontractivity_check(*HYPER)),
         ("cli hypercheck", _cli_hypercheck),
