@@ -144,16 +144,13 @@ def _cmd_gamma(args) -> int:
 def _cmd_apply(args) -> int:
     spec = _spec_from(args)
     _, ball = _region_from(args)
-    y = args.y
-    if y.size != ball.dim:
-        raise ValueError("y and the ball center must share a dimension")
-    value = apply_indicator_log(args.t, ball, y, spec)
+    value = apply_indicator_log(args.t, ball, args.y, spec)
     fields = {"log_value": value.log_magnitude,
               "value": _linear_or_none(value)}
     if ball.dim == 1:
         c = float(ball.center[0])
         fields["log_erf_closed_form"] = apply_indicator_closed_log(
-            args.t, c - ball.radius, c + ball.radius, float(y[0]))
+            args.t, c - ball.radius, c + ball.radius, float(args.y[0]))
     _scalar_output(args, fields)
     return 0
 

@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .geometry import _as_index
 from .kernel import check_time
 from .lognum import LogNumber
 
@@ -51,10 +52,10 @@ class OffDiagHypothesis:
 
     def __post_init__(self):
         _check_pq(self.p, self.q)
-        if not self.theta >= 0.0:
-            raise ValueError("theta must be >= 0")
-        if not self.c > 0.0:
-            raise ValueError("c must be > 0")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError("theta must lie in [0, inf)")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must lie in (0, inf)")
 
 
 def davies_gaffney_bound(t: float, d: float) -> float:
@@ -159,8 +160,7 @@ def lemma_lower_bound_log(t: float, q: float, n: int,
     q = float(q)
     if not (q > 1.0 and math.isfinite(q)):
         raise ValueError("need 1 < q < inf")
-    if int(n) != n or n < 1:
-        raise ValueError("dimension must be a positive integer")
+    n = _as_index(n, 1, "dimension")
     c = float(cB_norm)
     if not c >= 2.0:
         raise ValueError("the testing family needs |c_B| >= 2^k with k >= 1")

@@ -26,7 +26,6 @@ stays an independent route and is not used here.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +36,7 @@ from .geometry import (
     Annulus,
     Ball,
     FullSpace,
+    _as_index,
     admissible_radius,
     make_maximal_admissible_ball,
     set_distance,
@@ -207,27 +207,21 @@ def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
     a whole grid of balls at once.
     """
     t = check_time(t)
-    _require_testing_family(ball, k)
+    k = _require_testing_family(ball, k)
     return LogNumber(_annulus_lq_log(
         t, q, ball.center_norm, ball.radius, k, ball.dim, spec)[0])
 
 
-def _check_separated_index(k) -> int:
-    """k as an int when C_k(B) lies apart from B: k >= 1 (integral floats)."""
-    if not (k >= 1 and k % 1 == 0):
-        raise ValueError(f"annulus index k must be an integer >= 1, got {k}")
-    return int(k)
-
-
-def _require_testing_family(ball: Ball, k: int) -> None:
-    k = _check_separated_index(k)
+def _require_testing_family(ball: Ball, k) -> int:
+    # k as an int; C_k(B) is built first, so 2.0 ** k is a float below
+    k = Annulus(ball, _as_index(k, 1, "annulus index k")).k
     r_max = admissible_radius(ball.center)
     if abs(ball.radius - r_max) > 1e-9 * r_max:
         raise ValueError(
             "ball must be maximal admissible: radius == min(1, |c|^-1)")
-    # a finite |c_B| is below 2^max_exp, where 2.0 ** k would overflow
-    if k >= sys.float_info.max_exp or ball.center_norm < 2.0 ** k:
+    if ball.center_norm < 2.0 ** k:
         raise ValueError(f"the testing family needs |c_B| >= 2^k, k = {k}")
+    return k
 
 
 def implied_constant_log(hyp: OffDiagHypothesis, t: float, ball: Ball, k: int,
@@ -246,7 +240,7 @@ def implied_constant_log(hyp: OffDiagHypothesis, t: float, ball: Ball, k: int,
 
 
 def _implied_from_parts(hyp, t, ball, k, lhs_log, log_gammaB) -> float:
-    d = set_distance(ball, Annulus(ball, int(k)))
+    d = set_distance(ball, Annulus(ball, k))
     rhs_log = (-hyp.theta * math.log(t)
                - hyp.c * d * d / t
                + log_gammaB / hyp.p)
@@ -272,7 +266,7 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     grid = sorted(float(c) for c in cB_grid)
     if len(set(grid)) < 4:
         raise ValueError("sweep grid needs at least 4 distinct |c_B| values")
-    _require_testing_family(
+    k = _require_testing_family(
         make_maximal_admissible_ball(np.r_[grid[0], np.zeros(n - 1)]), k)
 
     rows: list[SweepRow] = []
@@ -357,11 +351,11 @@ def davies_gaffney_check(t: float, ball: Ball, k: int,
     imposes no admissibility or |c_B| >= 2^k constraint.
     """
     t = check_time(t)
-    k = _check_separated_index(k)
-    lhs = float(_annulus_lq_log(t, 2.0, ball.center_norm, ball.radius, k,
-                                ball.dim, spec)[0])
+    annulus = Annulus(ball, _as_index(k, 1, "annulus index k"))
+    lhs = float(_annulus_lq_log(t, 2.0, ball.center_norm, ball.radius,
+                                annulus.k, ball.dim, spec)[0])
     lhs -= 0.5 * gamma_log(ball, spec).log_magnitude
-    d = set_distance(ball, Annulus(ball, k))
+    d = set_distance(ball, annulus)
     rhs = math.log(t / d) - d * d / (2.0 * t)
     return DaviesGaffneyResult(lhs, rhs)
 

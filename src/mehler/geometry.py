@@ -4,11 +4,15 @@ The Gaussian measure is doubling only at the admissible scale
 r <= min(1, |c|^{-1}); the testing sets of the negative experiments are
 maximal admissible balls together with their dyadic annuli.  Balls and
 annuli share one shape: ``center``, ``center_norm``, ``inner_radius``
-and ``outer_radius``, the inner radius of a ball being 0.
+and ``outer_radius``, the inner radius of a ball being 0.  Each input
+invariant is checked once, here: ``_as_index`` (an integer index: k, a
+dimension, an order), ``_check_shape`` (center distances and radii) and,
+in ``Annulus``, that 2^(k+1) is a finite float.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -40,6 +44,26 @@ def as_point(coords) -> Point:
     return x
 
 
+def _as_index(value, lo: int, what: str) -> int:
+    """value as an int when it is an integer >= lo (integral floats too)."""
+    if not (lo <= value < math.inf and value % 1 == 0):  # NaN fails too
+        raise ValueError(f"{what} must be an integer >= {lo}, got {value}")
+    return int(value)
+
+
+def _check_shape(center_norms, r_inner, r_outer) -> None:
+    """Refuse a NaN center distance, or radii without 0 <= r_inner <
+    r_outer < inf, elementwise; floats stay out of numpy, which costs more."""
+    nan = center_norms != center_norms
+    ok = (0.0 <= r_inner) & (r_inner < r_outer) & (r_outer < math.inf)
+    if not (isinstance(nan, bool) and isinstance(ok, bool)):
+        nan, ok = np.any(nan), np.all(ok)
+    if nan:  # a NaN never converges: every doubling would run
+        raise ValueError("center distances must not be NaN")
+    if not ok:
+        raise ValueError("radii must satisfy 0 <= inner < outer < inf")
+
+
 class _Region:
     """A ball or annulus, seen as its ``center`` and the bounds
     ``inner_radius`` and ``outer_radius`` on |x - center|."""
@@ -64,8 +88,7 @@ class Ball(_Region):
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0.0 and np.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+        _check_shape(0.0, 0.0, self.radius)  # as_point checked the center
 
     @property
     def outer_radius(self) -> float:
@@ -89,13 +112,10 @@ class Annulus(_Region):
     def __post_init__(self):
         if not isinstance(self.base, Ball):
             raise TypeError("annulus base must be a Ball")
-        k = int(self.k)
-        if k != self.k or k < 0:
-            raise ValueError("k must be a non-negative integer")
-        if k + 1 >= sys.float_info.max_exp:
-            raise ValueError(f"annulus index k = {k} is too large: the "
+        object.__setattr__(self, "k", _as_index(self.k, 0, "annulus index k"))
+        if self.k + 1 >= sys.float_info.max_exp:
+            raise ValueError(f"annulus index k = {self.k} is too large: the "
                              f"outer radius 2^(k+1) r_B overflows a float")
-        object.__setattr__(self, "k", k)
 
     @property
     def center(self) -> Point:
@@ -120,9 +140,7 @@ class FullSpace:
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError("dimension must be a positive integer")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _as_index(self.dim, 1, "dimension"))
 
 
 def admissible_radius(center) -> float:
@@ -134,8 +152,7 @@ def admissible_radius(center) -> float:
 
 def make_maximal_admissible_ball(center) -> Ball:
     """The ball at ``center`` whose radius saturates the admissible scale."""
-    c = as_point(center)
-    return Ball(c, admissible_radius(c))
+    return Ball(center, admissible_radius(center))
 
 
 def is_admissible(ball: Ball) -> bool:

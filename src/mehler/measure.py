@@ -23,12 +23,11 @@ import math
 import numpy as np
 from scipy.special import erf, gammainc, log_ndtr
 
-from .geometry import Annulus, Ball, FullSpace
+from .geometry import Annulus, Ball, FullSpace, _check_shape
 from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
     _LOG_SQRT_PI,
     QuadratureSpec,
-    _check_center_norms,
     _check_dim,
     _legendre_rule,
     _refine_each,
@@ -81,9 +80,10 @@ def log_gamma_ball(center_norms, radius, n: int,
 
     gamma is rotation invariant, so only the distance a = |m| of the
     center matters.  ``radius`` is a number or an array that broadcasts
-    against ``center_norms``.  In n = 1 this is the interval (a - radius,
-    a + radius).  In n = 2, 3, with the axis along m and
-    x = a + radius cos(theta),
+    against ``center_norms``; a NaN distance, or a radius outside
+    (0, inf), raises ``ValueError`` before any pass runs.  In n = 1 this
+    is the interval (a - radius, a + radius).  In n = 2, 3, with the axis
+    along m and x = a + radius cos(theta),
 
         gamma_n(B) = int_0^pi pi^{-1/2} exp(-(a + radius cos theta)^2)
                      F_{n-1}(radius^2 sin^2 theta) radius sin theta dtheta,
@@ -98,10 +98,9 @@ def log_gamma_ball(center_norms, radius, n: int,
     in chunks.  This is gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2), the
     noncentral chi-square CDF, kept in log domain far below exp(-700).
     """
-    norms = _check_center_norms(center_norms)
+    norms = np.asarray(center_norms, dtype=float)
     radius = np.asarray(radius, dtype=float)
-    if not np.all((radius > 0.0) & np.isfinite(radius)):
-        raise ValueError("radius must be positive and finite")
+    _check_shape(norms, 0.0, radius)
     n = _check_dim(n)
     if n == 1:
         return log_gamma_interval(norms - radius, norms + radius)

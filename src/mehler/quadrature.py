@@ -41,7 +41,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.special import roots_hermite, roots_jacobi
 
-from .geometry import Annulus, Ball, FullSpace
+from .geometry import Annulus, Ball, FullSpace, _as_index, _check_shape
 from .lognum import LogNumber, log_sum_weighted
 
 __all__ = [
@@ -85,9 +85,7 @@ class QuadratureSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if int(self.order) != self.order or self.order < 2:
-            raise ValueError("order must be an integer >= 2")
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", _as_index(self.order, 2, "order"))
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
 
@@ -97,13 +95,6 @@ def _check_q(q) -> float:
     if not (q >= 1.0 and math.isfinite(q)):
         raise ValueError("q must lie in [1, inf)")
     return q
-
-
-def _check_center_norms(center_norms) -> np.ndarray:
-    norms = np.asarray(center_norms, dtype=float)
-    if np.isnan(norms).any():  # NaN never converges: every doubling runs
-        raise ValueError("center distances must not be NaN")
-    return norms
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -348,18 +339,19 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
     azimuth is exact: with y = c + rho omega and u = <omega, c/|c|>,
     Gauss-Legendre in rho with weight rho^{n-1} times u = +-1 (n = 1) or
     Gauss-Jacobi in u for |S^{n-2}| (1 - u^2)^{(n-3)/2} du (n >= 2).  The
-    radii broadcast against ``center_norms`` (no NaN); the result is
-    1-D.  Every term is positive, so nothing cancels.  The order doubles
-    until every entry changes by at most ``spec.tol`` relative; a pass
-    over more than ``MAX_NODES`` (center, node) pairs raises
-    ``QuadratureConvergenceError`` unbuilt.
+    radii broadcast against ``center_norms``; a NaN distance, or radii
+    without 0 <= r_inner < r_outer < inf, raise ``ValueError`` before
+    any pass runs.  The result is 1-D.  Every term is positive, so
+    nothing cancels.  The order doubles until every entry changes by at
+    most ``spec.tol`` relative; a pass over more than ``MAX_NODES``
+    (center, node) pairs raises ``QuadratureConvergenceError`` unbuilt.
     """
     n = _check_dim(n)
     spec = spec if spec is not None else QuadratureSpec()
     norms, r_inner, r_outer = (np.ravel(a).astype(float) for a in
-                               np.broadcast_arrays(
-                                   _check_center_norms(center_norms),
-                                   r_inner, r_outer))
+                               np.broadcast_arrays(center_norms, r_inner,
+                                                   r_outer))
+    _check_shape(norms, r_inner, r_outer)
 
     def one_pass(order):
         x, z, lw = _axial_nodes(norms, r_inner, r_outer, n, order)

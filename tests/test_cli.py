@@ -225,6 +225,24 @@ def test_huge_annulus_index_exits_2(capsys, argv):
     assert "invalid parameters" in err and f"k = {k}" in err
 
 
+_SWEEP = ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--cmin", "4",
+          "--cmax", "12", "--steps", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SWEEP, "--c", "inf"],
+    [*_SWEEP, "--theta", "inf"],
+    ["apply", "--t", "0.5", "--center", "8", "--y", "8.5,0"],
+    ["apply", "--t", "0.5", "--center", "8,0", "--y", "8.5"],
+])
+def test_invalid_value_exits_2_with_no_output(capsys, argv):
+    # non-finite template parameters once printed inf rows and exit 0; a
+    # point of another dimension is refused by the library, not the CLI
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("mehler: invalid parameters: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--center", "8"],
     ["apply", "--t", "0.5", "--center", "8", "--y", "8.5"],

@@ -32,6 +32,11 @@ def test_hypothesis_validation():
         OffDiagHypothesis(p=1.0, q=2.0, theta=-0.1)
     with pytest.raises(ValueError):
         OffDiagHypothesis(p=1.0, q=2.0, c=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, inf\)"):
+            OffDiagHypothesis(p=1.0, q=2.0, theta=bad)
+        with pytest.raises(ValueError, match=r"c must lie in \(0, inf\)"):
+            OffDiagHypothesis(p=1.0, q=2.0, c=bad)
 
 
 class TestDaviesGaffneyBound:
