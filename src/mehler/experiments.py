@@ -36,6 +36,7 @@ from .geometry import (
     Annulus,
     Ball,
     FullSpace,
+    _ADMISSIBLE_SLACK,
     _as_index,
     admissible_radius,
     make_maximal_admissible_ball,
@@ -216,7 +217,7 @@ def _require_testing_family(ball: Ball, k) -> int:
     # k as an int; C_k(B) is built first, so 2.0 ** k is a float below
     k = Annulus(ball, _as_index(k, 1, "annulus index k")).k
     r_max = admissible_radius(ball.center)
-    if abs(ball.radius - r_max) > 1e-9 * r_max:
+    if abs(ball.radius - r_max) > _ADMISSIBLE_SLACK * r_max:
         raise ValueError(
             "ball must be maximal admissible: radius == min(1, |c|^-1)")
     if ball.center_norm < 2.0 ** k:
@@ -266,11 +267,13 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     grid = sorted(float(c) for c in cB_grid)
     if len(set(grid)) < 4:
         raise ValueError("sweep grid needs at least 4 distinct |c_B| values")
-    k = _require_testing_family(
-        make_maximal_admissible_ball(np.r_[grid[0], np.zeros(n - 1)]), k)
+    centers = np.zeros((len(grid), n))
+    centers[:, 0] = grid
+    balls = [make_maximal_admissible_ball(c) for c in centers]
+    k = _require_testing_family(balls[0], k)
 
     rows: list[SweepRow] = []
-    _sweep_rows(hyp, t, k, n, grid, spec, rows)
+    _sweep_rows(hyp, t, k, n, grid, balls, spec, rows)
 
     xs = np.array([r.cB_norm for r in rows]) ** 2
     ys = np.array([r.log_implied_const for r in rows])
@@ -280,11 +283,9 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     return SweepResult(tuple(rows), fitted, predicted, rel)
 
 
-def _sweep_rows(hyp, t, k, n, grid, spec, rows) -> None:
+def _sweep_rows(hyp, t, k, n, grid, balls, spec, rows) -> None:
     # every grid point in one refinement; a failing group is split in
     # halves, left first, so a failing point aborts with the rows before it
-    balls = [make_maximal_admissible_ball(np.r_[c, np.zeros(n - 1)])
-             for c in grid]
     norms = np.array(grid)
     radii = np.array([ball.radius for ball in balls])
     try:
@@ -295,8 +296,8 @@ def _sweep_rows(hyp, t, k, n, grid, spec, rows) -> None:
             raise SweepAborted(f"sweep aborted at |c_B| = {grid[0]}: {exc}",
                                tuple(rows), grid[0]) from exc
         half = len(grid) // 2
-        _sweep_rows(hyp, t, k, n, grid[:half], spec, rows)
-        _sweep_rows(hyp, t, k, n, grid[half:], spec, rows)
+        _sweep_rows(hyp, t, k, n, grid[:half], balls[:half], spec, rows)
+        _sweep_rows(hyp, t, k, n, grid[half:], balls[half:], spec, rows)
         return
     for c, ball, a, g in zip(grid, balls, lhs.tolist(), lgB.tolist()):
         rows.append(SweepRow(c, a, g,

@@ -32,6 +32,9 @@ __all__ = [
 
 Point = np.ndarray  # 1-d float64 array of shape (n,), n >= 1
 
+# relative slack on r_B <= min(1, |c_B|^{-1}): rounding in |c_B|, no more
+_ADMISSIBLE_SLACK = 1e-12
+
 
 def as_point(coords) -> Point:
     """Coerce to a finite 1-d float64 array with at least one coordinate."""
@@ -157,7 +160,8 @@ def make_maximal_admissible_ball(center) -> Ball:
 
 def is_admissible(ball: Ball) -> bool:
     """Whether r_B <= min(1, |c_B|^{-1}) up to a relative slack of 1e-12."""
-    return ball.radius <= admissible_radius(ball.center) * (1.0 + 1e-12)
+    return ball.radius <= admissible_radius(ball.center) * (
+        1.0 + _ADMISSIBLE_SLACK)
 
 
 def set_distance(ball: Ball, annulus: Annulus) -> float:

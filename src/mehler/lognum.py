@@ -54,7 +54,9 @@ def log_sum_weighted(log_values, log_weights=None, axis=None):
     the maximum is checked in Python; along an axis only rows whose
     maximum is not finite take the guarded path.  A finite maximum makes
     the largest term exp(0) = 1, so no sum is 0; a maximum of -inf (all
-    terms zero), +inf or NaN is the result as is.
+    terms zero), +inf or NaN is the result as is.  The inputs are never
+    written: along an axis with weights, the shift and exp run in place
+    in the array ``log_values + log_weights`` that this call allocates.
     """
     a = np.asarray(log_values, dtype=float)
     if log_weights is not None:
@@ -67,10 +69,12 @@ def log_sum_weighted(log_values, log_weights=None, axis=None):
                      if math.isfinite(top) else top)
     top = a.max(axis=axis, keepdims=True)
     finite = np.isfinite(top)
-    if finite.all():
-        out = top + np.log(np.exp(a - top).sum(axis, keepdims=True))
+    shift = top if finite.all() else np.where(finite, top, 0.0)
+    terms = (np.exp(a - shift) if log_weights is None
+             else np.exp(np.subtract(a, shift, out=a), out=a))
+    if shift is top:
+        out = top + np.log(terms.sum(axis, keepdims=True))
     else:
-        shift = np.where(finite, top, 0.0)
-        with np.errstate(divide="ignore"):
-            out = shift + np.log(np.exp(a - shift).sum(axis, keepdims=True))
+        with np.errstate(divide="ignore"):  # a row of zero terms: log 0
+            out = shift + np.log(terms.sum(axis, keepdims=True))
     return out.squeeze(axis)

@@ -91,12 +91,15 @@ def log_gamma_ball(center_norms, radius, n: int,
     where F_{n-1}(u) = P((n - 1)/2, u), the regularized incomplete gamma
     function, measures the (n-1)-ball of squared radius u in the
     transverse slice.  Every term is positive, so Gauss-Legendre nodes in
-    theta are summed by log-sum-exp; the order doubles from ``spec.order``
-    until every entry changes by less than max(spec.tol / 100, 1e-12)
-    relative.  A pass over more than ``quadrature.MAX_NODES`` (center,
-    node) pairs raises instead, so callers with many centers pass them
-    in chunks.  This is gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2), the
-    noncentral chi-square CDF, kept in log domain far below exp(-700).
+    theta are summed by log-sum-exp over an (order, *broadcast shape)
+    array, theta on the leading axis; an entry gets the same bits alone
+    as in any batch, and the inputs are never written.  The order doubles
+    from ``spec.order`` until every entry changes by less than
+    max(spec.tol / 100, 1e-12) relative.  A pass over more than
+    ``quadrature.MAX_NODES`` (center, node) pairs raises instead, so
+    callers with many centers pass them in chunks.  This is
+    gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2), the noncentral
+    chi-square CDF, kept in log domain far below exp(-700).
     """
     norms = np.asarray(center_norms, dtype=float)
     radius = np.asarray(radius, dtype=float)
@@ -115,18 +118,24 @@ def log_gamma_ball(center_norms, radius, n: int,
 
 
 def _log_ball_slices(norms, radius, n: int, order: int):
-    # Gauss-Legendre in theta on [0, pi], one row of nodes per center; the
-    # slices depend on the radius alone, so they are built at its shape
+    # Gauss-Legendre in theta on [0, pi], the nodes on a leading axis so
+    # that the sum runs over contiguous slabs of entries: -x^2 at every
+    # entry, weighed by the slices, built at the radius's shape alone
+    lead = (order,) + (1,) * max(norms.ndim, radius.ndim)
+    if norms.size == radius.size == 1:
+        # numpy sums a lone column pairwise but side-by-side columns slab
+        # by slab: a lone entry runs as two, so its bits match any batch
+        return _log_ball_slices(np.repeat(norms.ravel(), 2), radius.ravel(),
+                                n, order)[:1].reshape(lead[1:])
     nodes, logw = _legendre_rule(order)
-    theta = 0.5 * math.pi * (nodes + 1.0)
+    theta = (0.5 * math.pi * (nodes + 1.0)).reshape(lead)
     sin_t = np.sin(theta)
-    radius = radius[..., None]
-    x = norms[..., None] + radius * np.cos(theta)
-    u = (radius * sin_t) ** 2
-    log_slice = np.log(gammainc(0.5 * (n - 1), u))
-    log_terms = (logw + np.log(0.5 * math.pi * radius) - _LOG_SQRT_PI
-                 + np.log(sin_t) + log_slice) - x * x
-    return log_sum_weighted(log_terms, axis=-1)
+    x = norms + radius * np.cos(theta)
+    log_slice = np.log(gammainc(0.5 * (n - 1), (radius * sin_t) ** 2))
+    log_weights = (logw.reshape(lead) + np.log(0.5 * math.pi * radius)
+                   - _LOG_SQRT_PI + np.log(sin_t) + log_slice)
+    x *= x  # this pass's own array, squared and negated in place
+    return log_sum_weighted(np.negative(x, out=x), log_weights, axis=0)
 
 
 def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:

@@ -33,7 +33,12 @@ from mehler.experiments import (
 from mehler import quadrature
 from mehler.cli import main
 from mehler.experiments import _annulus_lq_log
-from mehler.geometry import Annulus, Ball, make_maximal_admissible_ball
+from mehler.geometry import (
+    Annulus,
+    Ball,
+    is_admissible,
+    make_maximal_admissible_ball,
+)
 from mehler.kernel import apply_indicator_log
 from mehler.measure import gamma_log, log_gamma_ball
 from mehler.quadrature import (
@@ -52,6 +57,19 @@ def test_offdiag_requires_testing_family():
         offdiag_lhs_log(0.5, 2.0, make_maximal_admissible_ball([3.0]), 2)
     with pytest.raises(ValueError):
         offdiag_lhs_log(0.5, 2.0, make_maximal_admissible_ball([8.0]), 0)
+
+
+def test_testing_family_and_is_admissible_share_one_slack():
+    # a radius 1e-10 past the admissible scale is not admissible, so not
+    # maximal admissible either; the balls the library builds are both
+    past = Ball([8.0], 0.125 * (1 + 1e-10))
+    assert not is_admissible(past)
+    with pytest.raises(ValueError, match="maximal admissible"):
+        offdiag_lhs_log(0.5, 2.0, past, 1)
+    for center in ([8.0], [3.0, 4.0], [1.0, 2.0, 2.0], [0.1, 2.9]):
+        ball = make_maximal_admissible_ball(center)
+        assert is_admissible(ball)
+        assert math.isfinite(offdiag_lhs_log(0.5, 2.0, ball, 1).log_magnitude)
 
 
 def _nested_kernel_form_lhs_log(t, q, ball, k, spec):

@@ -98,14 +98,39 @@ def test_log_sum_weighted_edge_cases_match_the_reference_bits(name, weighted):
         got = log_sum_weighted(row, weights)
         assert type(got) is float
         _assert_same_bits(got, _reference_log_sum(row, weights))
-    # ... and the rows at once the axis=-1 path
+    # ... and the rows at once the axis=-1 path, the columns of the
+    # transpose (slabs whose maximum is -inf, +inf or NaN) the axis=0 one
     got = log_sum_weighted(rows, weights, axis=-1)
     assert got.shape == rows.shape[:-1]
     _assert_same_bits(got, _reference_log_sum(rows, weights, axis=-1))
+    cols = rows.T.copy()
+    col_weights = None if weights is None else weights[:, None]
+    got = log_sum_weighted(cols, col_weights, axis=0)
+    assert got.shape == cols.shape[1:]
+    _assert_same_bits(got, _reference_log_sum(cols, col_weights, axis=0))
+
+
+@pytest.mark.parametrize("axis", [None, -1, 0])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_log_sum_weighted_never_writes_its_inputs(axis, weighted):
+    rng = np.random.default_rng(5)
+    values = rng.normal(scale=50.0, size=(6, 4, 5))
+    values[0, 0] = -_INF  # a slab of zeros along axis 0 and -1
+    values[:, 1, 2] = -_INF
+    weights = rng.normal(size=(6, 1, 1) if axis == 0 else 5)
+    want = _reference_log_sum(values, weights if weighted else None,
+                              axis=axis)
+    kept = values.copy(), weights.copy()
+    for a in (values, weights):
+        a.flags.writeable = False  # a write raises ValueError
+    got = log_sum_weighted(values, weights if weighted else None, axis=axis)
+    _assert_same_bits(got, want)
+    _assert_same_bits(values, kept[0])
+    _assert_same_bits(weights, kept[1])
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
-@pytest.mark.parametrize("axis", [None, -1])
+@pytest.mark.parametrize("axis", [None, -1, 0])
 def test_log_sum_weighted_of_nothing_is_zero(shape, axis):
     assert log_sum_weighted(np.empty(shape), axis=axis) == -math.inf
     assert _reference_log_sum(np.empty(shape), axis=axis) == -math.inf
@@ -121,11 +146,21 @@ def test_log_sum_weighted_matches_scipy_logsumexp(data):
     a = np.where(zero, -math.inf, values)
     # rounding in top + log(sum) is relative to the largest magnitude
     atol = 1e-13 * max(1.0, float(np.abs(values).max()))
+    weights = data.draw(hnp.arrays(
+        float, shape[:1] + (1,) * (len(shape) - 1),
+        elements=st.floats(-10.0, 10.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # all-zero rows: log(0) in scipy
-        want = (logsumexp(a), logsumexp(a, axis=-1))
-    got = (log_sum_weighted(a), log_sum_weighted(a, axis=-1))
-    for g, w in zip(got, want):
+        want = (logsumexp(a), logsumexp(a, axis=-1), logsumexp(a, axis=0),
+                logsumexp(a + weights, axis=0))
+    got = (log_sum_weighted(a), log_sum_weighted(a, axis=-1),
+           log_sum_weighted(a, axis=0),
+           log_sum_weighted(a, weights, axis=0))
+    for g, w in zip(got[:3], want[:3]):
         np.testing.assert_allclose(g, w, rtol=1e-13, atol=atol)
+    np.testing.assert_allclose(got[3], want[3], rtol=1e-13,
+                               atol=atol + 1e-13 * 10.0)  # |weights| <= 10
     _assert_same_bits(got[0], _reference_log_sum(a))
     _assert_same_bits(got[1], _reference_log_sum(a, axis=-1))
+    _assert_same_bits(got[2], _reference_log_sum(a, axis=0))
+    _assert_same_bits(got[3], _reference_log_sum(a, weights, axis=0))

@@ -28,7 +28,12 @@ from mehler.geometry import (
     make_maximal_admissible_ball,
 )
 from mehler.kernel import apply_indicator_log
-from mehler.measure import gamma_log, log_gamma_ball, log_gamma_interval
+from mehler.measure import (
+    _log_ball_slices,
+    gamma_log,
+    log_gamma_ball,
+    log_gamma_interval,
+)
 from mehler.quadrature import (
     MAX_NODES,
     QuadratureConvergenceError,
@@ -339,6 +344,25 @@ def test_ball_measure_depends_on_center_norm_only():
             center = np.r_[np.zeros(n - 1), c]
             assert value == pytest.approx(
                 _polar_log(Ball(center, 0.4)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("order", [16, 32])
+def test_ball_slices_give_an_entry_the_same_bits_in_any_batch(n, order):
+    # one pass at a fixed order: each entry alone (0-d), in a row of
+    # centers with one radius, and in rows with a radius per row
+    rng = np.random.default_rng(11)
+    norms = rng.uniform(0.0, 30.0, (3, 7))
+    radii = rng.uniform(0.05, 5.0, (3, 1))
+    alone = np.array([[_log_ball_slices(np.asarray(a), np.asarray(r[0]),
+                                        n, order) for a in row]
+                      for row, r in zip(norms, radii)])
+    assert _log_ball_slices(norms[0, 0], radii[0, 0], n, order).shape == ()
+    rows = [_log_ball_slices(row, np.asarray(r[0]), n, order)
+            for row, r in zip(norms, radii)]
+    for got in (np.array(rows), _log_ball_slices(norms, radii, n, order)):
+        assert got.shape == norms.shape
+        assert (got.view(np.int64) == alone.view(np.int64)).all()
 
 
 def _refuse_polar_grid(*args):

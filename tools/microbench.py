@@ -11,7 +11,9 @@ time per call are printed in microseconds.  The inputs are fixed: a 1-D
 interval route at a criterion-3-like draw, the README ``hypercheck``
 and, on its own, that hypercheck's 2-D L^2 integral over the full space;
 the ball measure on 1,024 translated balls of the README sweep at
-t = 0.5 in n = 2 and 3, and one n = 3 annulus measure on the axial rule.
+t = 0.5 in n = 2 and 3, and at t = 0.001 in n = 2, where the balls are
+wide and the order doubles further; and one n = 3 annulus measure on
+the axial rule.
 The kernel-form route is timed twice: on that one interval, and cycling
 through seeded criterion-3 draws, each with its own interval, as the
 benchmark's ``routes`` triples call it.  The library is imported from
@@ -64,14 +66,14 @@ def _cli_hypercheck():
         return cli.main(argv)
 
 
-def _translated_balls(n: int):
+def _translated_balls(n: int, t: float = 0.5):
     # the balls B((c - e^{-t} y)/s, r/s) whose measure is e^{tL} 1_B(y) at
     # the order-16 axial nodes y of C_1(B), for the maximal admissible balls
-    # at |c| = 4, 6, 8, 10 of the README sweep at t = 0.5: 4 x 256 balls
+    # at |c| = 4, 6, 8, 10 of the README sweep at time t: 4 x 256 balls
     norms = np.array([4.0, 6.0, 8.0, 10.0])
     radii = 1.0 / norms
     x, z, _ = quadrature._axial_nodes(norms, 2.0 * radii, 4.0 * radii, n, 16)
-    em, one_minus, _ = kernel._time_factors(0.5)
+    em, one_minus, _ = kernel._time_factors(t)
     s = np.sqrt(one_minus)
     return np.hypot(norms[:, None] - em * x, em * z) / s, radii[:, None] / s
 
@@ -97,6 +99,7 @@ def layers():
     ball = Ball(np.array([0.5 * (A + B)]), 0.5 * (B - A))
     draws = itertools.cycle(list(_draws(rng, 64)))
     balls2, balls3 = _translated_balls(2), _translated_balls(3)
+    small_t = _translated_balls(2, 1e-3)
     return [
         ("lognum.log_sum_weighted, 32 terms",
          lambda: lognum.log_sum_weighted(terms)),
@@ -122,6 +125,8 @@ def layers():
          lambda: log_gamma_ball(*balls2, 2)),
         ("measure.log_gamma_ball, 1,024 translated balls, n = 3",
          lambda: log_gamma_ball(*balls3, 3)),
+        ("measure.log_gamma_ball, 1,024 translated balls, n = 2, t = 0.001",
+         lambda: log_gamma_ball(*small_t, 2)),
         ("quadrature.integrate_axial_log, n = 3 annulus measure",
          lambda: quadrature.integrate_axial_log(
              lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, 3)),
