@@ -12,9 +12,14 @@ over the family; below the failure threshold its log grows linearly in
 
 The left side is one quadrature over the annulus C_k(B).  Its integrand
 e^{tL} 1_B(y) comes from the translation route: it equals the Gaussian
-measure of the ball B((c - e^{-t} y)/s, r/s), s = sqrt(1 - e^{-2t}),
-which ``measure.log_gamma_ball`` evaluates for many nodes in one call.
-That measure and the density see y = c + rho omega only through rho and
+measure of the ball B((c - e^{-t} y)/s, r/s), s = sqrt(1 - e^{-2t}): the
+erf closed form in n = 1.  In n = 2, 3 one ball B fixes the radius r/s
+and a closed-form range of distances d, so ``measure.log_gamma_ball``
+samples the analytic log gamma(B(d, r/s)) + (d - r/s)^2 at m Chebyshev
+points per ball, all balls in one call, and the nodes get the
+interpolant by Clenshaw's recurrence; m doubles from 8 until it settles
+at the first pass's nodes, and later passes reuse it.
+The ball measure and the density see y = c + rho omega only through rho and
 <omega, c/|c|>, so the outer rule is the axial rule of
 ``quadrature.integrate_axial_log``, which depends on |c| alone: a sweep
 runs its whole |c_B| grid through one refinement (and one batched call
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -44,12 +50,13 @@ from .geometry import (
 )
 from .kernel import _time_factors, check_time
 from .lognum import LogNumber
-from .measure import gamma_log, log_gamma_ball
+from .measure import _inner_tol, gamma_log, log_gamma_ball
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _check_dim,
     _check_q,
+    _refine_each,
     integrate_axial_log,
     integrate_gamma_log,
 )
@@ -74,10 +81,6 @@ __all__ = [
     "davies_gaffney_check",
     "regime_map",
 ]
-
-# outer nodes per call of the sweeps' inner ball-measure step: bounds the
-# (nodes x inner order) arrays it builds
-INNER_CHUNK = 8192
 
 FAILS_RESTRICTED = "fails_restricted"
 HOLDS_UNRESTRICTED = "holds_unrestricted"
@@ -159,19 +162,46 @@ def fit_affine(x, y) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def _in_chunks(inner, nodes, *per_row):
-    # an inner step over (rows, m) outer nodes, at most INNER_CHUNK nodes
-    # per call: whole rows, or pieces of a row longer than that; each
-    # per_row array gives inner one value per row, as a column
-    rows, m = nodes.shape
-    step = max(1, INNER_CHUNK // m)
-    out = np.empty(nodes.shape)
-    for i in range(0, rows, step):
-        for j in range(0, m, INNER_CHUNK):
-            out[i:i + step, j:j + INNER_CHUNK] = inner(
-                nodes[i:i + step, j:j + INNER_CHUNK],
-                *(a[i:i + step, None] for a in per_row))
-    return out
+def _ball_interpolant(lo, hi, radius, n: int, spec: QuadratureSpec):
+    # log gamma_n(B(d, radius)) for d in [lo, hi], row by row, through
+    # h(d) = log gamma_n(B(d, radius)) + (d - radius)^2 at m first-kind
+    # Chebyshev points; the first call doubles m from 8 until the values
+    # settle, later calls reuse that m
+    mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
+    radius = radius[:, None]
+    coefs = {}  # m -> (rows, m) Chebyshev coefficients of h
+
+    def fit(m):
+        if m not in coefs:  # every sample of every row in one call
+            theta = math.pi * (np.arange(m) + 0.5) / m
+            cos = np.cos(np.outer(theta, np.arange(m)))  # cos(k theta_j)
+            d = mid + half * cos[:, 1]
+            h = log_gamma_ball(d, radius, n, spec) + (d - radius) ** 2
+            coefs[m] = (2.0 / m) * h @ cos
+            coefs[m][:, 0] *= 0.5
+        return coefs[m]
+
+    def clenshaw(c, dist):
+        # rounding past the range clamps; a range of zero width maps to 0
+        x = np.clip((dist - mid) / np.where(half > 0.0, half, 1.0), -1.0, 1.0)
+        two_x, b1, b2 = 2.0 * x, np.zeros_like(x), np.zeros_like(x)
+        for ck in c[:, :0:-1].T:  # b_k = c_k + 2x b_{k+1} - b_{k+2}
+            b2 = np.subtract(two_x * b1, b2, out=b2)
+            b2 += ck[:, None]
+            b1, b2 = b2, b1
+        return c[:, :1] + x * b1 - b2 - (dist - radius) ** 2
+
+    def log_ball(dist):
+        if coefs:
+            return clenshaw(coefs[max(coefs)], dist)
+        return _refine_each(
+            lambda m: clenshaw(fit(m), dist), lambda m: dist.shape[0] * m,
+            QuadratureSpec(order=8), _inner_tol(spec),
+            f"ball-measure interpolant in n = {n}",
+            lambda i: f"radius {radius.flat[i // dist.shape[1]]}, "
+                      f"center distance {dist.flat[i]}")
+
+    return log_ball
 
 
 def _annulus_lq_log(t: float, q: float, norms, radii, k: int, n: int,
@@ -181,19 +211,27 @@ def _annulus_lq_log(t: float, q: float, norms, radii, k: int, n: int,
     # admissibility constraints; e^{tL} 1_B(y) = gamma(B((c - e^{-t} y)/s,
     # r/s)) with s = sqrt(1 - e^{-2t}), the translation route
     q = _check_q(q)
+    spec = spec if spec is not None else QuadratureSpec()
     norms = np.atleast_1d(np.asarray(norms, dtype=float))
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     em, one_minus, _ = _time_factors(t)
     s = math.sqrt(one_minus)
+    r_in, r_out = 2.0 ** k * radii, 2.0 ** (k + 1) * radii
+    if n == 1:
+        log_ball = partial(log_gamma_ball, radius=(radii / s)[:, None], n=1)
+    else:
+        # |c - e^{-t} y| over the annulus, with A = (1 - e^{-t}) |c|, runs
+        # from the least |A - e^{-t} rho| to A + e^{-t} r_out
+        a = -math.expm1(-t) * norms
+        lo = np.maximum(0.0, np.maximum(a - em * r_out, em * r_in - a))
+        log_ball = _ball_interpolant(lo / s, (a + em * r_out) / s, radii / s,
+                                     n, spec)
 
     def g_log(x, z):
         # c - e^{-t} y has a - e^{-t} x along c and e^{-t} z across it
-        dist = np.hypot(norms[:, None] - em * x, em * z) / s
-        return q * _in_chunks(lambda d, r: log_gamma_ball(d, r, n, spec),
-                              dist, radii / s)
+        return q * log_ball(np.hypot(norms[:, None] - em * x, em * z) / s)
 
-    return integrate_axial_log(g_log, norms, 2.0 ** k * radii,
-                               2.0 ** (k + 1) * radii, n, spec) / q
+    return integrate_axial_log(g_log, norms, r_in, r_out, n, spec) / q
 
 
 def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
@@ -202,10 +240,10 @@ def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
 
     B must be a maximal admissible ball with |c_B| >= 2^k (the testing
     family of the negative result).  The integrand e^{tL} 1_B(y) is the
-    gamma measure of a translated ball (the translation route), evaluated
-    by ``log_gamma_ball`` in batches at the nodes of the axial rule
-    (``quadrature.integrate_axial_log``), which ``sweep_blowup`` runs over
-    a whole grid of balls at once.
+    gamma measure of a translated ball (the translation route), at the
+    nodes of the axial rule (``quadrature.integrate_axial_log``), which
+    ``sweep_blowup`` runs over a whole grid of balls at once; in n = 2, 3
+    it is interpolated in the translated center's distance.
     """
     t = check_time(t)
     k = _require_testing_family(ball, k)

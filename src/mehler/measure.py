@@ -7,10 +7,10 @@ which keeps full relative precision for magnitudes like exp(-900).
 ``log_gamma_ball`` is the one ball-measure primitive.  It is
 array-valued over the center distance and the radius and, in n = 2, 3,
 reduces a ball to a one-dimensional integral along its axis
-(incomplete-gamma transverse slices); the sweep evaluates e^{tL} 1_B at
-every annulus node through it, and ``gamma_log`` measures every region
-of inner radius 0 through it: the balls and C_0(B) = 2B.  The other
-annuli in n = 2, 3 are the axial rule of
+(incomplete-gamma transverse slices); the sweep samples e^{tL} 1_B
+through it at the Chebyshev points of its interpolants, and
+``gamma_log`` measures every region of inner radius 0 through it: the
+balls and C_0(B) = 2B.  The other annuli in n = 2, 3 are the axial rule of
 ``quadrature.integrate_axial_log`` with a zero integrand: a sum of
 positive terms, where gamma(outer ball) - gamma(inner ball) would cancel
 when both are near 1.
@@ -96,8 +96,7 @@ def log_gamma_ball(center_norms, radius, n: int,
     as in any batch, and the inputs are never written.  The order doubles
     from ``spec.order`` until every entry changes by less than
     max(spec.tol / 100, 1e-12) relative.  A pass over more than
-    ``quadrature.MAX_NODES`` (center, node) pairs raises instead, so
-    callers with many centers pass them in chunks.  This is
+    ``quadrature.MAX_NODES`` (center, node) pairs raises instead.  This is
     gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2), the noncentral
     chi-square CDF, kept in log domain far below exp(-700).
     """

@@ -26,8 +26,9 @@ log-domain refinement loop: it doubles the order, at most
 drops below the tolerance; a pass that would build more than
 ``MAX_NODES`` nodes is not built.  Both stops raise one error that
 carries the last two values of the entry that moved most.  It drives
-``integrate_gamma_log`` and ``integrate_axial_log`` here and the ball
-measure in ``measure``.
+``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
+measure in ``measure`` and the number of interpolation points in
+``experiments``.
 The default relative tolerance is 1e-8; only ``QuadratureSpec(tol=)``
 (the CLI's ``--tol``) changes it.
 """

@@ -318,6 +318,19 @@ def test_sweep_past_exp_overflow_exits_0(capsys, n, t):
     assert float(footer["rel_err"]) < 0.15
 
 
+def test_small_time_n3_sweep_at_a_low_base_order_exits_0(capsys):
+    # from base order 3 the theta rule of the ball measure doubles to
+    # order 192 at t = 0.001; over each row's Chebyshev samples alone it
+    # stays under the node cap
+    code, out, err = run_cli(capsys, "sweep", "--t", "0.001", "--p", "1",
+                             "--q", "2", "--k", "1", "--n", "3", "--cmin",
+                             "4", "--cmax", "12", "--steps", "5", "--order",
+                             "3")
+    assert code == 0 and err == ""
+    rel_err = float(out.strip().splitlines()[-1].rsplit("rel_err=", 1)[1])
+    assert rel_err < 0.15
+
+
 def test_hypercheck_closed_form_overflow_exits_3(capsys):
     # the closed-form ratio e^{lam^2 (1 + e^{-2t} - p) / 4} is past
     # float64 (it saturates to inf); the numeric side stops at the node

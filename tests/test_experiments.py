@@ -30,7 +30,7 @@ from mehler.experiments import (
     regime_map,
     sweep_blowup,
 )
-from mehler import quadrature
+from mehler import experiments, quadrature
 from mehler.cli import main
 from mehler.experiments import _annulus_lq_log
 from mehler.geometry import (
@@ -237,16 +237,63 @@ def test_sweep_rows_match_single_points(n):
             abs=spec.tol)
 
 
-@pytest.mark.parametrize("n, cap", [(1, 128), (2, 65536), (3, 65536)])
+# the outer axial rule ends at order 32 on this grid in n = 2, 3, with
+# 32^2 nodes a grid point; the whole grid's ball-measure samples, 5 rows x
+# 16 points x theta order 32 = 2,560 nodes, fit below the cap
+@pytest.mark.parametrize("n, cap", [(1, 128), (2, 4 * 32 ** 2),
+                                    (3, 4 * 32 ** 2)])
 def test_sweep_splits_a_grid_over_the_node_cap(n, cap, monkeypatch):
-    # the cap admits the largest pass of two grid points, not of five:
-    # the whole-grid pass raises, and the sweep gets through in halves
+    # the cap admits the outer rule's largest pass of two grid points, not
+    # of five: the whole-grid pass raises, and the sweep gets through in
+    # halves
     grid = [4.0, 6.0, 8.0, 10.0, 12.0]
     want = sweep_blowup(HYP12, 0.5, 1, n, grid)
     monkeypatch.setattr(quadrature, "MAX_NODES", cap)
-    with pytest.raises(QuadratureConvergenceError, match="above the cap"):
+    with pytest.raises(QuadratureConvergenceError,
+                       match=f"annulus integral in n = {n}: .* above the cap"):
         _annulus_lq_log(0.5, 2.0, grid, [1.0 / c for c in grid], 1, n, None)
     assert sweep_blowup(HYP12, 0.5, 1, n, grid) == want
+
+
+@pytest.mark.parametrize("t", [0.5, 1e-3, 1e-4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_interpolant_matches_the_direct_measure(n, t, monkeypatch):
+    # every outer pass's values of the interpolated ball measure against
+    # log_gamma_ball at those nodes (256 seeded nodes a row in larger
+    # passes); measured worst 3e-15 relative (9e-13 absolute at t = 1e-4)
+    passes = []
+    build = experiments._ball_interpolant
+
+    def recording(*args):
+        log_ball, radius = build(*args), args[2]
+
+        def record(dist):
+            passes.append((dist, radius, log_ball(dist)))
+            return passes[-1][2]
+
+        return record
+
+    monkeypatch.setattr(experiments, "_ball_interpolant", recording)
+    norms = np.array([4.0, 12.0])
+    _annulus_lq_log(t, 2.0, norms, 1.0 / norms, 1, n, None)
+    assert len(passes) >= 2
+    rng = np.random.default_rng(0)
+    for dist, radius, got in passes:
+        nodes = rng.choice(dist.shape[1], min(dist.shape[1], 256),
+                           replace=False)
+        want = log_gamma_ball(dist[:, nodes], radius[:, None], n)
+        assert np.all(np.abs(got[:, nodes] - want) <= 2e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("n, t, cmax, steps", [
+    (2, 1e-4, 12.0, 5), (3, 1e-4, 12.0, 5), (2, 1e-4, 30.0, 8),
+    (3, 1e-4, 30.0, 8), (3, 1e-5, 12.0, 5)])
+def test_small_time_sweeps_finish(n, t, cmax, steps):
+    # small t widens the translated balls (radius r / sqrt(2t) or so) and
+    # sharpens the integrand: the theta rule and the outer rule both
+    # refine further, and the grid must still fit the node cap
+    res = sweep_blowup(HYP12, t, 1, n, np.linspace(4.0, cmax, steps))
+    assert res.slope_rel_error < 0.15
 
 
 def test_sweep_builds_no_polar_grid(monkeypatch):

@@ -12,8 +12,9 @@ interval route at a criterion-3-like draw, the README ``hypercheck``
 and, on its own, that hypercheck's 2-D L^2 integral over the full space;
 the ball measure on 1,024 translated balls of the README sweep at
 t = 0.5 in n = 2 and 3, and at t = 0.001 in n = 2, where the balls are
-wide and the order doubles further; and one n = 3 annulus measure on
-the axial rule.
+wide and the order doubles further; one n = 3 annulus measure on the
+axial rule; and the README n = 2 sweep at t = 0.001, where the ball
+measure is interpolated along each row.
 The kernel-form route is timed twice: on that one interval, and cycling
 through seeded criterion-3 draws, each with its own interval, as the
 benchmark's ``routes`` triples call it.  The library is imported from
@@ -36,12 +37,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from mehler import cli, experiments, kernel, lognum, quadrature  # noqa: E402
+from mehler.estimates import OffDiagHypothesis  # noqa: E402
 from mehler.geometry import Ball, FullSpace  # noqa: E402
 from mehler.measure import log_gamma_ball  # noqa: E402
 
 # a criterion-3 draw (t, [a, b], y) at the benchmark's tolerance
 T, A, B, Y = 0.7, -0.4, 0.6, 0.9
 SPEC = quadrature.QuadratureSpec(tol=1e-10)
+# the README sweep's hypothesis and grid
+SWEEP = (OffDiagHypothesis(p=1.0, q=2.0), [4.0, 6.0, 8.0, 10.0, 12.0])
 # the README hypercheck
 HYPER = (0.5, 1.3678794411714423, 2.0)
 # its ||e^{tL} f||_2^2 = <f, e^{2tL} f> integrand for f(x) = e^{lam x},
@@ -130,6 +134,8 @@ def layers():
         ("quadrature.integrate_axial_log, n = 3 annulus measure",
          lambda: quadrature.integrate_axial_log(
              lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, 3)),
+        ("experiments.sweep_blowup, README grid, n = 2, t = 0.001",
+         lambda: experiments.sweep_blowup(SWEEP[0], 0.001, 1, 2, SWEEP[1])),
         ("experiments.hypercontractivity_check",
          lambda: experiments.hypercontractivity_check(*HYPER)),
         ("cli hypercheck", _cli_hypercheck),
