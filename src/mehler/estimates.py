@@ -13,8 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .geometry import _as_index
-from .kernel import check_time
+from .geometry import _as_index, check_time
 from .lognum import LogNumber
 
 __all__ = [

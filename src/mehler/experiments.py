@@ -21,11 +21,12 @@ interpolant by Clenshaw's recurrence; m doubles from 8 until it settles
 at the first pass's nodes, and later passes reuse it.
 The ball measure and the density see y = c + rho omega only through rho and
 <omega, c/|c|>, so the outer rule is the axial rule of
-``quadrature.integrate_axial_log``, which depends on |c| alone: a sweep
-runs its whole |c_B| grid through one refinement (and one batched call
-for the log gamma(B) column), splitting the grid in halves only when a
-group fails.  The kernel-form quadrature ``kernel.apply_indicator_log``
-stays an independent route and is not used here.
+``quadrature.integrate_axial_log``, which depends on |c| alone.  One
+array path takes center distances and radii to the log left side, log
+gamma(B) and log implied constant, in one refinement and one batched ball
+measure: a sweep passes its whole |c_B| grid (halved only where a group
+fails), ``implied_constant_log`` one ball.  The kernel-form route
+``kernel.apply_indicator_log`` stays independent and is not used here.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ from .geometry import (
     _ADMISSIBLE_SLACK,
     _as_index,
     admissible_radius,
+    as_point,
+    check_time,
     make_maximal_admissible_ball,
     set_distance,
 )
-from .kernel import _time_factors, check_time
+from .kernel import _time_factors
 from .lognum import LogNumber
 from .measure import _inner_tol, gamma_log, log_gamma_ball
 from .quadrature import (
@@ -110,7 +113,7 @@ class SweepResult:
 
 
 class SweepAborted(RuntimeError):
-    """A sweep point failed to converge; carries the completed rows."""
+    """A sweep point failed or is not finite; carries the completed rows."""
 
     def __init__(self, message: str, partial_rows: tuple, failed_at: float):
         super().__init__(message)
@@ -246,19 +249,20 @@ def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
     it is interpolated in the translated center's distance.
     """
     t = check_time(t)
-    k = _require_testing_family(ball, k)
+    k = _require_testing_family(ball, k, ball.center_norm)
     return LogNumber(_annulus_lq_log(
         t, q, ball.center_norm, ball.radius, k, ball.dim, spec)[0])
 
 
-def _require_testing_family(ball: Ball, k) -> int:
-    # k as an int; C_k(B) is built first, so 2.0 ** k is a float below
+def _require_testing_family(ball: Ball, k, least: float) -> int:
+    # k as an int (C_k(B) is built first, so 2.0 ** k is a float below);
+    # ``least`` is the smallest |c_B| the caller evaluates
     k = Annulus(ball, _as_index(k, 1, "annulus index k")).k
     r_max = admissible_radius(ball.center)
     if abs(ball.radius - r_max) > _ADMISSIBLE_SLACK * r_max:
         raise ValueError(
             "ball must be maximal admissible: radius == min(1, |c|^-1)")
-    if ball.center_norm < 2.0 ** k:
+    if least < 2.0 ** k:
         raise ValueError(f"the testing family needs |c_B| >= 2^k, k = {k}")
     return k
 
@@ -272,46 +276,49 @@ def implied_constant_log(hyp: OffDiagHypothesis, t: float, ball: Ball, k: int,
     constant K this value would be <= log K uniformly over the family.
     """
     t = check_time(t)
-    lhs = offdiag_lhs_log(t, hyp.q, ball, k, spec)
-    lgB = gamma_log(ball, spec).log_magnitude
-    return LogNumber(
-        _implied_from_parts(hyp, t, ball, k, lhs.log_magnitude, lgB))
+    k = _require_testing_family(ball, k, ball.center_norm)
+    return LogNumber(_implied_log(hyp, t, ball.center_norm, ball.radius, k,
+                                  ball.dim, spec)[2][0])
 
 
-def _implied_from_parts(hyp, t, ball, k, lhs_log, log_gammaB) -> float:
-    d = set_distance(ball, Annulus(ball, k))
-    rhs_log = (-hyp.theta * math.log(t)
-               - hyp.c * d * d / t
-               + log_gammaB / hyp.p)
-    return lhs_log - rhs_log
+def _implied_log(hyp, t, norms, radii, k, n, spec):
+    # (log lhs, log gamma(B), log implied constant) of every ball B(c, r), |c|
+    # in norms, r in radii, batched; dist(B, C_k(B)) = (2^k - 1) r
+    lhs = _annulus_lq_log(t, hyp.q, norms, radii, k, n, spec)
+    lgB = log_gamma_ball(norms, radii, n, spec)
+    d = 2.0 ** k * radii - radii
+    rhs = -hyp.theta * math.log(t) - hyp.c * d * d / t + lgB / hyp.p
+    with np.errstate(invalid="ignore"):  # -inf - (-inf): refused later
+        return lhs, lgB, lhs - rhs
 
 
 def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
                  spec: QuadratureSpec | None = None) -> SweepResult:
     """Sweep the implied constant over |c_B| and fit its growth slope.
 
-    For each grid value c the ball is B(c e_1, 1/c) in R^n; rows come out
-    sorted by c.  The fitted slope regresses log implied constant on
-    |c_B|^2 (the growth exponent is quadratic; polynomial prefactors land
-    in the intercept and residuals) and is compared against the
-    closed-form prediction 2/(e^t + 1) - 1 + (1/p - 1/q).
+    For each grid value c >= 2^k the ball is B(c e_1, 1/c) in R^n; rows
+    come out sorted by c.  The fitted slope regresses log implied
+    constant on |c_B|^2 (the growth exponent is quadratic; polynomial
+    prefactors land in the intercept and residuals) and is compared
+    against the closed-form prediction 2/(e^t + 1) - 1 + (1/p - 1/q).
 
     All grid points run through one refinement of the axial rule; a group
     that fails is split in halves, left first.  Raises SweepAborted,
-    carrying the rows before it, if quadrature fails at a single point.
+    carrying the rows before it, if quadrature fails at a single point or
+    a row's log implied constant is not finite.
     """
     t = check_time(t)
     n = _check_dim(n)
     grid = sorted(float(c) for c in cB_grid)
     if len(set(grid)) < 4:
         raise ValueError("sweep grid needs at least 4 distinct |c_B| values")
-    centers = np.zeros((len(grid), n))
-    centers[:, 0] = grid
-    balls = [make_maximal_admissible_ball(c) for c in centers]
-    k = _require_testing_family(balls[0], k)
+    norms = as_point(grid)  # refuses NaN and inf
+    with np.errstate(over="ignore"):  # an overflowing |c|^2 gives radius 0
+        k = _require_testing_family(
+            make_maximal_admissible_ball([max(grid, key=abs)]), k, grid[0])
 
     rows: list[SweepRow] = []
-    _sweep_rows(hyp, t, k, n, grid, balls, spec, rows)
+    _sweep_rows(hyp, t, k, n, norms, spec, rows)
 
     xs = np.array([r.cB_norm for r in rows]) ** 2
     ys = np.array([r.log_implied_const for r in rows])
@@ -321,25 +328,26 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     return SweepResult(tuple(rows), fitted, predicted, rel)
 
 
-def _sweep_rows(hyp, t, k, n, grid, balls, spec, rows) -> None:
+def _sweep_rows(hyp, t, k, n, norms, spec, rows) -> None:
     # every grid point in one refinement; a failing group is split in
     # halves, left first, so a failing point aborts with the rows before it
-    norms = np.array(grid)
-    radii = np.array([ball.radius for ball in balls])
     try:
-        lhs = _annulus_lq_log(t, hyp.q, norms, radii, k, n, spec)
-        lgB = log_gamma_ball(norms, radii, n, spec)
+        lhs, lgB, implied = (column.tolist() for column in _implied_log(
+            hyp, t, norms, 1.0 / norms, k, n, spec))
     except QuadratureConvergenceError as exc:
-        if len(grid) == 1:
-            raise SweepAborted(f"sweep aborted at |c_B| = {grid[0]}: {exc}",
-                               tuple(rows), grid[0]) from exc
-        half = len(grid) // 2
-        _sweep_rows(hyp, t, k, n, grid[:half], balls[:half], spec, rows)
-        _sweep_rows(hyp, t, k, n, grid[half:], balls[half:], spec, rows)
+        if len(norms) == 1:
+            raise SweepAborted(f"sweep aborted at |c_B| = {norms[0]}: {exc}",
+                               tuple(rows), float(norms[0])) from exc
+        half = len(norms) // 2
+        _sweep_rows(hyp, t, k, n, norms[:half], spec, rows)
+        _sweep_rows(hyp, t, k, n, norms[half:], spec, rows)
         return
-    for c, ball, a, g in zip(grid, balls, lhs.tolist(), lgB.tolist()):
-        rows.append(SweepRow(c, a, g,
-                             _implied_from_parts(hyp, t, ball, k, a, g)))
+    for row in map(SweepRow, norms.tolist(), lhs, lgB, implied):
+        if not math.isfinite(row.log_implied_const):
+            raise SweepAborted(f"sweep aborted at |c_B| = {row.cB_norm}: log "
+                               f"implied constant {row.log_implied_const}",
+                               tuple(rows), row.cB_norm)
+        rows.append(row)
 
 
 def hypercontractivity_check(t: float, p: float, lam: float,

@@ -5,9 +5,9 @@ r <= min(1, |c|^{-1}); the testing sets of the negative experiments are
 maximal admissible balls together with their dyadic annuli.  Balls and
 annuli share one shape: ``center``, ``center_norm``, ``inner_radius``
 and ``outer_radius``, the inner radius of a ball being 0.  Each input
-invariant is checked once, here: ``_as_index`` (an integer index: k, a
-dimension, an order), ``_check_shape`` (center distances and radii) and,
-in ``Annulus``, that 2^(k+1) is a finite float.
+invariant is checked once, here: ``check_time`` (a time), ``_as_index``
+(an integer index: k, a dimension, an order), ``_check_shape`` (center
+distances and radii) and, in ``Annulus``, that 2^(k+1) is a finite float.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "make_maximal_admissible_ball",
     "is_admissible",
     "set_distance",
+    "check_time",
 ]
 
 Point = np.ndarray  # 1-d float64 array of shape (n,), n >= 1
@@ -45,6 +46,14 @@ def as_point(coords) -> Point:
     if not np.isfinite(x).all():
         raise ValueError("point coordinates must be finite")
     return x
+
+
+def check_time(t: float) -> float:
+    """Validate a semigroup time: positive and finite."""
+    t = float(t)
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"semigroup time must be positive and finite, got {t}")
+    return t
 
 
 def _as_index(value, lo: int, what: str) -> int:

@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .geometry import Ball, as_point
+from .geometry import Ball, as_point, check_time
 from .lognum import LogNumber
 from .measure import log_gamma_interval
 from .quadrature import (
@@ -47,21 +47,12 @@ from .quadrature import (
 )
 
 __all__ = [
-    "check_time",
     "mehler_log_values",
     "mehler_log",
     "apply_indicator_log",
     "apply_indicator_closed_log",
     "apply_via_translation",
 ]
-
-
-def check_time(t: float) -> float:
-    """Validate a semigroup time: positive and finite."""
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"semigroup time must be positive and finite, got {t}")
-    return t
 
 
 def _time_factors(t: float) -> tuple[float, float, float]:

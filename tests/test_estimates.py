@@ -1,7 +1,9 @@
 """Closed-form estimate quantities: frozen values and algebraic identities."""
 
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,15 @@ from mehler.estimates import (
     lemma_lower_bound_log,
     nelson_min_p,
 )
+
+
+def test_estimates_imports_only_geometry_and_lognum():
+    # closed forms rest on the input checks and LogNumber, no quadrature
+    source = Path(__file__).resolve().parent.parent / "src" / "mehler"
+    tree = ast.parse((source / "estimates.py").read_text())
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert local == {"geometry", "lognum"}
 
 
 def test_hypothesis_validation():

@@ -1,6 +1,7 @@
 """Composite experiments: sweeps, ratios, regime classification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,78 @@ def test_sweep_validation():
         sweep_blowup(HYP12, 0.5, 0, 1, [4.0, 6.0, 8.0, 10.0])  # k < 1
     with pytest.raises(ValueError):
         sweep_blowup(HYP12, 0.5, 1, 5, [4.0, 6.0, 8.0, 10.0])  # dim cap
+
+
+def _refuse_pass(*args, **kwargs):
+    raise AssertionError("a quadrature pass ran")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("grid, message", [
+    ([-8.0, -4.0, 0.0, 4.0, 8.0, 12.0], "the testing family needs |c_B| >= "
+                                        "2^k, k = 1"),
+    ([1.5, 4.0, 6.0, 8.0], "the testing family needs |c_B| >= 2^k, k = 1"),
+    ([4.0, math.nan, 8.0, 10.0], "point coordinates must be finite"),
+    ([4.0, 6.0, 8.0, math.inf], "point coordinates must be finite"),
+    ([4.0, 6.0, 8.0, 1e200], "radii must satisfy 0 <= inner < outer < inf"),
+    ([-1e200, 4.0, 6.0, 8.0], "radii must satisfy 0 <= inner < outer < inf"),
+])
+def test_sweep_refuses_a_grid_outside_the_family_before_a_pass(
+        monkeypatch, n, grid, message):
+    # every grid value must be a |c_B| >= 2^k; a value below it once ran
+    # as a signed center distance and printed rows
+    monkeypatch.setattr(experiments, "_annulus_lq_log", _refuse_pass)
+    monkeypatch.setattr(experiments, "log_gamma_ball", _refuse_pass)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_blowup(HYP12, 0.5, 1, n, grid)
+
+
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_cli_sweep_below_the_family_exits_2(capsys, n):
+    argv = ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1",
+            "--n", n, "--cmin", "-8", "--cmax", "12", "--steps", "6"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("mehler: invalid parameters: the testing family needs "
+                   "|c_B| >= 2^k, k = 1\n")
+
+
+def test_sweep_aborts_at_a_row_that_is_not_finite(capsys):
+    # in n = 1 the erf form reads both logs as -inf past |c| ~ 1e8, and
+    # their difference is NaN; the sweep stops there with the rows before it
+    grid = np.linspace(4.0, 1e10, 5)
+    with pytest.raises(SweepAborted, match=re.escape(
+            "sweep aborted at |c_B| = 2500000003.0: log implied constant "
+            "nan")) as err:
+        sweep_blowup(HYP12, 0.5, 1, 1, grid)
+    assert err.value.failed_at == grid[1]
+    assert [row.cB_norm for row in err.value.partial_rows] == [4.0]
+    assert all(map(math.isfinite, err.value.partial_rows[0]))
+    argv = ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1",
+            "--n", "1", "--cmin", "4", "--cmax", "1e10", "--steps", "5"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "numerical non-convergence" in err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sweep_builds_no_region_per_grid_point(monkeypatch, n):
+    # the grid goes to the quadrature as arrays of norms and radii; the
+    # Ball and Annulus built to check the family do not grow with it
+    built = []
+    for cls in (Ball, Annulus):
+        def counting(self, check=cls.__post_init__):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    counts = []
+    for steps in (4, 16):
+        built.clear()
+        sweep_blowup(HYP12, 0.5, 1, n, np.linspace(4.0, 12.0, steps))
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_dimension_and_annulus_index_checks_share_one_message():

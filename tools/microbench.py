@@ -13,8 +13,10 @@ and, on its own, that hypercheck's 2-D L^2 integral over the full space;
 the ball measure on 1,024 translated balls of the README sweep at
 t = 0.5 in n = 2 and 3, and at t = 0.001 in n = 2, where the balls are
 wide and the order doubles further; one n = 3 annulus measure on the
-axial rule; and the README n = 2 sweep at t = 0.001, where the ball
-measure is interpolated along each row.
+axial rule; the README n = 2 sweep at t = 0.001, where the ball
+measure is interpolated along each row; and the n = 1 sweep of the
+benchmark's ``sweep-n1-deep`` part at t = 0.5, 27 points on [4.9, 30],
+where the per-row work around the quadrature shows.
 The kernel-form route is timed twice: on that one interval, and cycling
 through seeded criterion-3 draws, each with its own interval, as the
 benchmark's ``routes`` triples call it.  The library is imported from
@@ -44,8 +46,9 @@ from mehler.measure import log_gamma_ball  # noqa: E402
 # a criterion-3 draw (t, [a, b], y) at the benchmark's tolerance
 T, A, B, Y = 0.7, -0.4, 0.6, 0.9
 SPEC = quadrature.QuadratureSpec(tol=1e-10)
-# the README sweep's hypothesis and grid
+# the README sweep's hypothesis and grid, and the deep n = 1 grid
 SWEEP = (OffDiagHypothesis(p=1.0, q=2.0), [4.0, 6.0, 8.0, 10.0, 12.0])
+DEEP = np.linspace(4.9, 30.0, 27)
 # the README hypercheck
 HYPER = (0.5, 1.3678794411714423, 2.0)
 # its ||e^{tL} f||_2^2 = <f, e^{2tL} f> integrand for f(x) = e^{lam x},
@@ -136,6 +139,8 @@ def layers():
              lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, 3)),
         ("experiments.sweep_blowup, README grid, n = 2, t = 0.001",
          lambda: experiments.sweep_blowup(SWEEP[0], 0.001, 1, 2, SWEEP[1])),
+        ("experiments.sweep_blowup, [4.9, 30] x 27, n = 1, t = 0.5",
+         lambda: experiments.sweep_blowup(SWEEP[0], 0.5, 1, 1, DEEP)),
         ("experiments.hypercontractivity_check",
          lambda: experiments.hypercontractivity_check(*HYPER)),
         ("cli hypercheck", _cli_hypercheck),
