@@ -5,117 +5,62 @@ balls and annuli at the admissible scale, kernel and translation routes
 for applying e^{tL}, the closed-form thresholds governing off-diagonal
 estimates, and the sweep experiments that exhibit the blow-up of the
 implied constant on maximal admissible balls.
+
+``import mehler`` loads no submodule: each public name below is imported
+from its module on first use (PEP 562) and then bound here.
 """
 
-from .estimates import (
-    OffDiagHypothesis,
-    blowup_slope,
-    davies_gaffney_bound,
-    delta_exponent,
-    failure_threshold,
-    interpolated_bound_log,
-    lemma_lower_bound_log,
-    nelson_min_p,
-)
-from .experiments import (
-    CONJECTURED_EXTENSION,
-    FAILS_RESTRICTED,
-    HOLDS_UNRESTRICTED,
-    UNKNOWN,
-    DaviesGaffneyResult,
-    HypercontractivityResult,
-    RegimeCell,
-    RegimeMap,
-    SweepAborted,
-    SweepResult,
-    SweepRow,
-    davies_gaffney_check,
-    fit_affine,
-    hypercontractivity_check,
-    implied_constant_log,
-    offdiag_lhs_log,
-    regime_map,
-    sweep_blowup,
-)
-from .geometry import (
-    Annulus,
-    Ball,
-    FullSpace,
-    Point,
-    admissible_radius,
-    as_point,
-    is_admissible,
-    make_maximal_admissible_ball,
-    set_distance,
-)
-from .kernel import (
-    apply_indicator_closed_log,
-    apply_indicator_log,
-    apply_via_translation,
-    mehler_log,
-    mehler_log_values,
-)
-from .lognum import LogNumber, log_sum_weighted
-from .measure import gamma_log, log_gamma_ball, log_gamma_interval
-from .quadrature import (
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    integrate_gamma_log,
-    lq_norm_log,
-)
-from .selftest import run_selftest
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Annulus",
-    "Ball",
-    "CONJECTURED_EXTENSION",
-    "DaviesGaffneyResult",
-    "FAILS_RESTRICTED",
-    "FullSpace",
-    "HOLDS_UNRESTRICTED",
-    "HypercontractivityResult",
-    "LogNumber",
-    "OffDiagHypothesis",
-    "Point",
-    "QuadratureConvergenceError",
-    "QuadratureSpec",
-    "RegimeCell",
-    "RegimeMap",
-    "SweepAborted",
-    "SweepResult",
-    "SweepRow",
-    "UNKNOWN",
-    "admissible_radius",
-    "apply_indicator_closed_log",
-    "apply_indicator_log",
-    "apply_via_translation",
-    "as_point",
-    "blowup_slope",
-    "davies_gaffney_bound",
-    "davies_gaffney_check",
-    "delta_exponent",
-    "failure_threshold",
-    "fit_affine",
-    "gamma_log",
-    "hypercontractivity_check",
-    "implied_constant_log",
-    "integrate_gamma_log",
-    "interpolated_bound_log",
-    "is_admissible",
-    "lemma_lower_bound_log",
-    "log_gamma_ball",
-    "log_gamma_interval",
-    "log_sum_weighted",
-    "lq_norm_log",
-    "make_maximal_admissible_ball",
-    "mehler_log",
-    "mehler_log_values",
-    "nelson_min_p",
-    "offdiag_lhs_log",
-    "regime_map",
-    "run_selftest",
-    "set_distance",
-    "sweep_blowup",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "estimates": (
+        "OffDiagHypothesis", "blowup_slope", "davies_gaffney_bound",
+        "delta_exponent", "failure_threshold", "interpolated_bound_log",
+        "lemma_lower_bound_log", "nelson_min_p",
+    ),
+    "experiments": (
+        "CONJECTURED_EXTENSION", "FAILS_RESTRICTED", "HOLDS_UNRESTRICTED",
+        "UNKNOWN", "DaviesGaffneyResult", "HypercontractivityResult",
+        "RegimeCell", "RegimeMap", "SweepAborted", "SweepResult", "SweepRow",
+        "davies_gaffney_check", "fit_affine", "hypercontractivity_check",
+        "implied_constant_log", "offdiag_lhs_log", "regime_map",
+        "sweep_blowup",
+    ),
+    "geometry": (
+        "Annulus", "Ball", "FullSpace", "Point", "admissible_radius",
+        "as_point", "is_admissible", "make_maximal_admissible_ball",
+        "set_distance",
+    ),
+    "kernel": (
+        "apply_indicator_closed_log", "apply_indicator_log",
+        "apply_via_translation", "mehler_log", "mehler_log_values",
+    ),
+    "lognum": ("LogNumber", "log_sum_weighted"),
+    "measure": ("gamma_log", "log_gamma_ball", "log_gamma_interval"),
+    "quadrature": (
+        "QuadratureConvergenceError", "QuadratureSpec", "integrate_gamma_log",
+    ),
+    "selftest": ("run_selftest",),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule: importing it binds it here
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

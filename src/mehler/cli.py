@@ -157,7 +157,9 @@ def _cmd_apply(args) -> int:
 
 def _cmd_sweep(args) -> int:
     hyp = OffDiagHypothesis(p=args.p, q=args.q, theta=args.theta, c=args.c)
-    grid = np.linspace(args.cmin, args.cmax, args.steps)
+    # non-finite ends give NaN or inf grid values, refused by sweep_blowup
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid = np.linspace(args.cmin, args.cmax, args.steps)
     result = sweep_blowup(hyp, args.t, args.k, args.n, grid, _spec_from(args))
     rows = [[r.cB_norm, r.log_lhs, r.log_gammaB, r.log_implied_const]
             for r in result.rows]

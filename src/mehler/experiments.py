@@ -58,7 +58,6 @@ from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _check_dim,
-    _check_q,
     _refine_each,
     integrate_axial_log,
     integrate_gamma_log,
@@ -213,7 +212,9 @@ def _annulus_lq_log(t: float, q: float, norms, radii, k: int, n: int,
     # B = B(c, r) with |c| in norms and r in radii, in one refinement, no
     # admissibility constraints; e^{tL} 1_B(y) = gamma(B((c - e^{-t} y)/s,
     # r/s)) with s = sqrt(1 - e^{-2t}), the translation route
-    q = _check_q(q)
+    q = float(q)
+    if not (q >= 1.0 and math.isfinite(q)):
+        raise ValueError("q must lie in [1, inf)")
     spec = spec if spec is not None else QuadratureSpec()
     norms = np.atleast_1d(np.asarray(norms, dtype=float))
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -310,9 +311,9 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     t = check_time(t)
     n = _check_dim(n)
     grid = sorted(float(c) for c in cB_grid)
+    norms = as_point(grid)  # refuses NaN and inf
     if len(set(grid)) < 4:
         raise ValueError("sweep grid needs at least 4 distinct |c_B| values")
-    norms = as_point(grid)  # refuses NaN and inf
     with np.errstate(over="ignore"):  # an overflowing |c|^2 gives radius 0
         k = _require_testing_family(
             make_maximal_admissible_ball([max(grid, key=abs)]), k, grid[0])

@@ -22,10 +22,10 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 
 Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
 log-domain refinement loop: it doubles the order, at most
-``MAX_REFINEMENTS`` times, until the relative change of every value
-drops below the tolerance; a pass that would build more than
-``MAX_NODES`` nodes is not built.  Both stops raise one error that
-carries the last two values of the entry that moved most.  It drives
+``MAX_REFINEMENTS`` times, until every value changes by less than the
+tolerance, relative, or by at most two ulps; a pass that would build
+more than ``MAX_NODES`` nodes is not built.  Both stops raise one error
+that carries the last two values of the entry that moved most.  It drives
 ``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
 measure in ``measure`` and the number of interpolation points in
 ``experiments``.
@@ -50,7 +50,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "integrate_gamma_log",
     "integrate_axial_log",
-    "lq_norm_log",
 ]
 
 MAX_DIM = 3
@@ -70,6 +69,9 @@ def _check_dim(n) -> int:
 MAX_NODES = 2 ** 20
 # Order doublings one refinement may make (a Gauss rule costs ~order^2).
 MAX_REFINEMENTS = 12
+# A log that moved by at most this many of its ulps has settled, whatever
+# the tolerance: summing a batch can leave that much noise in a large log.
+_SETTLED_ULPS = 2
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
@@ -89,13 +91,6 @@ class QuadratureSpec:
         object.__setattr__(self, "order", _as_index(self.order, 2, "order"))
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-
-
-def _check_q(q) -> float:
-    q = float(q)
-    if not (q >= 1.0 and math.isfinite(q)):
-        raise ValueError("q must lie in [1, inf)")
-    return q
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -229,19 +224,27 @@ def _check_region(region):
 
 
 def _log_rel_converged(cur, prev, tol: float) -> bool:
-    """True when every entry of cur moved from prev by <= tol relative.
+    """True when every entry of cur moved from prev by <= tol relative,
+    or by at most ``_SETTLED_ULPS`` ulps of cur: a large log can carry
+    that much rounding noise, more than a tight tol allows.
 
-    Equality covers the exactly-zero (-inf) case; NaN never passes.  Two
-    floats are compared in Python, where a log step of 1 or more (e - 1 >
-    tol) fails before ``math.expm1`` could overflow; arrays in numpy.
+    Equality covers the exactly-zero (-inf) case; NaN never passes, nor
+    does any other step to or from an infinity.  Two floats are compared
+    in Python, where a log step of 1 or more (e - 1 > tol) fails before
+    ``math.expm1`` could overflow; arrays in numpy.
     """
     if isinstance(cur, float) and isinstance(prev, float):
-        step = cur - prev
-        return cur == prev or (step < 1.0 and abs(math.expm1(step)) <= tol)
+        step = cur - prev  # math.ulp(inf) is inf, hence the last "<"
+        return (cur == prev or (step < 1.0 and abs(math.expm1(step)) <= tol)
+                or abs(step) <= _SETTLED_ULPS * math.ulp(cur) < math.inf)
     cur = np.asarray(cur, dtype=float)
     prev = np.asarray(prev, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
-        ok = (cur == prev) | (np.abs(np.expm1(cur - prev)) <= tol)
+        step = cur - prev
+        ok = (cur == prev) | (np.abs(np.expm1(step)) <= tol)
+        if not ok.all():
+            # np.spacing(inf) is NaN: no step to or from an infinity passes
+            ok |= np.abs(step) <= _SETTLED_ULPS * np.spacing(np.abs(cur))
     return bool(ok.all())
 
 
@@ -253,13 +256,13 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
     pass at ``order``, and ``count(order)`` is the number of nodes (over
     all entries) that pass builds.  The order doubles from ``spec.order``,
     at most ``MAX_REFINEMENTS`` times, until every entry changes by at
-    most ``tol`` relative; a pass over more than ``MAX_NODES`` nodes
+    most ``tol`` relative or two ulps; a pass over more than ``MAX_NODES`` nodes
     raises before it runs.  Either stop raises one error: it names
     ``what``, the reason with the order and ``label(i)`` for the entry i
     that moved most in the last doubling, and carries that entry's last
     two values, NaN for a pass that never ran.
     """
-    prev = cur = math.nan  # NaN never passes _log_rel_converged
+    prev = cur = math.nan  # the value of a pass that never ran
     for order in (spec.order * 2 ** i for i in range(MAX_REFINEMENTS + 1)):
         nodes = count(order)
         if nodes > MAX_NODES:
@@ -267,7 +270,7 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
                       f"{order}, above the cap of {MAX_NODES}")
             break
         prev, cur = cur, one_pass(order)
-        if _log_rel_converged(cur, prev, tol):
+        if order > spec.order and _log_rel_converged(cur, prev, tol):
             return cur
     else:
         reason = (f"did not converge to relative tolerance {tol} after "
@@ -362,17 +365,3 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
         one_pass, lambda order: norms.size * order * (2 if n == 1 else order),
         spec, spec.tol, f"annulus integral in n = {n}",
         lambda i: f"center distance {norms[i]}")
-
-
-def lq_norm_log(g_log, region, q: float,
-                spec: QuadratureSpec | None = None) -> LogNumber:
-    """Log of  ( integral_region exp(g_log)^q dgamma )^(1/q),  1 <= q < inf.
-
-    ``g_log`` follows the same vectorized calling convention as the
-    integrand of :func:`integrate_gamma_log`.
-    """
-    q = _check_q(q)
-    total = integrate_gamma_log(
-        lambda pts: q * np.asarray(g_log(pts), dtype=float),
-        region, spec)
-    return LogNumber(total.log_magnitude / q)

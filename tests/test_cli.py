@@ -243,6 +243,16 @@ def test_invalid_value_exits_2_with_no_output(capsys, argv):
     assert err.startswith("mehler: invalid parameters: ")
 
 
+@pytest.mark.parametrize("end", ["--cmax=inf", "--cmin=-inf", "--cmin=nan"])
+def test_sweep_with_a_non_finite_end_exits_2_without_a_warning(capsys, end):
+    # np.linspace once warned of an invalid multiply (an error under
+    # pytest's filter), and the distinct-values check spoke first
+    code, out, err = run_cli(capsys, *_SWEEP, end)
+    assert (code, out) == (2, "")
+    assert err == ("mehler: invalid parameters: "
+                   "point coordinates must be finite\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--center", "8"],
     ["apply", "--t", "0.5", "--center", "8", "--y", "8.5"],

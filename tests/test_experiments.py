@@ -45,7 +45,7 @@ from mehler.measure import gamma_log, log_gamma_ball
 from mehler.quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    lq_norm_log,
+    integrate_gamma_log,
 )
 
 HYP12 = OffDiagHypothesis(p=1.0, q=2.0)
@@ -80,7 +80,8 @@ def _nested_kernel_form_lhs_log(t, q, ball, k, spec):
         return np.array([apply_indicator_log(t, ball, row, spec).log_magnitude
                          for row in pts])
 
-    return lq_norm_log(g_log, Annulus(ball, k), q, spec).log_magnitude
+    return integrate_gamma_log(lambda pts: q * g_log(pts), Annulus(ball, k),
+                               spec).log_magnitude / q
 
 
 @pytest.mark.parametrize("n, c, order", [
@@ -91,6 +92,13 @@ def test_offdiag_matches_nested_kernel_form(n, c, order):
     got = offdiag_lhs_log(0.5, 2.0, ball, 1, spec).log_magnitude
     want = _nested_kernel_form_lhs_log(0.5, 2.0, ball, 1, spec)
     assert got == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize("q", [0.5, math.inf, math.nan])
+def test_offdiag_rejects_bad_q(q):
+    ball = make_maximal_admissible_ball([8.0])
+    with pytest.raises(ValueError, match=re.escape("q must lie in [1, inf)")):
+        offdiag_lhs_log(0.5, q, ball, 1)
 
 
 def test_offdiag_large_time_limit():
@@ -206,6 +214,8 @@ def _refuse_pass(*args, **kwargs):
     ([1.5, 4.0, 6.0, 8.0], "the testing family needs |c_B| >= 2^k, k = 1"),
     ([4.0, math.nan, 8.0, 10.0], "point coordinates must be finite"),
     ([4.0, 6.0, 8.0, math.inf], "point coordinates must be finite"),
+    ([math.nan, math.inf, math.inf, math.inf, 12.0],  # linspace(-inf, 12)
+     "point coordinates must be finite"),
     ([4.0, 6.0, 8.0, 1e200], "radii must satisfy 0 <= inner < outer < inf"),
     ([-1e200, 4.0, 6.0, 8.0], "radii must satisfy 0 <= inner < outer < inf"),
 ])
@@ -394,7 +404,8 @@ def _polar_lhs_log(t, q, ball, k):
         return np.concatenate([g_log(p) for p in np.split(
             pts, range(4096, len(pts), 4096))])
 
-    return lq_norm_log(in_chunks, Annulus(ball, k), q).log_magnitude
+    return integrate_gamma_log(lambda pts: q * in_chunks(pts),
+                               Annulus(ball, k)).log_magnitude / q
 
 
 @settings(max_examples=8, deadline=None)

@@ -10,13 +10,12 @@ from mehler import quadrature, selftest
 from mehler.geometry import Annulus, Ball, FullSpace
 from mehler.kernel import mehler_log_values
 from mehler.lognum import log_sum_weighted
-from mehler.measure import log_gamma_interval
+from mehler.measure import log_gamma_ball, log_gamma_interval
 from mehler.quadrature import (
     MAX_NODES,
     QuadratureConvergenceError,
     QuadratureSpec,
     integrate_gamma_log,
-    lq_norm_log,
 )
 
 
@@ -117,38 +116,6 @@ def test_refinement_work_is_capped_before_allocation():
     assert f"last two log values ({prev!r}, {cur!r})" in message
 
 
-def test_lq_norm_of_constant():
-    # ||c||_{L^q(F)} = c * gamma(F)^{1/q}
-    ball = Ball([1.0], 0.5)
-    ann = Annulus(ball, 1)
-    log_c = -3.7
-    for q in (1.0, 2.0, 3.5):
-        got = lq_norm_log(lambda p: np.full(len(p), log_c), ann, q)
-        want = log_c + integrate_gamma_log(
-            lambda p: np.zeros(len(p)), ann).log_magnitude / q
-        assert got.log_magnitude == pytest.approx(want, rel=1e-12)
-
-
-def test_lq_norm_monotone_in_region():
-    def g_log(pts):
-        return -np.sum(pts * pts, axis=-1) / 3.0
-
-    small = Ball([0.5], 0.4)
-    large = Ball([0.5], 1.6)
-    for q in (1.0, 2.0):
-        a = lq_norm_log(g_log, small, q).log_magnitude
-        b = lq_norm_log(g_log, large, q).log_magnitude
-        assert a <= b
-
-
-def test_lq_norm_rejects_bad_q():
-    ball = Ball([0.0], 1.0)
-    with pytest.raises(ValueError):
-        lq_norm_log(lambda p: np.zeros(len(p)), ball, 0.5)
-    with pytest.raises(ValueError):
-        lq_norm_log(lambda p: np.zeros(len(p)), ball, math.inf)
-
-
 def test_polar_engine_dimension_cap():
     with pytest.raises(ValueError):
         integrate_gamma_log(lambda p: np.zeros(len(p)), FullSpace(4))
@@ -227,6 +194,9 @@ def _as_array(v):
     (800.0, 0.0, False),             # expm1(800) would overflow
     (0.0, 800.0, False),
     (-2.0, -2.0, True),
+    (-3.0, math.inf, False),         # math.ulp(inf) is inf
+    (-math.inf, math.inf, False),
+    (math.inf, -3.0, False),
 ])
 def test_log_rel_converged_special_values(wrap, cur, prev, want):
     assert quadrature._log_rel_converged(wrap(cur), wrap(prev), 1e-8) is want
@@ -249,3 +219,27 @@ def test_log_rel_converged_paths_agree_at_the_tolerance(tol, prev, side):
     assert verdicts == [quadrature._log_rel_converged(
         _as_array(cur), _as_array(prev), tol) for cur in steps]
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("wrap", [float, _as_array])
+@pytest.mark.parametrize("log", [-28044.0, 2.6e5, -3.1e6])
+def test_log_rel_converged_accepts_two_ulps_of_rounding(wrap, log):
+    # below 1e-12 relative, but beyond the reach of a float this large
+    tol = 1e-12
+    assert 2 * math.ulp(log) > tol
+    for ulps, want in [(1, True), (2, True), (3, False)]:
+        for sign in (1.0, -1.0):
+            cur = log + sign * ulps * math.ulp(log)
+            assert quadrature._log_rel_converged(
+                wrap(cur), wrap(log), tol) is want
+
+
+def test_tight_batched_ball_measure_settles_at_rounding():
+    # the batch's summation noise of a few ulps once kept this grid
+    # doubling to the node cap; it now settles, bit for bit as one entry
+    # at a time
+    spec = QuadratureSpec(tol=1e-12)
+    norms = np.linspace(150.0, 170.0, 64)
+    got = log_gamma_ball(norms, 3.0, 2, spec)
+    want = [log_gamma_ball(c, 3.0, 2, spec) for c in norms]
+    assert got.tolist() == want
