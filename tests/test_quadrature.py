@@ -194,7 +194,7 @@ def _as_array(v):
     (800.0, 0.0, False),             # expm1(800) would overflow
     (0.0, 800.0, False),
     (-2.0, -2.0, True),
-    (-3.0, math.inf, False),         # math.ulp(inf) is inf
+    (-3.0, math.inf, False),         # no step to or from an infinity
     (-math.inf, math.inf, False),
     (math.inf, -3.0, False),
 ])
