@@ -175,8 +175,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_regime(args) -> int:
-    p_grid = np.linspace(args.pmin, args.pmax, args.psteps)
-    t_grid = np.linspace(args.tmin, args.tmax, args.tsteps)
+    with np.errstate(invalid="ignore", over="ignore"):  # refused later
+        p_grid = np.linspace(args.pmin, args.pmax, args.psteps)
+        t_grid = np.linspace(args.tmin, args.tmax, args.tsteps)
     result = regime_map(p_grid, [args.qfixed], t_grid)
     rows = [[c.p, c.q, c.t, c.t_star, c.p_nelson, c.regime]
             for c in result.cells]

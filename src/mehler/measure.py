@@ -96,9 +96,9 @@ def log_gamma_ball(center_norms, radius, n: int,
     as in any batch, and the inputs are never written.  The order doubles
     from ``spec.order`` until every entry changes by less than
     max(spec.tol / 100, 1e-12) relative.  A pass over more than
-    ``quadrature.MAX_NODES`` (center, node) pairs raises instead.  This is
-    gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2), the noncentral
-    chi-square CDF, kept in log domain far below exp(-700).
+    ``quadrature.MAX_NODES`` (center, node) pairs, or above order 1024,
+    raises instead.  This is gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2),
+    the noncentral chi-square CDF, kept in log domain far below exp(-700).
     """
     norms = np.asarray(center_norms, dtype=float)
     radius = np.asarray(radius, dtype=float)

@@ -21,10 +21,10 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
   2 order^n.  The sweeps and the annulus measures in n = 2, 3 use it.
 
 Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
-log-domain refinement loop: it doubles the order, at most
-``MAX_REFINEMENTS`` times, until every value changes by less than the
-tolerance, relative, or by at most two ulps; a pass that would build
-more than ``MAX_NODES`` nodes is not built.  Both stops raise one error
+log-domain refinement loop: it doubles the order until every value
+changes by less than the tolerance, relative, or by at most two ulps.
+A pass whose work, the larger of its node count and order^2, exceeds
+``MAX_NODES`` is refused unbuilt (no rule tops order 1024): one error
 that carries the last two values of the entry that moved most.  It drives
 ``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
 measure in ``measure`` and the number of interpolation points in
@@ -62,13 +62,12 @@ def _check_dim(n) -> int:
     return int(n)
 
 
-# Largest node set one refinement pass may build.  A doubling multiplies
-# the node count by 2^n, so in n = 3 MAX_REFINEMENTS alone would let a
-# non-converging integrand allocate gigabytes; polar grids stay below
-# this cap up to order 80 in n = 3 and order 724 in n = 2.
+# Most work one refinement pass may do: the larger of its node count and
+# order^2, the cost of building a Gauss rule of that order (or an order x
+# order interpolation matrix).  It bounds memory and time alike: orders
+# stay at or below 1024, polar grids at or below order 80 in n = 3 and
+# order 724 in n = 2.
 MAX_NODES = 2 ** 20
-# Order doublings one refinement may make (a Gauss rule costs ~order^2).
-MAX_REFINEMENTS = 12
 # A log that moved by at most this many of its ulps has settled, whatever
 # the tolerance: summing a batch can leave that much noise in a large log.
 _SETTLED_ULPS = 2
@@ -185,9 +184,9 @@ def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
     direction, dlw = _sphere_rule(n, order)
     rho, rlw = _radial_rule(n, order, r_inner, r_outer)
     pts = center + (rho[:, None, None] * direction).reshape(-1, n)
-    lw = ((rlw[:, None] + dlw).reshape(-1) - (pts * pts).sum(axis=-1)
-          - n * _LOG_SQRT_PI)
-    return pts, lw
+    with np.errstate(over="ignore"):  # |y|^2 past float range: weight 0
+        lw = (rlw[:, None] + dlw).reshape(-1) - (pts * pts).sum(axis=-1)
+    return pts, lw - n * _LOG_SQRT_PI
 
 
 def _axial_nodes(norms, r_inner, r_outer, n: int, order: int):
@@ -254,27 +253,23 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
 
     ``one_pass(order)`` returns a log value, or an array of them, from a
     pass at ``order``, and ``count(order)`` is the number of nodes (over
-    all entries) that pass builds.  The order doubles from ``spec.order``,
-    at most ``MAX_REFINEMENTS`` times, until every entry changes by at
-    most ``tol`` relative or two ulps; a pass over more than ``MAX_NODES`` nodes
-    raises before it runs.  Either stop raises one error: it names
-    ``what``, the reason with the order and ``label(i)`` for the entry i
-    that moved most in the last doubling, and carries that entry's last
-    two values, NaN for a pass that never ran.
+    all entries) that pass builds.  The order doubles from ``spec.order``
+    until every entry changes by at most ``tol`` relative or two ulps.
+    The one stop: a pass whose work, the larger of its node count and
+    order^2, exceeds ``MAX_NODES`` raises before it runs.  The error
+    names ``what``, the refused order, its work, the cap and ``label(i)``
+    for the entry i that moved most in the last doubling, and carries
+    that entry's last two values, NaN for a pass that never ran.
     """
     prev = cur = math.nan  # the value of a pass that never ran
-    for order in (spec.order * 2 ** i for i in range(MAX_REFINEMENTS + 1)):
-        nodes = count(order)
-        if nodes > MAX_NODES:
-            reason = (f"refinement would build {nodes} nodes at order "
-                      f"{order}, above the cap of {MAX_NODES}")
-            break
+    order = spec.order
+    while max(nodes := count(order), order * order) <= MAX_NODES:
         prev, cur = cur, one_pass(order)
         if order > spec.order and _log_rel_converged(cur, prev, tol):
             return cur
-    else:
-        reason = (f"did not converge to relative tolerance {tol} after "
-                  f"{MAX_REFINEMENTS} order doublings (order {order})")
+        order *= 2
+    reason = (f"refinement would build {nodes} nodes at order {order} "
+              f"(order^2 = {order * order}), above the cap of {MAX_NODES}")
     prev, cur = (np.ravel(a) for a in np.broadcast_arrays(prev, cur))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
         worst = int(np.argmax(np.abs(cur - prev)))
@@ -308,10 +303,10 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     Raises
     ------
     QuadratureConvergenceError
-        When ``MAX_REFINEMENTS`` order doublings do not bring the
-        relative change below ``tol``, or when the next pass would build
-        more than ``MAX_NODES`` nodes.  The message names n, the reason,
-        the order and the region; ``last_two`` holds the last two
+        When the next pass would do more than ``MAX_NODES`` work, the
+        larger of its node count and order^2, before the relative change
+        falls below ``tol``.  The message names n, the refused order,
+        the cap and the region; ``last_two`` holds the last two
         iterates, NaN for a pass that never ran.
     """
     spec = spec if spec is not None else QuadratureSpec()
@@ -348,7 +343,7 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
     any pass runs.  The result is 1-D.  Every term is positive, so
     nothing cancels.  The order doubles until every entry changes by at
     most ``spec.tol`` relative; a pass over more than ``MAX_NODES``
-    (center, node) pairs raises ``QuadratureConvergenceError`` unbuilt.
+    (center, node) pairs or order 1024 raises ``QuadratureConvergenceError``.
     """
     n = _check_dim(n)
     spec = spec if spec is not None else QuadratureSpec()

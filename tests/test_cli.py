@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +255,20 @@ def test_sweep_with_a_non_finite_end_exits_2_without_a_warning(capsys, end):
                    "point coordinates must be finite\n")
 
 
+_REGIME = ["regime", "--qfixed", "2", "--pmin", "1.05", "--pmax", "1.95",
+           "--psteps", "3", "--tmin", "0.1", "--tmax", "2", "--tsteps", "2"]
+
+
+@pytest.mark.parametrize("end", ["--pmax=inf", "--tmax=inf", "--pmin=nan"])
+def test_regime_with_a_non_finite_end_exits_2_without_a_warning(capsys, end):
+    # np.linspace must not warn of an invalid multiply (an error under
+    # pytest's filter), and a NaN p is refused, not skipped as "p < 1"
+    code, out, err = run_cli(capsys, *_REGIME, end)
+    assert (code, out) == (2, "")
+    assert err == ("mehler: invalid parameters: "
+                   "point coordinates must be finite\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--center", "8"],
     ["apply", "--t", "0.5", "--center", "8", "--y", "8.5"],
@@ -272,7 +288,8 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_nonconvergence_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    # a work cap of 16 admits the orders 2 and 4 of one grid point only
+    monkeypatch.setattr(quadrature, "MAX_NODES", 16)
     args = ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1",
             "--n", "1", "--cmin", "4", "--cmax", "8", "--steps", "4",
             "--order", "2", "--tol", "1e-15"]
@@ -311,8 +328,47 @@ def test_hypercheck_out_of_range_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "numerical non-convergence" in err
-    # the failing integral is the outer L^p norm over the real line
-    assert "order 65536" in err and "FullSpace(dim=1)" in err
+    # the failing integral is the outer L^p norm over the real line; the
+    # work cap refuses the order-2048 rule (order^2 above 2^20)
+    assert "at order 2048 (order^2 = 4194304)" in err
+    assert "above the cap of 1048576" in err and "FullSpace(dim=1)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hypercheck", "--t", "1", "--p", "1.5", "--lambda", "40"],
+    ["gamma", "--center", "8,0", "--order", "30000"],
+    ["apply", "--t", "1e-7", "--center", "8", "--y", "8.5"],
+    ["apply", "--t", "0.5", "--center", "8", "--radius", "1e300", "--y",
+     "8.5"],
+    ["sweep", "--t", "1e-6", "--p", "1", "--q", "2", "--k", "1", "--n", "1",
+     "--cmin", "4", "--cmax", "12", "--steps", "5"],
+])
+def test_unsettled_refinement_exits_3_within_bounded_work(capsys, argv):
+    # the work cap, the larger of a pass's nodes and order^2, refuses
+    # every rule above order 1024, however large --order is.  A profile
+    # hook sees every Gauss rule scipy builds, and numpy warnings are
+    # errors under pytest's filter.  Measured 0.001-0.25 s each on 2
+    # CPUs; the bound leaves a wide margin
+    orders = []
+
+    def hook(frame, event, _):
+        if event == "call" and frame.f_code.co_name.startswith("roots_"):
+            orders.append(frame.f_locals["n"])
+
+    quadrature._log_rule.cache_clear()
+    start = time.perf_counter()
+    sys.setprofile(hook)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.setprofile(None)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert max(orders, default=0) <= 1024
+    order = re.search(r"at order (\d+) \(order\^2 = (\d+)\), above the cap "
+                      r"of 1048576, (.+); last two log values", err)
+    assert order is not None, err
+    assert int(order[1]) > 1024 and int(order[2]) == int(order[1]) ** 2
 
 
 @pytest.mark.parametrize("n, t", [("1", "800"), ("2", "720")])

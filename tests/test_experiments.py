@@ -320,16 +320,17 @@ def test_sweep_rows_match_single_points(n):
             abs=spec.tol)
 
 
-# the outer axial rule ends at order 32 on this grid in n = 2, 3, with
-# 32^2 nodes a grid point; the whole grid's ball-measure samples, 5 rows x
-# 16 points x theta order 32 = 2,560 nodes, fit below the cap
-@pytest.mark.parametrize("n, cap", [(1, 128), (2, 4 * 32 ** 2),
+# the outer axial rule ends at order 32 on these grids, with 2 x 32 nodes
+# a grid point in n = 1 and 32^2 in n = 2, 3; the order-32 rule's own
+# work, 32^2, fits the cap, and in n = 2, 3 so do the whole grid's
+# ball-measure samples, 5 rows x 16 points x theta order 32 = 2,560 nodes
+@pytest.mark.parametrize("n, cap", [(1, 32 ** 2), (2, 4 * 32 ** 2),
                                     (3, 4 * 32 ** 2)])
 def test_sweep_splits_a_grid_over_the_node_cap(n, cap, monkeypatch):
-    # the cap admits the outer rule's largest pass of two grid points, not
-    # of five: the whole-grid pass raises, and the sweep gets through in
-    # halves
-    grid = [4.0, 6.0, 8.0, 10.0, 12.0]
+    # the cap admits the outer rule's largest pass of half the grid (16
+    # points of 32 in n = 1, two of five in n = 2, 3), not of the whole
+    # grid: the whole-grid pass raises, and the sweep gets through in halves
+    grid = np.linspace(4.0, 12.0, 32 if n == 1 else 5).tolist()
     want = sweep_blowup(HYP12, 0.5, 1, n, grid)
     monkeypatch.setattr(quadrature, "MAX_NODES", cap)
     with pytest.raises(QuadratureConvergenceError,
@@ -456,7 +457,8 @@ def test_small_time_sweep_in_3d(capsys):
 
 
 def test_sweep_abort_carries_partial_rows(monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    # a work cap of 16 admits the orders 2 and 4 of one grid point only
+    monkeypatch.setattr(quadrature, "MAX_NODES", 16)
     starved = QuadratureSpec(order=2, tol=1e-15)
     with pytest.raises(SweepAborted) as err:
         sweep_blowup(HYP12, 0.5, 1, 1, [4.0, 6.0, 8.0, 10.0], starved)
@@ -576,3 +578,12 @@ class TestRegimeMap:
         reasons = {r for *_, r in result.skipped}
         assert reasons == {"t <= 0", "p < 1", "q <= p"}
         assert len(result.cells) + len(result.skipped) == 8
+
+    @pytest.mark.parametrize("p, t", [(math.nan, 1.0), (math.inf, 1.0),
+                                      (1.5, math.nan), (1.5, math.inf)])
+    def test_non_finite_p_or_t_is_refused(self, p, t):
+        # a NaN p is refused, not skipped as "p < 1"; q = inf is a skip
+        with pytest.raises(ValueError, match="must be finite"):
+            regime_map([1.5, p], [2.0], [1.0, t])
+        assert regime_map([1.5], [math.inf], [1.0]).skipped == (
+            (1.5, math.inf, 1.0, "q = inf"),)

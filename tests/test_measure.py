@@ -464,11 +464,14 @@ def test_gamma_log_of_ball_matches_polar_engine(n, norm, rho, direction):
 
 
 def test_ball_measure_raises_when_refinement_runs_out(monkeypatch):
-    # order 2 with one doubling cannot resolve 1e-12 relative
-    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    # order 2 with one doubling cannot resolve 1e-12 relative; a work cap
+    # of 16 admits the orders 2 and 4 only
     spec = QuadratureSpec(order=2, tol=1e-10)
-    with pytest.raises(QuadratureConvergenceError):
-        log_gamma_ball(np.array([0.0, 6.0]), 1.2, 3, spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "MAX_NODES", 16)
+        with pytest.raises(QuadratureConvergenceError,
+                           match="order 8 .* above the cap of 16"):
+            log_gamma_ball(np.array([0.0, 6.0]), 1.2, 3, spec)
     # a pass over more (center, node) pairs than the cap is never built,
     # so the first pass has no iterates to report
     with pytest.raises(QuadratureConvergenceError,
@@ -483,10 +486,9 @@ def test_ball_measure_raises_when_refinement_runs_out(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_nan_center_distance_is_rejected_at_once(monkeypatch, n):
-    # a NaN never converges, so it would run every doubling; one doubling
-    # keeps a missing check from hanging the test
-    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+def test_nan_center_distance_is_rejected_at_once(n):
+    # a NaN never converges: without the check it would run every
+    # doubling the work cap admits and fail as non-convergence
     with pytest.raises(ValueError, match="NaN"):
         log_gamma_ball(np.array([1.0, math.nan]), 0.5, n)
     with pytest.raises(ValueError, match="NaN"):

@@ -80,8 +80,9 @@ def test_refinement_history_monotone_on_smooth_kernel_integrand():
 
 
 def test_convergence_error_carries_last_iterates(monkeypatch):
-    # order 2 with a single refinement cannot resolve a sharp kernel
-    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    # order 2 with a single refinement cannot resolve a sharp kernel; a
+    # work cap of 16 admits the orders 2 and 4 only
+    monkeypatch.setattr(quadrature, "MAX_NODES", 16)
     spec = QuadratureSpec(order=2, tol=1e-14)
     y = np.array([[0.3]])
     with pytest.raises(QuadratureConvergenceError) as err:
@@ -92,8 +93,8 @@ def test_convergence_error_carries_last_iterates(monkeypatch):
 
 
 def test_refinement_work_is_capped_before_allocation():
-    # seeded noise never converges; in n = 3 the cap, not MAX_REFINEMENTS,
-    # must stop the doubling before a pass larger than MAX_NODES is built
+    # seeded noise never converges; in n = 3 the cap must stop the
+    # doubling before a pass larger than MAX_NODES is built
     rng = np.random.default_rng(11)
     sizes = []
 
@@ -104,7 +105,7 @@ def test_refinement_work_is_capped_before_allocation():
     with pytest.raises(QuadratureConvergenceError) as err:
         integrate_gamma_log(noise, Ball([0.5, 0.0, 0.0], 1.0))
     assert max(sizes) <= MAX_NODES
-    assert len(sizes) < quadrature.MAX_REFINEMENTS + 1
+    assert sizes == [2 * order ** 3 for order in (16, 32, 64)]
     message = str(err.value)
     assert "n = 3" in message and "order 128" in message
     assert str(2 * 128 ** 3) in message
@@ -114,6 +115,14 @@ def test_refinement_work_is_capped_before_allocation():
     assert math.isfinite(prev) and math.isfinite(cur) and prev != cur
     assert "Ball(center=[0.5, 0.0, 0.0], radius=1.0)" in message
     assert f"last two log values ({prev!r}, {cur!r})" in message
+
+
+def test_polar_weight_past_float_range_is_zero():
+    # |y|^2 overflows for nodes near |y| = 1e300; numpy warnings are errors
+    # under pytest's filter, and such a node must weigh nothing
+    pts, lw = quadrature._polar_nodes(np.array([8.0]), 0.0, 1e300, 1, 16)
+    far = np.abs(pts[:, 0]) > 1e155
+    assert far.any() and (lw[far] == -math.inf).all()
 
 
 def test_polar_engine_dimension_cap():
