@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -69,6 +70,16 @@ def _add_output_options(sub):
 
 def _spec_from(args) -> QuadratureSpec:
     return QuadratureSpec(order=args.order, tol=args.tol)
+
+
+def _check_output(path) -> None:
+    # refuse, before any work runs, an output path that cannot be written
+    if path in ("-", None):
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if (os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+            path if os.path.exists(path) else folder, os.W_OK)):
+        raise ValueError(f"cannot write the output to {path!r}")
 
 
 def _emit(args, text: str):
@@ -295,6 +306,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_output(getattr(args, "output", None))
         return args.func(args)
     except (QuadratureConvergenceError, SweepAborted) as exc:
         print(f"mehler: numerical non-convergence: {exc}", file=sys.stderr)

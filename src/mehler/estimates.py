@@ -72,13 +72,16 @@ def davies_gaffney_bound(t: float, d: float) -> float:
     return (t / d) * math.exp(-d * d / (2.0 * t))
 
 
-def nelson_min_p(t: float) -> float:
-    """Infimum of exponents p for which e^{tL} contracts L^p into L^2.
+def nelson_min_p(t: float, q: float = 2.0) -> float:
+    """Infimum of exponents p for which e^{tL} contracts L^p into L^q.
 
-    Equals 1 + e^{-2t}; contraction holds for p in (1 + e^{-2t}, 2].
+    Equals 1 + (q - 1) e^{-2t} (Nelson); for q = 2 contraction holds for
+    p in (1 + e^{-2t}, 2].
     """
     t = check_time(t)
-    return 1.0 + math.exp(-2.0 * t)
+    if not 1.0 < q < math.inf:
+        raise ValueError("need 1 < q < inf")
+    return 1.0 + (q - 1.0) * math.exp(-2.0 * t)
 
 
 def delta_exponent(p: float, t: float) -> float:

@@ -314,9 +314,8 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     norms = as_point(grid)  # refuses NaN and inf
     if len(set(grid)) < 4:
         raise ValueError("sweep grid needs at least 4 distinct |c_B| values")
-    with np.errstate(over="ignore"):  # an overflowing |c|^2 gives radius 0
-        k = _require_testing_family(
-            make_maximal_admissible_ball([max(grid, key=abs)]), k, grid[0])
+    k = _require_testing_family(
+        make_maximal_admissible_ball([max(grid, key=abs)]), k, grid[0])
 
     rows: list[SweepRow] = []
     _sweep_rows(hyp, t, k, n, norms, spec, rows)
@@ -372,7 +371,7 @@ def hypercontractivity_check(t: float, p: float, lam: float,
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     try:
-        closed = math.exp(lam * lam * (1.0 + math.exp(-2.0 * t) - p) / 4.0)
+        closed = math.exp(lam * lam * (nelson_min_p(t) - p) / 4.0)
     except OverflowError:
         closed = math.inf
 
@@ -415,7 +414,7 @@ def _classify(p: float, q: float, t: float) -> RegimeCell:
         regime = FAILS_RESTRICTED
     elif q == 2.0 and p_nel < p <= 2.0:
         regime = HOLDS_UNRESTRICTED
-    elif q != 2.0 and p > 1.0 and p > 1.0 + (q - 1.0) * math.exp(-2.0 * t):
+    elif q != 2.0 and p > nelson_min_p(t, q):
         # the L^p -> L^q contraction threshold; reported as a conjectured
         # extension of the interpolation argument, never as proven
         regime = CONJECTURED_EXTENSION

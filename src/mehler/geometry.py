@@ -63,6 +63,12 @@ def _as_index(value, lo: int, what: str) -> int:
     return int(value)
 
 
+def _norm(x) -> float:
+    """|x|, which reads inf, without a warning, where |x|^2 overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(x))
+
+
 def _check_shape(center_norms, r_inner, r_outer) -> None:
     """Refuse a NaN center distance, or radii without 0 <= r_inner <
     r_outer < inf, elementwise; floats stay out of numpy, which costs more."""
@@ -86,7 +92,7 @@ class _Region:
 
     @property
     def center_norm(self) -> float:
-        return float(np.linalg.norm(self.center))
+        return _norm(self.center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +163,7 @@ class FullSpace:
 
 def admissible_radius(center) -> float:
     """The admissible scale min(1, |c|^{-1}) at a point (1 at the origin)."""
-    c = as_point(center)
-    norm = float(np.linalg.norm(c))
+    norm = _norm(as_point(center))
     return 1.0 if norm <= 1.0 else 1.0 / norm
 
 

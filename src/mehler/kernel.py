@@ -111,7 +111,7 @@ def apply_indicator_closed_log(t: float, a: float, b: float, y: float) -> float:
 
     From the translation route, e^{tL} 1_[a,b](y) is the gamma measure of
     the interval [(a - e^{-t} y)/s, (b - e^{-t} y)/s] with
-    s = sqrt(1 - e^{-2t}); evaluated through tail log-CDFs.
+    s = sqrt(1 - e^{-2t}), by ``measure.log_gamma_interval``.
     """
     t = check_time(t)
     em, one_minus, _ = _time_factors(t)

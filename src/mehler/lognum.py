@@ -54,20 +54,19 @@ def log_sum_weighted(log_values, log_weights=None, axis=None):
     the maximum is checked in Python; along an axis only rows whose
     maximum is not finite take the guarded path.  A finite maximum makes
     the largest term exp(0) = 1, so no sum is 0; a maximum of -inf (all
-    terms zero), +inf or NaN is the result as is.  The inputs are never
-    written: along an axis with weights, the shift and exp run in place
-    in the array ``log_values + log_weights`` that this call allocates.
+    terms zero, or no terms at all), +inf or NaN is the result as is.
+    The inputs are never written: along an axis with weights, the shift
+    and exp run in place in the array ``log_values + log_weights`` that
+    this call allocates.
     """
     a = np.asarray(log_values, dtype=float)
     if log_weights is not None:
         a = a + log_weights
-    if a.size == 0:
-        return -math.inf
     if axis is None:
-        top = a.max()
+        top = a.max(initial=-math.inf)
         return float(top + np.log(np.exp(a - top).sum())
                      if math.isfinite(top) else top)
-    top = a.max(axis=axis, keepdims=True)
+    top = a.max(axis=axis, keepdims=True, initial=-math.inf)
     finite = np.isfinite(top)
     shift = top if finite.all() else np.where(finite, top, 0.0)
     terms = (np.exp(a - shift) if log_weights is None

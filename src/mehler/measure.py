@@ -1,7 +1,7 @@
 """Gaussian measure of intervals, balls and annuli, in log domain.
 
 gamma(S) = integral_S pi^{-n/2} exp(-|x|^2) dx.  One-dimensional sets go
-through the error-function closed form evaluated via the normal log-CDF,
+through the error-function closed form, scaled (erfcx) past the origin,
 which keeps full relative precision for magnitudes like exp(-900).
 
 ``log_gamma_ball`` is the one ball-measure primitive.  It is
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, gammainc, log_ndtr
+from scipy.special import erf, erfcx, gammainc
 
 from .geometry import Annulus, Ball, FullSpace, _check_shape
 from .lognum import LogNumber, log_sum_weighted
@@ -36,16 +36,17 @@ from .quadrature import (
 
 __all__ = ["log_gamma_interval", "log_gamma_ball", "gamma_log"]
 
-_SQRT2 = math.sqrt(2.0)
 
-
-def log_gamma_interval(a, b):
+def log_gamma_interval(a, b, width=None):
     """log gamma([a, b]) in one dimension; endpoints may be infinite.
 
-    Equivalent to log((erf(b) - erf(a)) / 2) but evaluated through tail
-    log-CDFs so intervals deep in either tail keep relative precision.
-    Array-valued: ``a`` and ``b`` broadcast, and scalar endpoints give a
-    float.
+    Equivalent to log((erf(b) - erf(a)) / 2).  Right of the origin (a span
+    left of it is reflected) it is the log of e^{-a^2} (erfcx(a) - erfcx(b)
+    e^{-w (a + b)}) / 2, w = b - a, erfcx(x) = e^{x^2} erfc(x) (W. J. Cody,
+    Math. Comp. 23 (1969) 631), which keeps relative precision deep in
+    either tail.  Callers that know a center and a radius pass ``width``
+    = 2 radius exactly: far out, the two ends round to one float.  The
+    arguments broadcast; scalar endpoints give a float.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (a <= b).all():  # one scan: a NaN endpoint fails it too
@@ -56,16 +57,17 @@ def log_gamma_interval(a, b):
     flip = b <= 0.0
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # right tail: gamma([lo, hi]) = Q(lo) - Q(hi), Q(x) = Phi(-sqrt(2) x)
-        upper = log_ndtr(-_SQRT2 * lo)
-        tail = upper + np.log(-np.expm1(log_ndtr(-_SQRT2 * hi) - upper))
-        # past lo ~ 1.3e154 upper underflows, and -inf - (-inf) is NaN
-        tail = np.where(upper == -math.inf, upper, tail)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        width = b - a if width is None else width
+        # hi^2 = lo^2 + w (lo + hi), and -lo^2, the large term, comes last;
+        # the share of erfc(lo) past hi is 1 for an empty span and NaN (0/0)
+        # at lo = inf: fmin takes both to 1
+        erfcx_lo = erfcx(lo)
+        past = erfcx(hi) / erfcx_lo * np.exp(-width * (lo + hi))
+        tail = np.log(0.5 * erfcx_lo) + np.log1p(-np.fmin(past, 1.0)) - lo * lo
         # straddles the origin: the two halves add, no cancellation
         middle = np.log(0.5 * (erf(hi) + erf(-lo)))
-    out = np.where(hi == math.inf, upper, np.where(lo >= 0.0, tail, middle))
-    out = np.where(a == b, -math.inf, out)
+    out = np.where(lo >= 0.0, tail, middle)
     return float(out) if out.ndim == 0 else out
 
 
@@ -82,8 +84,9 @@ def log_gamma_ball(center_norms, radius, n: int,
     center matters.  ``radius`` is a number or an array that broadcasts
     against ``center_norms``; a NaN distance, or a radius outside
     (0, inf), raises ``ValueError`` before any pass runs.  In n = 1 this
-    is the interval (a - radius, a + radius).  In n = 2, 3, with the axis
-    along m and x = a + radius cos(theta),
+    is the interval (a - radius, a + radius) of width 2 radius, exact
+    however far out a is.  In n = 2, 3, with the axis along m and
+    x = a + radius cos(theta),
 
         gamma_n(B) = int_0^pi pi^{-1/2} exp(-(a + radius cos theta)^2)
                      F_{n-1}(radius^2 sin^2 theta) radius sin theta dtheta,
@@ -105,7 +108,7 @@ def log_gamma_ball(center_norms, radius, n: int,
     _check_shape(norms, 0.0, radius)
     n = _check_dim(n)
     if n == 1:
-        return log_gamma_interval(norms - radius, norms + radius)
+        return log_gamma_interval(norms - radius, norms + radius, 2 * radius)
     spec = spec if spec is not None else QuadratureSpec()
     shape = np.broadcast_shapes(norms.shape, radius.shape)
     return _refine_each(
@@ -152,9 +155,9 @@ def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:
     c, ri, ro = region.center_norm, region.inner_radius, region.outer_radius
     if ri == 0.0:
         log = log_gamma_ball(c, ro, region.dim, spec)
-    elif region.dim == 1:
-        log = np.logaddexp(log_gamma_interval(c - ro, c - ri),
-                           log_gamma_interval(c + ri, c + ro))
+    elif region.dim == 1:  # two spans of width ro - ri, exactly 2^k r_B
+        log = np.logaddexp(log_gamma_interval(c - ro, c - ri, ro - ri),
+                           log_gamma_interval(c + ri, c + ro, ro - ri))
     else:
         log = integrate_axial_log(lambda x, z: np.zeros(x.shape), c, ri, ro,
                                   region.dim, spec)[0]

@@ -199,8 +199,8 @@ def _axial_nodes(norms, r_inner, r_outer, n: int, order: int):
     z = rho[..., None] * v
     with np.errstate(over="ignore"):  # |y|^2 past float range: weight 0
         lw = (rlw[..., None] + ulw) - (x * x + z * z) - n * _LOG_SQRT_PI
-    rows = norms.size
-    return x.reshape(rows, -1), z.reshape(rows, -1), lw.reshape(rows, -1)
+    shape = (norms.size, order * u.size)  # no -1: there may be no rows
+    return x.reshape(shape), z.reshape(shape), lw.reshape(shape)
 
 
 def _nodes_for(region, order: int):

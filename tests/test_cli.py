@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mehler
-from mehler import cli, quadrature
+from mehler import cli, experiments, quadrature
 from mehler.cli import main
 from mehler.estimates import OffDiagHypothesis
 from mehler.experiments import sweep_blowup
@@ -140,6 +140,27 @@ def test_sweep_output_file(tmp_path, capsys):
     assert raw.decode("utf-8").startswith("cB_norm,")
 
 
+def _refuse_refinement(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["gamma", "--center", "8"], "missing/g.csv"),
+    (["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1", "--n", "1",
+      "--cmin", "4", "--cmax", "12", "--steps", "5"], ""),
+], ids=["gamma-to-a-missing-folder", "sweep-to-a-folder"])
+def test_unwritable_output_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, where):
+    # a path in a missing folder, or a folder, is refused as the other
+    # invalid parameters are, before any refinement runs
+    monkeypatch.setattr(experiments, "_annulus_lq_log", _refuse_refinement)
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == (f"mehler: invalid parameters: cannot write the output "
+                   f"to {str(target)!r}\n")
+
+
 def test_regime_grid(capsys):
     args = ["regime", "--qfixed", "2", "--pmin", "1.05", "--pmax", "1.95",
             "--psteps", "10", "--tmin", "0.1", "--tmax", "2",
@@ -210,6 +231,23 @@ def test_far_out_kernel_exits_2_with_a_clean_stderr(capsys):
                              "1e200", "--y", "1e200")
     assert (code, out, err) == (
         2, "", "mehler: invalid parameters: log_magnitude must not be NaN\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--center", "1e160"],
+    ["gamma", "--center", "1e160,0"],
+    ["gamma", "--center", "0,1e160,0"],
+    ["apply", "--t", "0.5", "--center", "1e160", "--y", "0"],
+    ["apply", "--t", "0.5", "--center", "1e160,0", "--y", "0,0"],
+    ["apply", "--t", "0.5", "--center", "0,0,1e160", "--y", "0,0,0"],
+])
+def test_far_out_center_exits_2_without_a_warning(capsys, argv):
+    # |c|^2 overflows, so |c| reads inf and the admissible radius 0; numpy
+    # must not warn on the way (pytest turns a RuntimeWarning into an error)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("mehler: invalid parameters: radii must satisfy "
+                   "0 <= inner < outer < inf\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -90,6 +90,18 @@ class TestNelsonThreshold:
             assert nelson_min_p(t) == pytest.approx(p, rel=1e-12)
 
 
+    def test_target_exponent(self):
+        # L^p -> L^q contraction holds from p = 1 + (q - 1) e^{-2t} on; q = 2
+        # is the default, bit for bit
+        for t in (0.05, 0.5, 2.0, 400.0):
+            assert nelson_min_p(t, 2.0) == nelson_min_p(t)
+            for q in (1.5, 3.0, 7.25):
+                assert nelson_min_p(t, q) == 1.0 + (q - 1.0) * math.exp(-2 * t)
+        for q in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="1 < q < inf"):
+                nelson_min_p(1.0, q)
+
+
 class TestDeltaExponent:
     def test_vanishes_at_p2(self):
         for t in (0.1, 1.0, 3.0):

@@ -240,10 +240,16 @@ def test_cli_sweep_below_the_family_exits_2(capsys, n):
                    "|c_B| >= 2^k, k = 1\n")
 
 
-def test_sweep_aborts_at_a_row_that_is_not_finite(capsys):
-    # in n = 1 the erf form reads both logs as -inf past |c| ~ 1e8, and
-    # their difference is NaN; the sweep stops there with the rows before it
+def test_sweep_aborts_at_a_row_that_is_not_finite(capsys, monkeypatch):
+    # a ball measure that is NaN at one grid point stands in for any row
+    # that is not finite; the sweep stops there with the rows before it
     grid = np.linspace(4.0, 1e10, 5)
+
+    def nan_at_second_point(norms, radius, n, spec=None):
+        log = log_gamma_ball(norms, radius, n, spec)
+        return np.where(norms == grid[1], math.nan, log)
+
+    monkeypatch.setattr(experiments, "log_gamma_ball", nan_at_second_point)
     with pytest.raises(SweepAborted, match=re.escape(
             "sweep aborted at |c_B| = 2500000003.0: log implied constant "
             "nan")) as err:
@@ -256,6 +262,22 @@ def test_sweep_aborts_at_a_row_that_is_not_finite(capsys):
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and "numerical non-convergence" in err
+
+
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_sweep_is_finite_far_out_in_every_dimension(capsys, n):
+    # maximal admissible balls out to |c_B| = 1e10, where c +- 1/c round to
+    # c: the n = 1 measure sees the ball's exact width, as n = 2, 3 do
+    argv = ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1",
+            "--n", n, "--cmin", "4", "--cmax", "1e10", "--steps", "5"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [list(map(float, line.split(","))) for line in lines[1:6]]
+    assert [row[0] for row in rows] == list(np.linspace(4.0, 1e10, 5))
+    assert all(map(math.isfinite, np.ravel(rows)))
+    for c, _, log_gamma_b, _ in rows[1:]:  # log gamma(B) ~ -|c_B|^2
+        assert log_gamma_b == pytest.approx(-c * c, rel=1e-15)
+    assert float(lines[6].rpartition("rel_err=")[2]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

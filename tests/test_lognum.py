@@ -57,9 +57,7 @@ def _reference_log_sum(log_values, log_weights=None, axis=None):
     a = np.asarray(log_values, dtype=float)
     if log_weights is not None:
         a = a + np.asarray(log_weights, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    top = np.max(a, axis=axis, keepdims=True)
+    top = np.max(a, axis=axis, keepdims=True, initial=-math.inf)
     shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         out = shift + np.log(np.sum(np.exp(a - shift), axis=axis,
@@ -132,8 +130,16 @@ def test_log_sum_weighted_never_writes_its_inputs(axis, weighted):
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
 @pytest.mark.parametrize("axis", [None, -1, 0])
 def test_log_sum_weighted_of_nothing_is_zero(shape, axis):
-    assert log_sum_weighted(np.empty(shape), axis=axis) == -math.inf
-    assert _reference_log_sum(np.empty(shape), axis=axis) == -math.inf
+    # an empty batch reduces like any other: to -inf (a sum of no terms)
+    # at every entry of the reduced shape, which may itself be empty
+    values = np.empty(shape)
+    want = np.full(np.sum(values, axis=axis).shape, -math.inf)
+    for weights in (None, np.zeros(shape[-1:])):
+        got = log_sum_weighted(values, weights, axis=axis)
+        assert type(got) is (float if axis is None else np.ndarray)
+        _assert_same_bits(got, want)
+        _assert_same_bits(_reference_log_sum(values, weights, axis=axis),
+                          want)
 
 
 @settings(max_examples=150, deadline=None)

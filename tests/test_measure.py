@@ -10,8 +10,8 @@ no incomplete gamma function.
 """
 
 import math
-
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +76,22 @@ def test_deep_tail_ball_keeps_relative_precision():
     assert math.isfinite(got)
 
 
+def test_far_ball_in_one_dimension_meets_its_asymptote():
+    # log gamma(B(c, 1/c)) = -c^2 - log c - log(pi)/2 + log sinh 2 + O(c^-2)
+    # (the ball asymptote with Phi_1(1) = sinh 2); the remainder measured
+    # is -0.46/c^2.  Past c ~ 1e8 the ends c -+ 1/c round to one float and
+    # only the exact width 2/c keeps the ball.  Rounding c - 1/c alone
+    # moves c^2 by up to 1.4 ulps: over 20,001 log-spaced c the worst
+    # excess over 0.5/c^2 was 1.98 ulps, and 2.12 at random c in [1e3, 1e9]
+    cs = np.logspace(2.0, 154.0, 609)
+    const = math.log(math.sinh(2.0)) - 0.5 * math.log(math.pi)
+    for c, got in zip(cs, log_gamma_ball(cs, 1.0 / cs, 1)):
+        square = c * c
+        rounding = float(Fraction(c) ** 2 - Fraction(square))  # exact
+        gap = math.fsum([got, square, rounding, math.log(c), -const])
+        assert abs(gap) <= 0.5 / square + 2.0 * math.ulp(got)
+
+
 def test_interval_matches_erf_oracle():
     rng = np.random.default_rng(42)
     for _ in range(300):
@@ -89,6 +105,8 @@ def test_interval_matches_erf_oracle():
 def test_interval_edge_cases():
     assert log_gamma_interval(-math.inf, math.inf) == 0.0
     assert log_gamma_interval(1.0, 1.0) == -math.inf
+    assert log_gamma_interval(math.inf, math.inf) == -math.inf
+    assert log_gamma_interval(-math.inf, -math.inf) == -math.inf
     assert log_gamma_interval(0.0, math.inf) == pytest.approx(
         math.log(0.5), rel=1e-14)
     assert log_gamma_interval(-math.inf, 0.0) == pytest.approx(
@@ -101,8 +119,8 @@ def test_interval_edge_cases():
 
 @pytest.mark.parametrize("a, b", [(1e155, 2e155), (-2e200, -1e200)])
 def test_interval_past_the_tail_underflow_is_empty(a, b):
-    # beyond |x| ~ 1.3e154 log_ndtr underflows to -inf at both endpoints;
-    # the measure is exp(-1e310) or less, so its log is -inf, not NaN
+    # beyond |x| ~ 1.3e154 the square of the near endpoint overflows to
+    # inf; the measure is exp(-1e310) or less, so its log is -inf, not NaN
     assert log_gamma_interval(a, b) == -math.inf
     got = log_gamma_interval(np.array([a, 1.0]), np.array([b, 2.0]))
     assert got[0] == -math.inf
@@ -225,6 +243,20 @@ def test_interval_measure_is_array_valued():
         assert got[i] == log_gamma_interval(a[i], b[i])
     with pytest.raises(ValueError):
         log_gamma_interval(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    assert log_gamma_interval(np.array([]), np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_empty_batches_give_empty_results(n):
+    # no centers, in any dimension: an empty result, no pass that fails
+    for norms, radius, shape in ((np.array([]), 1.0, (0,)),
+                                 (np.empty((2, 0)), 0.5, (2, 0)),
+                                 (3.0, np.empty((0, 1)), (0, 1))):
+        got = log_gamma_ball(norms, radius, n)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+    got = integrate_axial_log(lambda x, z: np.zeros(x.shape), np.array([]),
+                              0.5, 1.0, n)
+    assert got.shape == (0,)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -11,7 +11,8 @@ time per call are printed in microseconds.  The inputs are fixed: a 1-D
 interval route at a criterion-3-like draw, the README ``hypercheck``
 and, on its own, that hypercheck's 2-D L^2 integral over the full space;
 the ball measure on 1,024 translated balls of the README sweep at
-t = 0.5 in n = 2 and 3, and at t = 0.001 in n = 2, where the balls are
+t = 0.5 in n = 2 and 3 (the n = 2 balls' distances and radii also in
+n = 1, as intervals), and at t = 0.001 in n = 2, where the balls are
 wide and the order doubles further; one n = 3 annulus measure on the
 axial rule; the README n = 2 sweep at t = 0.001, where the ball
 measure is interpolated along each row; and the n = 1 sweep of the
@@ -128,6 +129,8 @@ def layers():
         ("quadrature.integrate_gamma_log, FullSpace(2)",
          lambda: quadrature.integrate_gamma_log(_l2_integrand,
                                                 FullSpace(2))),
+        ("measure.log_gamma_ball, 1,024 translated balls, n = 1",
+         lambda: log_gamma_ball(*balls2, 1)),
         ("measure.log_gamma_ball, 1,024 translated balls, n = 2",
          lambda: log_gamma_ball(*balls2, 2)),
         ("measure.log_gamma_ball, 1,024 translated balls, n = 3",
