@@ -13,7 +13,7 @@ over the family; below the failure threshold its log grows linearly in
 The left side is one quadrature over the annulus C_k(B).  Its integrand
 e^{tL} 1_B(y) comes from the translation route: it equals the Gaussian
 measure of the ball B((c - e^{-t} y)/s, r/s), s = sqrt(1 - e^{-2t}): the
-erf closed form in n = 1.  In n = 2, 3 one ball B fixes the radius r/s
+erf closed form in n = 1.  In n >= 2 one ball B fixes the radius r/s
 and a closed-form range of distances d, so ``measure.log_gamma_ball``
 samples the analytic log gamma(B(d, r/s)) + (d - r/s)^2 at m Chebyshev
 points per ball, all balls in one call, and the nodes get the
@@ -24,9 +24,9 @@ The ball measure and the density see y = c + rho omega only through rho and
 ``quadrature.integrate_axial_log``, which depends on |c| alone.  One
 array path takes center distances and radii to the log left side, log
 gamma(B) and log implied constant, in one refinement and one batched ball
-measure: a sweep passes its whole |c_B| grid (halved only where a group
-fails), ``implied_constant_log`` one ball.  The kernel-form route
-``kernel.apply_indicator_log`` stays independent and is not used here.
+measure: a sweep passes its whole |c_B| grid (point by point where the
+work cap refuses it), ``implied_constant_log`` one ball.  The kernel-form
+route ``kernel.apply_indicator_log`` stays independent, unused here.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .measure import _inner_tol, gamma_log, log_gamma_ball
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    _check_dim,
     _refine_each,
     integrate_axial_log,
     integrate_gamma_log,
@@ -246,7 +245,7 @@ def offdiag_lhs_log(t: float, q: float, ball: Ball, k: int,
     family of the negative result).  The integrand e^{tL} 1_B(y) is the
     gamma measure of a translated ball (the translation route), at the
     nodes of the axial rule (``quadrature.integrate_axial_log``), which
-    ``sweep_blowup`` runs over a whole grid of balls at once; in n = 2, 3
+    ``sweep_blowup`` runs over a whole grid of balls at once; in n >= 2
     it is interpolated in the translated center's distance.
     """
     t = check_time(t)
@@ -303,13 +302,13 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     prefactors land in the intercept and residuals) and is compared
     against the closed-form prediction 2/(e^t + 1) - 1 + (1/p - 1/q).
 
-    All grid points run through one refinement of the axial rule; a group
-    that fails is split in halves, left first.  Raises SweepAborted,
-    carrying the rows before it, if quadrature fails at a single point or
-    a row's log implied constant is not finite.
+    All grid points run through one refinement of the axial rule; where
+    the work cap refuses it, each point runs alone, left to right.  Raises
+    SweepAborted, carrying the rows before it, if quadrature fails at a
+    single point or a row's log implied constant is not finite.
     """
     t = check_time(t)
-    n = _check_dim(n)
+    n = _as_index(n, 1, "dimension")
     grid = sorted(float(c) for c in cB_grid)
     norms = as_point(grid)  # refuses NaN and inf
     if len(set(grid)) < 4:
@@ -319,7 +318,6 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
 
     rows: list[SweepRow] = []
     _sweep_rows(hyp, t, k, n, norms, spec, rows)
-
     xs = np.array([r.cB_norm for r in rows]) ** 2
     ys = np.array([r.log_implied_const for r in rows])
     fitted, _ = fit_affine(xs, ys)
@@ -329,18 +327,17 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
 
 
 def _sweep_rows(hyp, t, k, n, norms, spec, rows) -> None:
-    # every grid point in one refinement; a failing group is split in
-    # halves, left first, so a failing point aborts with the rows before it
+    # the whole grid in one refinement or, where the work cap refuses it,
+    # point by point: a failing point aborts with the rows before it
     try:
         lhs, lgB, implied = (column.tolist() for column in _implied_log(
             hyp, t, norms, 1.0 / norms, k, n, spec))
     except QuadratureConvergenceError as exc:
-        if len(norms) == 1:
+        if len(norms) == 1:  # a grid has at least 4 points
             raise SweepAborted(f"sweep aborted at |c_B| = {norms[0]}: {exc}",
                                tuple(rows), float(norms[0])) from exc
-        half = len(norms) // 2
-        _sweep_rows(hyp, t, k, n, norms[:half], spec, rows)
-        _sweep_rows(hyp, t, k, n, norms[half:], spec, rows)
+        for point in np.split(norms, len(norms)):
+            _sweep_rows(hyp, t, k, n, point, spec, rows)
         return
     for row in map(SweepRow, norms.tolist(), lhs, lgB, implied):
         if not math.isfinite(row.log_implied_const):

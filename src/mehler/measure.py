@@ -5,12 +5,12 @@ through the error-function closed form, scaled (erfcx) past the origin,
 which keeps full relative precision for magnitudes like exp(-900).
 
 ``log_gamma_ball`` is the one ball-measure primitive.  It is
-array-valued over the center distance and the radius and, in n = 2, 3,
-reduces a ball to a one-dimensional integral along its axis
+array-valued over the center distance and the radius and, in every
+n >= 2, reduces a ball to a one-dimensional integral along its axis
 (incomplete-gamma transverse slices); the sweep samples e^{tL} 1_B
 through it at the Chebyshev points of its interpolants, and
 ``gamma_log`` measures every region of inner radius 0 through it: the
-balls and C_0(B) = 2B.  The other annuli in n = 2, 3 are the axial rule of
+balls and C_0(B) = 2B.  The other annuli in n >= 2 are the axial rule of
 ``quadrature.integrate_axial_log`` with a zero integrand: a sum of
 positive terms, where gamma(outer ball) - gamma(inner ball) would cancel
 when both are near 1.
@@ -21,20 +21,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, erfcx, gammainc
+from scipy.special import erf, erfcx, gammainc, gammaln, hyp1f1
 
-from .geometry import Annulus, Ball, FullSpace, _check_shape
+from .geometry import Annulus, Ball, FullSpace, _as_index, _check_shape
 from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
     _LOG_SQRT_PI,
+    MAX_NODES,
     QuadratureSpec,
-    _check_dim,
     _legendre_rule,
     _refine_each,
     integrate_axial_log,
 )
 
 __all__ = ["log_gamma_interval", "log_gamma_ball", "gamma_log"]
+
+_TINY = np.finfo(float).tiny
+# sin(theta) > 1 + x > 2 sin^2(pi / (4 N + 2)) at every Legendre node x of
+# a theta rule of order N <= 1024 (G. Szego, Orthogonal Polynomials, 6.21.3)
+_SIN_THETA_MIN = 2.0 * math.sin(math.pi / (4 * math.isqrt(MAX_NODES) + 2)) ** 2
 
 
 def log_gamma_interval(a, b, width=None):
@@ -82,18 +87,19 @@ def log_gamma_ball(center_norms, radius, n: int,
 
     gamma is rotation invariant, so only the distance a = |m| of the
     center matters.  ``radius`` is a number or an array that broadcasts
-    against ``center_norms``; a NaN distance, or a radius outside
-    (0, inf), raises ``ValueError`` before any pass runs.  In n = 1 this
-    is the interval (a - radius, a + radius) of width 2 radius, exact
-    however far out a is.  In n = 2, 3, with the axis along m and
-    x = a + radius cos(theta),
+    against ``center_norms``; a NaN distance, a radius outside (0, inf)
+    or an n that is not an integer >= 1 raises ``ValueError`` before any
+    pass runs.  In n = 1 this is the interval (a - radius, a + radius) of
+    width 2 radius, exact however far out a is.  In n >= 2, with the axis
+    along m and x = a + radius cos(theta),
 
         gamma_n(B) = int_0^pi pi^{-1/2} exp(-(a + radius cos theta)^2)
                      F_{n-1}(radius^2 sin^2 theta) radius sin theta dtheta,
 
     where F_{n-1}(u) = P((n - 1)/2, u), the regularized incomplete gamma
     function, measures the (n-1)-ball of squared radius u in the
-    transverse slice.  Every term is positive, so Gauss-Legendre nodes in
+    transverse slice, taken from its Kummer series where it is not a
+    normal float.  Every term is positive, so Gauss-Legendre nodes in
     theta are summed by log-sum-exp over an (order, *broadcast shape)
     array, theta on the leading axis; an entry gets the same bits alone
     as in any batch, and the inputs are never written.  The order doubles
@@ -106,20 +112,23 @@ def log_gamma_ball(center_norms, radius, n: int,
     norms = np.asarray(center_norms, dtype=float)
     radius = np.asarray(radius, dtype=float)
     _check_shape(norms, 0.0, radius)
-    n = _check_dim(n)
+    n = _as_index(n, 1, "dimension")
     if n == 1:
         return log_gamma_interval(norms - radius, norms + radius, 2 * radius)
     spec = spec if spec is not None else QuadratureSpec()
     shape = np.broadcast_shapes(norms.shape, radius.shape)
+    # P(s, u) grows with u: can a slice of any pass leave the normal floats?
+    least = float(radius.min(initial=math.inf)) * _SIN_THETA_MIN
+    deep = gammainc(0.5 * (n - 1), least * least) < _TINY
     return _refine_each(
-        lambda order: _log_ball_slices(norms, radius, n, order),
+        lambda order: _log_ball_slices(norms, radius, n, order, deep),
         lambda order: math.prod(shape) * order, spec,
         _inner_tol(spec), f"ball measure in n = {n}",
         lambda i: (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
                    f"center distance {np.broadcast_to(norms, shape).flat[i]}"))
 
 
-def _log_ball_slices(norms, radius, n: int, order: int):
+def _log_ball_slices(norms, radius, n: int, order: int, deep: bool):
     # Gauss-Legendre in theta on [0, pi], the nodes on a leading axis so
     # that the sum runs over contiguous slabs of entries: -x^2 at every
     # entry, weighed by the slices, built at the radius's shape alone
@@ -128,12 +137,18 @@ def _log_ball_slices(norms, radius, n: int, order: int):
         # numpy sums a lone column pairwise but side-by-side columns slab
         # by slab: a lone entry runs as two, so its bits match any batch
         return _log_ball_slices(np.repeat(norms.ravel(), 2), radius.ravel(),
-                                n, order)[:1].reshape(lead[1:])
+                                n, order, deep)[:1].reshape(lead[1:])
     nodes, logw = _legendre_rule(order)
     theta = (0.5 * math.pi * (nodes + 1.0)).reshape(lead)
     sin_t = np.sin(theta)
     x = norms + radius * np.cos(theta)
-    log_slice = np.log(gammainc(0.5 * (n - 1), (radius * sin_t) ** 2))
+    p = gammainc(s := 0.5 * (n - 1), u := (radius * sin_t) ** 2)
+    log_slice = np.log(np.fmax(p, _TINY) if deep else p)
+    if deep:  # P = u^s e^-u M(1, s + 1, u) / Gamma(s + 1), DLMF 8.5.1
+        low = p < _TINY
+        log_u, u = 2.0 * (np.log(radius) + np.log(sin_t))[low], u[low]
+        log_slice[low] = (s * log_u - u + np.log(hyp1f1(1.0, s + 1.0, u))
+                          - gammaln(s + 1.0))
     log_weights = (logw.reshape(lead) + np.log(0.5 * math.pi * radius)
                    - _LOG_SQRT_PI + np.log(sin_t) + log_slice)
     x *= x  # this pass's own array, squared and negated in place
@@ -143,10 +158,10 @@ def _log_ball_slices(norms, radius, n: int, order: int):
 def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:
     """Log Gaussian measure of a ball, annulus or the full space.
 
-    Supported dimensions are 1, 2 and 3.  The full space has measure 1
-    (gamma is a probability measure).  A region with inner radius 0 (a
-    ball, or C_0(B) = 2B) goes through ``log_gamma_ball``; other annuli
-    through the erf closed form in n = 1 and the axial rule in n = 2, 3.
+    The full space has measure 1 (gamma is a probability measure).  A
+    region with inner radius 0 (a ball, or C_0(B) = 2B) goes through
+    ``log_gamma_ball``; other annuli through the erf closed form in n = 1
+    and the axial rule in n >= 2.
     """
     if isinstance(region, FullSpace):
         return LogNumber(0.0)

@@ -17,20 +17,19 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
   rule of ``integrate_axial_log``, rho times the axial factor about
   c/|c|, serves annuli about many centers at once, for integrands that
   see y only through its coordinate along c and its distance from that
-  axis: order^2 nodes per center in n = 2, 3 where the polar grid needs
-  2 order^n.  The sweeps and the annulus measures in n = 2, 3 use it.
+  axis: order^2 nodes per center in every n >= 2 where the polar grid
+  needs 2 order^n.  The sweeps and the annulus measures in n >= 2 use it.
 
 Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
 log-domain refinement loop: it doubles the order until every value
 changes by less than the tolerance, relative, or by at most two ulps.
 A pass whose work, the larger of its node count and order^2, exceeds
-``MAX_NODES`` is refused unbuilt (no rule tops order 1024): one error
-that carries the last two values of the entry that moved most.  It drives
-``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
-measure in ``measure`` and the number of interpolation points in
-``experiments``.
-The default relative tolerance is 1e-8; only ``QuadratureSpec(tol=)``
-(the CLI's ``--tol``) changes it.
+``MAX_NODES`` is refused unbuilt, in any n (no rule tops order 1024):
+one error that carries the last two values of the entry that moved
+most.  It drives ``integrate_gamma_log`` and ``integrate_axial_log``
+here, the ball measure in ``measure`` and the number of interpolation
+points in ``experiments``.  The default relative tolerance is 1e-8;
+only ``QuadratureSpec(tol=)`` (the CLI's ``--tol``) changes it.
 """
 
 from __future__ import annotations
@@ -52,21 +51,11 @@ __all__ = [
     "integrate_axial_log",
 ]
 
-MAX_DIM = 3
-
-
-def _check_dim(n) -> int:
-    """n as an int when it is one of 1..MAX_DIM (integral floats too)."""
-    if n not in range(1, MAX_DIM + 1):
-        raise ValueError(f"supported dimensions are 1..{MAX_DIM}, got {n}")
-    return int(n)
-
-
 # Most work one refinement pass may do: the larger of its node count and
 # order^2, the cost of building a Gauss rule of that order (or an order x
-# order interpolation matrix).  It bounds memory and time alike: orders
-# stay at or below 1024, polar grids at or below order 80 in n = 3 and
-# order 724 in n = 2.
+# order interpolation matrix).  It bounds memory and time alike in any n:
+# orders stay at or below 1024, polar grids (2 order^n nodes) and
+# full-space grids (order^n) at order 2 up to n = 19 and n = 20.
 MAX_NODES = 2 ** 20
 # A log that moved by at most this many of its ulps has settled, whatever
 # the tolerance: summing a batch can leave that much noise in a large log.
@@ -124,8 +113,8 @@ def _log_sphere_mass(n: int) -> float:  # log |S^{n-2}|, n >= 2
 # -- node builders: points (m, n) and log-weights (m,) ----------------
 
 # One hypercheck visits 4 keys and ``selftest`` 9.  MAX_NODES caps an
-# entry at 2^20 (n + 1) floats, 32 MB, so the cache retains at most
-# 16 x 32 MB = 512 MB.
+# entry at 2^20 (n + 1) floats, and full-space grids exist only up to
+# n = 20: 168 MB an entry, so at most 16 x 168 MB (16 x 32 MB in n <= 3).
 @lru_cache(maxsize=16)
 def _fullspace_nodes(n: int, order: int):
     # the tensor Gauss-Hermite grid, read-only and shared
@@ -219,7 +208,6 @@ def _node_count(region, order: int) -> int:
 def _check_region(region):
     if not isinstance(region, (Ball, Annulus, FullSpace)):
         raise TypeError(f"cannot integrate over {type(region).__name__}")
-    _check_dim(region.dim)
 
 
 def _log_rel_converged(cur, prev, tol: float) -> bool:
@@ -293,7 +281,7 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
         must not write into the points: full-space grids are read-only
         and shared between calls.
     region : Ball | Annulus | FullSpace
-        Integration domain, dimension <= 3.
+        Integration domain, in any dimension n >= 1.
     spec : QuadratureSpec, optional
         Order and tolerance; defaults are shared across the package.
     history : list, optional
@@ -345,7 +333,7 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
     most ``spec.tol`` relative; a pass over more than ``MAX_NODES``
     (center, node) pairs or order 1024 raises ``QuadratureConvergenceError``.
     """
-    n = _check_dim(n)
+    n = _as_index(n, 1, "dimension")
     spec = spec if spec is not None else QuadratureSpec()
     norms, r_inner, r_outer = (np.ravel(a).astype(float) for a in
                                np.broadcast_arrays(center_norms, r_inner,

@@ -39,8 +39,8 @@ def _assert(cond, msg):
 # -- geometry / measure -------------------------------------------------
 
 def check_measure_monotone(rng):
-    """gamma is monotone under ball inclusion (nested balls, n = 1..3)."""
-    for n in (1, 2, 3):
+    """gamma is monotone under ball inclusion (nested balls, n = 1..6)."""
+    for n in range(1, 7):
         center = rng.uniform(-2, 2, size=n)
         radii = np.sort(rng.uniform(0.2, 2.5, size=4))
         vals = [gamma_log(Ball(center, r)).log_magnitude for r in radii]
@@ -49,8 +49,8 @@ def check_measure_monotone(rng):
 
 
 def check_measure_additive(rng):
-    """gamma(2^{k+1} B) = gamma(2^k B) + gamma(C_k(B)), k = 1..4."""
-    for n in (1, 2):
+    """gamma(2^{k+1} B) = gamma(2^k B) + gamma(C_k(B)), k = 1..4, n = 1..4."""
+    for n in range(1, 5):
         ball = Ball(np.r_[1.3, np.zeros(n - 1)], 0.35)
         for k in range(1, 5):
             inner = gamma_log(ball.expand(2.0 ** k)).to_float()

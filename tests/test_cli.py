@@ -1,5 +1,6 @@
 """Command-line interface: formats, round-trips, exit codes."""
 
+import io
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import mehler
-from mehler import cli, experiments, quadrature
+from mehler import cli, experiments, quadrature, selftest
 from mehler.cli import main
 from mehler.estimates import OffDiagHypothesis
 from mehler.experiments import sweep_blowup
@@ -380,10 +381,12 @@ def test_hypercheck_out_of_range_exits_3(capsys):
      "8.5"],
     ["sweep", "--t", "1e-6", "--p", "1", "--q", "2", "--k", "1", "--n", "1",
      "--cmin", "4", "--cmax", "12", "--steps", "5"],
+    ["apply", "--t", "0.5", "--center", "8,0,0,0", "--y", "8.3,0,0,0"],
 ])
 def test_unsettled_refinement_exits_3_within_bounded_work(capsys, argv):
     # the work cap, the larger of a pass's nodes and order^2, refuses
-    # every rule above order 1024, however large --order is.  A profile
+    # every rule above order 1024, however large --order is, and in
+    # n = 4 the polar grid of order 32, 2 x 32^4 = 2^21 nodes.  A profile
     # hook sees every Gauss rule scipy builds, and numpy warnings are
     # errors under pytest's filter.  Measured 0.001-0.25 s each on 2
     # CPUs; the bound leaves a wide margin
@@ -403,10 +406,12 @@ def test_unsettled_refinement_exits_3_within_bounded_work(capsys, argv):
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (3, "")
     assert max(orders, default=0) <= 1024
-    order = re.search(r"at order (\d+) \(order\^2 = (\d+)\), above the cap "
-                      r"of 1048576, (.+); last two log values", err)
+    order = re.search(r"build (\d+) nodes at order (\d+) \(order\^2 = "
+                      r"(\d+)\), above the cap of 1048576, (.+); last two "
+                      r"log values", err)
     assert order is not None, err
-    assert int(order[1]) > 1024 and int(order[2]) == int(order[1]) ** 2
+    nodes, order, square = map(int, order.groups()[:3])
+    assert square == order ** 2 and max(nodes, square) > 1048576
 
 
 @pytest.mark.parametrize("n, t", [("1", "800"), ("2", "720")])
@@ -456,6 +461,32 @@ def test_selftest_subcommand(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 20
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    # a check that fails prints FAIL with its message, the suite returns
+    # False and the subcommand exits 1; the other checks still run
+    def failing(rng):
+        selftest._assert(False, "made to fail")
+
+    monkeypatch.setattr(selftest, "CHECKS", [
+        ("demo.fails", failing), selftest.CHECKS[3]])
+    stream = io.StringIO()
+    assert selftest.run_selftest(stream=stream) is False
+    assert stream.getvalue().splitlines() == [
+        "FAIL demo.fails: made to fail",
+        "PASS geometry.annulus_distance_increasing"]
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1 and out.startswith("FAIL demo.fails: made to fail\n")
+
+
+def test_point_that_does_not_parse_exits_2(capsys):
+    # argparse refuses it through the point type, before any command runs
+    with pytest.raises(SystemExit) as exit_:
+        main(["kernel", "--t", "1", "--x", "abc", "--y", "0"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a comma-separated point: 'abc'" in err
 
 
 def _readme_cli_commands():

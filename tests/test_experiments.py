@@ -31,7 +31,7 @@ from mehler.experiments import (
     regime_map,
     sweep_blowup,
 )
-from mehler import experiments, quadrature
+from mehler import experiments, measure, quadrature
 from mehler.cli import main
 from mehler.experiments import _annulus_lq_log
 from mehler.geometry import (
@@ -200,7 +200,7 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_blowup(HYP12, 0.5, 0, 1, [4.0, 6.0, 8.0, 10.0])  # k < 1
     with pytest.raises(ValueError):
-        sweep_blowup(HYP12, 0.5, 1, 5, [4.0, 6.0, 8.0, 10.0])  # dim cap
+        sweep_blowup(HYP12, 0.5, 1, 0, [4.0, 6.0, 8.0, 10.0])  # n < 1
 
 
 def _refuse_pass(*args, **kwargs):
@@ -299,19 +299,26 @@ def test_sweep_builds_no_region_per_grid_point(monkeypatch, n):
     assert counts[0] == counts[1] <= 2
 
 
-def test_dimension_and_annulus_index_checks_share_one_message():
+def test_dimension_and_annulus_index_checks_share_one_message(monkeypatch):
     # one check per invariant: every site accepts integral floats and
-    # refuses the rest with the same ValueError (the CLI's exit code 2)
+    # refuses the rest with the same ValueError (the CLI's exit code 2),
+    # the one FullSpace and the lemma give, before any pass runs
     grid = [4.0, 6.0, 8.0, 10.0]
-    for n in (0, 4, 2.5, math.nan):
-        for call in (lambda: log_gamma_ball(8.0, 0.125, n),
-                     lambda: sweep_blowup(HYP12, 0.5, 1, n, grid),
-                     lambda: quadrature.integrate_axial_log(
-                         lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, n)):
-            with pytest.raises(ValueError,
-                               match=r"supported dimensions are 1\.\.3, got"):
-                call()
-    assert log_gamma_ball(8.0, 0.125, 2.0) == log_gamma_ball(8.0, 0.125, 2)
+    want = log_gamma_ball(8.0, 0.125, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_refine_each", _refuse_pass)
+        patch.setattr(measure, "_refine_each", _refuse_pass)
+        patch.setattr(experiments, "_implied_log", _refuse_pass)
+        for n in (0, 2.5, math.nan):
+            for call in (lambda: log_gamma_ball(8.0, 0.125, n),
+                         lambda: sweep_blowup(HYP12, 0.5, 1, n, grid),
+                         lambda: quadrature.integrate_axial_log(
+                             lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5,
+                             n)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"dimension must be an integer >= 1, got {n}")):
+                    call()
+    assert log_gamma_ball(8.0, 0.125, 2.0) == want
     ball = make_maximal_admissible_ball([8.0])
     for k in (0, 1.5, math.inf, math.nan):
         for call in (lambda: offdiag_lhs_log(0.5, 2.0, ball, k),
@@ -351,14 +358,24 @@ def test_sweep_rows_match_single_points(n):
 def test_sweep_splits_a_grid_over_the_node_cap(n, cap, monkeypatch):
     # the cap admits the outer rule's largest pass of half the grid (16
     # points of 32 in n = 1, two of five in n = 2, 3), not of the whole
-    # grid: the whole-grid pass raises, and the sweep gets through in halves
+    # grid: the whole-grid pass raises, and the sweep gets through one
+    # point at a time, one run of the whole grid and one of each point
     grid = np.linspace(4.0, 12.0, 32 if n == 1 else 5).tolist()
     want = sweep_blowup(HYP12, 0.5, 1, n, grid)
     monkeypatch.setattr(quadrature, "MAX_NODES", cap)
     with pytest.raises(QuadratureConvergenceError,
                        match=f"annulus integral in n = {n}: .* above the cap"):
         _annulus_lq_log(0.5, 2.0, grid, [1.0 / c for c in grid], 1, n, None)
+    runs = []
+    implied = experiments._implied_log
+
+    def counting(*args):
+        runs.append(args[2].size)
+        return implied(*args)
+
+    monkeypatch.setattr(experiments, "_implied_log", counting)
     assert sweep_blowup(HYP12, 0.5, 1, n, grid) == want
+    assert runs == [len(grid)] + [1] * len(grid)
 
 
 @pytest.mark.parametrize("t", [0.5, 1e-3, 1e-4])
@@ -478,6 +495,48 @@ def test_small_time_sweep_in_3d(capsys):
     assert rel_err < 0.055
 
 
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_left_side_in_higher_dimensions(n):
+    # the left side of a maximal admissible ball at |c| = 4, t = 0.5,
+    # against an adaptive double integral in (rho, u) of the same
+    # integrand; both agreed to the last bit when measured
+    a, r, t, q = 4.0, 0.25, 0.5, 2.0
+    em = math.exp(-t)
+    s = math.sqrt(-math.expm1(-2.0 * t))
+    ball = make_maximal_admissible_ball(np.r_[a, np.zeros(n - 1)])
+    got = offdiag_lhs_log(t, q, ball, 1).log_magnitude
+    log_sphere = (math.log(2.0) + 0.5 * (n - 1) * math.log(math.pi)
+                  - math.lgamma(0.5 * (n - 1)))  # |S^{n-2}|
+
+    def log_f(phi, rho):
+        # y = c + rho omega with phi the angle from omega to c: density,
+        # sphere weight |S^{n-2}| rho^{n-1} sin^{n-2} phi, smooth at both
+        # ends, and e^{tL} 1_B(y)^q
+        u, v = math.cos(phi), math.sin(phi)
+        dist = math.hypot(a - em * (a + rho * u), em * rho * v) / s
+        return (log_sphere + (n - 1) * math.log(rho) + (n - 2) * math.log(v)
+                - 0.5 * n * math.log(math.pi) - (a + rho * u) ** 2
+                - (rho * v) ** 2
+                + q * float(log_gamma_ball(dist, r / s, n)))
+
+    shift = log_f(0.5 * math.pi, 2.0 * r)
+    value, _ = integrate.dblquad(
+        lambda phi, rho: math.exp(log_f(phi, rho) - shift),
+        2.0 * r, 4.0 * r, 0.0, math.pi, epsabs=0.0, epsrel=1e-12)
+    assert abs(got - (shift + math.log(value)) / q) <= 1e-10
+
+
+@pytest.mark.parametrize("n, rel_err", [(4, 0.0133), (6, 0.0206),
+                                        (8, 0.0279), (16, 0.0575)])
+def test_sweep_slope_in_higher_dimensions(n, rel_err):
+    # [4, 30] x 8 at t = 0.5 within the 15 % gate of the acceptance
+    # criterion; the error grows with n through the n (1 + 1/q - 1/p)
+    # log |c| prefactor the affine fit in |c|^2 absorbs, not the numerics
+    res = sweep_blowup(HYP12, 0.5, 1, n, np.linspace(4.0, 30.0, 8))
+    assert res.slope_rel_error == pytest.approx(rel_err, abs=1e-4)
+    assert res.slope_rel_error < 0.15
+
+
 def test_sweep_abort_carries_partial_rows(monkeypatch):
     # a work cap of 16 admits the orders 2 and 4 of one grid point only
     monkeypatch.setattr(quadrature, "MAX_NODES", 16)
@@ -496,6 +555,11 @@ def test_fit_affine_recovers_synthetic_model():
 
 
 class TestHypercontractivity:
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_lambda_that_is_not_finite(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            hypercontractivity_check(0.5, 1.5, lam)
+
     def test_ratio_one_at_threshold(self):
         t = 0.5
         res = hypercontractivity_check(t, nelson_min_p(t), 2.0)

@@ -132,6 +132,13 @@ def test_as_point_rejects_bad_input():
     assert as_point(3.0).shape == (1,)
 
 
+def test_annulus_base_and_repr():
+    with pytest.raises(TypeError, match="annulus base must be a Ball"):
+        Annulus(FullSpace(1), 1)
+    assert repr(Annulus(Ball([8.0, 0.0], 0.125), 2)) == (
+        "Annulus(base=Ball(center=[8.0, 0.0], radius=0.125), k=2)")
+
+
 def test_fullspace_validation():
     assert FullSpace(2).dim == 2
     with pytest.raises(ValueError):
@@ -148,6 +155,13 @@ _INDEX_SITES = {
                        "order", 2),
     "lemma_lower_bound_log": (
         lambda v: lemma_lower_bound_log(0.5, 2.0, v, 4.0), "dimension", 1),
+    "log_gamma_ball": (lambda v: measure.log_gamma_ball(8.0, 0.125, v),
+                       "dimension", 1),
+    "integrate_axial_log": (lambda v: quadrature.integrate_axial_log(
+        lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, v), "dimension", 1),
+    "sweep_blowup": (lambda v: sweep_blowup(
+        OffDiagHypothesis(1.0, 2.0), 0.5, 1, v, [4.0, 6.0, 8.0, 10.0]),
+        "dimension", 1),
 }
 
 

@@ -21,6 +21,7 @@ from scipy.special import erf, gammainc, gammaln, log_ndtr, logsumexp, xlogy
 from scipy.stats import ncx2
 
 from mehler import quadrature
+from mehler.cli import main
 from mehler.geometry import (
     Annulus,
     Ball,
@@ -220,6 +221,11 @@ def test_offcenter_balls_match_radial_oracles():
         assert got == pytest.approx(want_log, abs=1e-7)
 
 
+def test_gamma_log_refuses_other_regions():
+    with pytest.raises(TypeError, match="cannot measure tuple"):
+        gamma_log((0.0, 1.0))
+
+
 def test_2d_annulus_as_ball_difference():
     ball = Ball([1.0, 0.5], 0.4)
     outer = gamma_log(ball.expand(4.0)).to_float()
@@ -229,8 +235,13 @@ def test_2d_annulus_as_ball_difference():
 
 
 def test_unsupported_dimension():
-    with pytest.raises(ValueError):
-        gamma_log(Ball([0.0, 0.0, 0.0, 0.0], 1.0))
+    # every n >= 1 is supported: a 4-D ball against the Poisson series;
+    # a dimension below 1 is refused
+    got = gamma_log(Ball([3.0, 0.0, 4.0, 0.0], 0.5)).log_magnitude
+    want = _log_ball_series(5.0, 0.5, 4)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+        log_gamma_ball(5.0, 0.5, 0)
 
 
 def test_interval_measure_is_array_valued():
@@ -294,6 +305,57 @@ def _log_ball_series(a, radius, n):
         log_p[deep] = (s[deep] * math.log(x) - x - gammaln(s[deep] + 1.0)
                        + logsumexp(np.c_[np.zeros(len(steps)), steps], axis=1))
     return logsumexp(-a * a + xlogy(k, a * a) - gammaln(k + 1.0) + log_p)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 16, 64, 256])
+def test_ball_measure_matches_poisson_series_in_higher_dimensions(n):
+    # centers from 0 to 30 and radii from 1e-150 to 3, logs down to
+    # -89,816 at n = 256; the slices that are not normal floats (most of
+    # them from n = 64) take the Kummer series.  The worst |error| /
+    # max(1, |log|) measured over n = 2..512 was 2.3e-14, at balls about
+    # the origin whose log is near 0
+    a, radius = (g.ravel() for g in np.meshgrid(
+        [0.0, 0.5, 4.0, 12.0, 30.0],
+        [1e-150, 1e-100, 1e-50, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 3.0]))
+    got = log_gamma_ball(a, radius, n)
+    want = np.array([_log_ball_series(*ar, n) for ar in zip(a, radius)])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("radius", [1e-170, 1e-300])
+def test_ball_measure_is_finite_at_tiny_radii(n, radius):
+    # P((n - 1)/2, u) leaves the normal floats at such radii, once -inf
+    # with a warning; the ball is all but flat: gamma(B) = |B_1| radius^n pi^{-n/2} e^{-|c|^2}
+    # (1 + O(|c| radius)), |B_1| = pi^{n/2} / Gamma(n/2 + 1)
+    want = n * math.log(radius) - math.lgamma(0.5 * n + 1.0) - 0.01
+    got = float(log_gamma_ball(0.1, radius, n))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_measures_a_ball_of_radius_1e_170(capsys):
+    assert main(["gamma", "--center", "0.1,0", "--radius", "1e-170"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "log_measure,measure"
+    log, linear = map(float, lines[1].split(","))
+    want = 2.0 * math.log(1e-170) - 0.01
+    assert abs(log - want) <= 1e-12 * abs(want) and linear == 0.0
+
+
+def test_apply_in_4d_matches_the_series(capsys):
+    # the kernel form on the 4-D polar grid: the cap admits order 16
+    # (131,072 nodes), enough from base order 4; e^{tL} 1_B(y) is the
+    # measure of the translated ball B((c - e^{-t} y)/s, r/s)
+    argv = ["apply", "--t", "0.5", "--center", "8,0,0,0", "--y", "8.3,0,0,0",
+            "--order", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    got = float(lines[1].split(",")[0])
+    s, e = math.sqrt(-math.expm1(-1.0)), math.exp(-0.5)
+    want = _log_ball_series((8.0 - e * 8.3) / s, 0.125 / s, 4)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def _translated_balls(t, norms):
@@ -382,19 +444,24 @@ def test_ball_measure_depends_on_center_norm_only():
 @pytest.mark.parametrize("order", [16, 32])
 def test_ball_slices_give_an_entry_the_same_bits_in_any_batch(n, order):
     # one pass at a fixed order: each entry alone (0-d), in a row of
-    # centers with one radius, and in rows with a radius per row
+    # centers with one radius, and in rows with a radius per row; the
+    # branch for slices that are not normal floats (deep) leaves every
+    # normal slice its bits
     rng = np.random.default_rng(11)
     norms = rng.uniform(0.0, 30.0, (3, 7))
     radii = rng.uniform(0.05, 5.0, (3, 1))
     alone = np.array([[_log_ball_slices(np.asarray(a), np.asarray(r[0]),
-                                        n, order) for a in row]
+                                        n, order, False) for a in row]
                       for row, r in zip(norms, radii)])
-    assert _log_ball_slices(norms[0, 0], radii[0, 0], n, order).shape == ()
-    rows = [_log_ball_slices(row, np.asarray(r[0]), n, order)
-            for row, r in zip(norms, radii)]
-    for got in (np.array(rows), _log_ball_slices(norms, radii, n, order)):
-        assert got.shape == norms.shape
-        assert (got.view(np.int64) == alone.view(np.int64)).all()
+    for deep in (False, True):
+        assert _log_ball_slices(norms[0, 0], radii[0, 0], n, order,
+                                deep).shape == ()
+        rows = [_log_ball_slices(row, np.asarray(r[0]), n, order, deep)
+                for row, r in zip(norms, radii)]
+        for got in (np.array(rows),
+                    _log_ball_slices(norms, radii, n, order, deep)):
+            assert got.shape == norms.shape
+            assert (got.view(np.int64) == alone.view(np.int64)).all()
 
 
 def _refuse_polar_grid(*args):
@@ -514,7 +581,7 @@ def test_ball_measure_raises_when_refinement_runs_out(monkeypatch):
     with pytest.raises(ValueError):
         log_gamma_ball(np.array([1.0]), 0.0, 2)
     with pytest.raises(ValueError):
-        log_gamma_ball(np.array([1.0]), 1.0, 4)
+        log_gamma_ball(np.array([1.0]), 1.0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

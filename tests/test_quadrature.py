@@ -117,6 +117,14 @@ def test_refinement_work_is_capped_before_allocation():
     assert f"last two log values ({prev!r}, {cur!r})" in message
 
 
+def test_engine_refuses_other_regions_and_misshapen_integrands():
+    with pytest.raises(TypeError, match="cannot integrate over tuple"):
+        integrate_gamma_log(lambda p: np.zeros(len(p)), (0.0, 1.0))
+    with pytest.raises(ValueError,
+                       match="f_log must return one log value per point"):
+        integrate_gamma_log(lambda p: np.zeros((len(p), 2)), FullSpace(2))
+
+
 def test_polar_weight_past_float_range_is_zero():
     # |y|^2 overflows for nodes near |y| = 1e300; numpy warnings are errors
     # under pytest's filter, and such a node must weigh nothing
@@ -125,9 +133,25 @@ def test_polar_weight_past_float_range_is_zero():
     assert far.any() and (lw[far] == -math.inf).all()
 
 
-def test_polar_engine_dimension_cap():
-    with pytest.raises(ValueError):
-        integrate_gamma_log(lambda p: np.zeros(len(p)), FullSpace(4))
+def _refuse_grid(*args):
+    raise AssertionError("a grid was built")
+
+
+def test_polar_engine_dimension_cap(monkeypatch):
+    # no dimension cap: the work cap refuses the first pass of a grid of
+    # 16^6 full-space or 2 x 16^5 polar nodes before building it, so
+    # there are no iterates to report; a dimension below 1 is refused
+    monkeypatch.setattr(quadrature, "_fullspace_nodes", _refuse_grid)
+    monkeypatch.setattr(quadrature, "_polar_nodes", _refuse_grid)
+    for region, nodes in ((FullSpace(6), 16 ** 6),
+                          (Ball([1.0, 0.0, 0.0, 0.0, 0.0], 0.5),
+                           2 * 16 ** 5)):
+        with pytest.raises(QuadratureConvergenceError,
+                           match=f"build {nodes} nodes at order 16") as err:
+            integrate_gamma_log(lambda p: np.zeros(len(p)), region)
+        assert all(math.isnan(v) for v in err.value.last_two)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        FullSpace(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -11,11 +11,13 @@ time per call are printed in microseconds.  The inputs are fixed: a 1-D
 interval route at a criterion-3-like draw, the README ``hypercheck``
 and, on its own, that hypercheck's 2-D L^2 integral over the full space;
 the ball measure on 1,024 translated balls of the README sweep at
-t = 0.5 in n = 2 and 3 (the n = 2 balls' distances and radii also in
+t = 0.5 in n = 2, 3 and 6 (the n = 2 balls' distances and radii also in
 n = 1, as intervals), and at t = 0.001 in n = 2, where the balls are
-wide and the order doubles further; one n = 3 annulus measure on the
-axial rule; the README n = 2 sweep at t = 0.001, where the ball
-measure is interpolated along each row; and the n = 1 sweep of the
+wide and the order doubles further; the n = 2 balls' distances at
+radius 1e-170, where every transverse slice leaves the normal floats;
+one n = 3 annulus measure on the axial rule; the README n = 2 sweep at
+t = 0.001, where the ball measure is interpolated along each row; an
+n = 6 sweep at t = 0.5 on [4, 30] x 8; and the n = 1 sweep of the
 benchmark's ``sweep-n1-deep`` part at t = 0.5, 27 points on [4.9, 30],
 where the per-row work around the quadrature shows.
 The kernel-form route is timed twice: on that one interval, and cycling
@@ -50,6 +52,7 @@ SPEC = quadrature.QuadratureSpec(tol=1e-10)
 # the README sweep's hypothesis and grid, and the deep n = 1 grid
 SWEEP = (OffDiagHypothesis(p=1.0, q=2.0), [4.0, 6.0, 8.0, 10.0, 12.0])
 DEEP = np.linspace(4.9, 30.0, 27)
+WIDE = np.linspace(4.0, 30.0, 8)
 # the README hypercheck
 HYPER = (0.5, 1.3678794411714423, 2.0)
 # its ||e^{tL} f||_2^2 = <f, e^{2tL} f> integrand for f(x) = e^{lam x},
@@ -107,6 +110,7 @@ def layers():
     ball = Ball(np.array([0.5 * (A + B)]), 0.5 * (B - A))
     draws = itertools.cycle(list(_draws(rng, 64)))
     balls2, balls3 = _translated_balls(2), _translated_balls(3)
+    balls6 = _translated_balls(6)
     small_t = _translated_balls(2, 1e-3)
     return [
         ("lognum.log_sum_weighted, 32 terms",
@@ -135,13 +139,19 @@ def layers():
          lambda: log_gamma_ball(*balls2, 2)),
         ("measure.log_gamma_ball, 1,024 translated balls, n = 3",
          lambda: log_gamma_ball(*balls3, 3)),
+        ("measure.log_gamma_ball, 1,024 translated balls, n = 6",
+         lambda: log_gamma_ball(*balls6, 6)),
         ("measure.log_gamma_ball, 1,024 translated balls, n = 2, t = 0.001",
          lambda: log_gamma_ball(*small_t, 2)),
+        ("measure.log_gamma_ball, 1,024 balls of radius 1e-170, n = 2",
+         lambda: log_gamma_ball(balls2[0], 1e-170, 2)),
         ("quadrature.integrate_axial_log, n = 3 annulus measure",
          lambda: quadrature.integrate_axial_log(
              lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, 3)),
         ("experiments.sweep_blowup, README grid, n = 2, t = 0.001",
          lambda: experiments.sweep_blowup(SWEEP[0], 0.001, 1, 2, SWEEP[1])),
+        ("experiments.sweep_blowup, [4, 30] x 8, n = 6, t = 0.5",
+         lambda: experiments.sweep_blowup(SWEEP[0], 0.5, 1, 6, WIDE)),
         ("experiments.sweep_blowup, [4.9, 30] x 27, n = 1, t = 0.5",
          lambda: experiments.sweep_blowup(SWEEP[0], 0.5, 1, 1, DEEP)),
         ("experiments.hypercontractivity_check",
