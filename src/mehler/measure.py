@@ -27,7 +27,6 @@ from .geometry import Annulus, Ball, FullSpace, _as_index, _check_shape
 from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
     _LOG_SQRT_PI,
-    MAX_NODES,
     QuadratureSpec,
     _legendre_rule,
     _refine_each,
@@ -37,9 +36,6 @@ from .quadrature import (
 __all__ = ["log_gamma_interval", "log_gamma_ball", "gamma_log"]
 
 _TINY = np.finfo(float).tiny
-# sin(theta) > 1 + x > 2 sin^2(pi / (4 N + 2)) at every Legendre node x of
-# a theta rule of order N <= 1024 (G. Szego, Orthogonal Polynomials, 6.21.3)
-_SIN_THETA_MIN = 2.0 * math.sin(math.pi / (4 * math.isqrt(MAX_NODES) + 2)) ** 2
 
 
 def log_gamma_interval(a, b, width=None):
@@ -117,18 +113,15 @@ def log_gamma_ball(center_norms, radius, n: int,
         return log_gamma_interval(norms - radius, norms + radius, 2 * radius)
     spec = spec if spec is not None else QuadratureSpec()
     shape = np.broadcast_shapes(norms.shape, radius.shape)
-    # P(s, u) grows with u: can a slice of any pass leave the normal floats?
-    least = float(radius.min(initial=math.inf)) * _SIN_THETA_MIN
-    deep = gammainc(0.5 * (n - 1), least * least) < _TINY
     return _refine_each(
-        lambda order: _log_ball_slices(norms, radius, n, order, deep),
+        lambda order: _log_ball_slices(norms, radius, n, order),
         lambda order: math.prod(shape) * order, spec,
         _inner_tol(spec), f"ball measure in n = {n}",
         lambda i: (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
                    f"center distance {np.broadcast_to(norms, shape).flat[i]}"))
 
 
-def _log_ball_slices(norms, radius, n: int, order: int, deep: bool):
+def _log_ball_slices(norms, radius, n: int, order: int):
     # Gauss-Legendre in theta on [0, pi], the nodes on a leading axis so
     # that the sum runs over contiguous slabs of entries: -x^2 at every
     # entry, weighed by the slices, built at the radius's shape alone
@@ -137,15 +130,15 @@ def _log_ball_slices(norms, radius, n: int, order: int, deep: bool):
         # numpy sums a lone column pairwise but side-by-side columns slab
         # by slab: a lone entry runs as two, so its bits match any batch
         return _log_ball_slices(np.repeat(norms.ravel(), 2), radius.ravel(),
-                                n, order, deep)[:1].reshape(lead[1:])
+                                n, order)[:1].reshape(lead[1:])
     nodes, logw = _legendre_rule(order)
     theta = (0.5 * math.pi * (nodes + 1.0)).reshape(lead)
     sin_t = np.sin(theta)
     x = norms + radius * np.cos(theta)
     p = gammainc(s := 0.5 * (n - 1), u := (radius * sin_t) ** 2)
-    log_slice = np.log(np.fmax(p, _TINY) if deep else p)
-    if deep:  # P = u^s e^-u M(1, s + 1, u) / Gamma(s + 1), DLMF 8.5.1
-        low = p < _TINY
+    log_slice = np.log(np.fmax(p, _TINY))
+    # below the normal floats, P = u^s e^-u M(1, s + 1, u) / Gamma(s + 1)
+    if (low := p < _TINY).any():  # (DLMF 8.5.1), the same in any batch
         log_u, u = 2.0 * (np.log(radius) + np.log(sin_t))[low], u[low]
         log_slice[low] = (s * log_u - u + np.log(hyp1f1(1.0, s + 1.0, u))
                           - gammaln(s + 1.0))

@@ -199,9 +199,13 @@ def _nodes_for(region, order: int):
                         region.outer_radius, region.dim, order)
 
 
-def _node_count(region, order: int) -> int:
-    # the size of _nodes_for(region, order), known before building it
+def _node_count(region, order: int):
+    # the size of _nodes_for(region, order), known before building it;
+    # past 2^64, far over the cap, inf: the exact power of a large n
+    # would cost time and memory and outgrow what str() prints
     n = region.dim
+    if n * math.log2(order) > 64:
+        return math.inf
     return order ** n if isinstance(region, FullSpace) else 2 * order ** n
 
 

@@ -373,23 +373,25 @@ def test_hypercheck_out_of_range_exits_3(capsys):
     assert "above the cap of 1048576" in err and "FullSpace(dim=1)" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["hypercheck", "--t", "1", "--p", "1.5", "--lambda", "40"],
-    ["gamma", "--center", "8,0", "--order", "30000"],
-    ["apply", "--t", "1e-7", "--center", "8", "--y", "8.5"],
-    ["apply", "--t", "0.5", "--center", "8", "--radius", "1e300", "--y",
-     "8.5"],
-    ["sweep", "--t", "1e-6", "--p", "1", "--q", "2", "--k", "1", "--n", "1",
-     "--cmin", "4", "--cmax", "12", "--steps", "5"],
-    ["apply", "--t", "0.5", "--center", "8,0,0,0", "--y", "8.3,0,0,0"],
+@pytest.mark.parametrize("argv, refused_by", [
+    (["hypercheck", "--t", "1", "--p", "1.5", "--lambda", "40"], "order"),
+    (["gamma", "--center", "8,0", "--order", "30000"], "order"),
+    (["apply", "--t", "1e-7", "--center", "8", "--y", "8.5"], "order"),
+    (["apply", "--t", "0.5", "--center", "8", "--radius", "1e300", "--y",
+      "8.5"], "order"),
+    (["sweep", "--t", "1e-6", "--p", "1", "--q", "2", "--k", "1", "--n",
+      "1", "--cmin", "4", "--cmax", "12", "--steps", "5"], "order"),
+    (["apply", "--t", "0.5", "--center", "8,0,0,0", "--y", "8.3,0,0,0"],
+     "nodes"),
 ])
-def test_unsettled_refinement_exits_3_within_bounded_work(capsys, argv):
+def test_unsettled_refinement_exits_3_within_bounded_work(capsys, argv,
+                                                          refused_by):
     # the work cap, the larger of a pass's nodes and order^2, refuses
     # every rule above order 1024, however large --order is, and in
-    # n = 4 the polar grid of order 32, 2 x 32^4 = 2^21 nodes.  A profile
-    # hook sees every Gauss rule scipy builds, and numpy warnings are
-    # errors under pytest's filter.  Measured 0.001-0.25 s each on 2
-    # CPUs; the bound leaves a wide margin
+    # n = 4 the polar grid of order 32, 2 x 32^4 = 2^21 nodes, by its
+    # node count alone.  A profile hook sees every Gauss rule scipy
+    # builds, and numpy warnings are errors under pytest's filter.
+    # Measured 0.001-0.25 s each on 2 CPUs; the bound leaves a wide margin
     orders = []
 
     def hook(frame, event, _):
@@ -406,12 +408,29 @@ def test_unsettled_refinement_exits_3_within_bounded_work(capsys, argv):
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (3, "")
     assert max(orders, default=0) <= 1024
-    order = re.search(r"build (\d+) nodes at order (\d+) \(order\^2 = "
-                      r"(\d+)\), above the cap of 1048576, (.+); last two "
-                      r"log values", err)
-    assert order is not None, err
-    nodes, order, square = map(int, order.groups()[:3])
-    assert square == order ** 2 and max(nodes, square) > 1048576
+    refusal = re.search(r"build (\d+) nodes at order (\d+) \(order\^2 = "
+                        r"(\d+)\), above the cap of 1048576, (.+); last two "
+                        r"log values", err)
+    assert refusal is not None, err
+    nodes, order, square = map(int, refusal.groups()[:3])
+    assert square == order ** 2
+    if refused_by == "order":
+        assert order > 1024
+    else:
+        assert nodes > 1048576 and order <= 1024
+
+
+def test_polar_grid_of_thousands_of_dimensions_exits_3(capsys):
+    # 2 x 16^3000 nodes: refused at once, the count read as inf rather
+    # than built as an integer of 3,600 digits
+    center = ",".join(["8"] + ["0"] * 2999)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "apply", "--t", "0.5", "--center",
+                             center, "--y", "8.3" + center[1:])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert ("integral in n = 3000: refinement would build inf nodes at "
+            "order 16 (order^2 = 256), above the cap of 1048576") in err
 
 
 @pytest.mark.parametrize("n, t", [("1", "800"), ("2", "720")])

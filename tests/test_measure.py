@@ -444,24 +444,23 @@ def test_ball_measure_depends_on_center_norm_only():
 @pytest.mark.parametrize("order", [16, 32])
 def test_ball_slices_give_an_entry_the_same_bits_in_any_batch(n, order):
     # one pass at a fixed order: each entry alone (0-d), in a row of
-    # centers with one radius, and in rows with a radius per row; the
-    # branch for slices that are not normal floats (deep) leaves every
-    # normal slice its bits
+    # centers with one radius, and in rows with a radius per row.  The
+    # last row's radius leaves its slices below the normal floats, so a
+    # batch holding it takes the Kummer branch, and that branch leaves
+    # every normal slice its bits
     rng = np.random.default_rng(11)
-    norms = rng.uniform(0.0, 30.0, (3, 7))
-    radii = rng.uniform(0.05, 5.0, (3, 1))
+    norms = rng.uniform(0.0, 30.0, (4, 7))
+    radii = np.r_[rng.uniform(0.05, 5.0, 3), 1e-170][:, None]
     alone = np.array([[_log_ball_slices(np.asarray(a), np.asarray(r[0]),
-                                        n, order, False) for a in row]
+                                        n, order) for a in row]
                       for row, r in zip(norms, radii)])
-    for deep in (False, True):
-        assert _log_ball_slices(norms[0, 0], radii[0, 0], n, order,
-                                deep).shape == ()
-        rows = [_log_ball_slices(row, np.asarray(r[0]), n, order, deep)
-                for row, r in zip(norms, radii)]
-        for got in (np.array(rows),
-                    _log_ball_slices(norms, radii, n, order, deep)):
-            assert got.shape == norms.shape
-            assert (got.view(np.int64) == alone.view(np.int64)).all()
+    assert np.isfinite(alone).all()
+    assert _log_ball_slices(norms[0, 0], radii[0, 0], n, order).shape == ()
+    rows = [_log_ball_slices(row, np.asarray(r[0]), n, order)
+            for row, r in zip(norms, radii)]
+    for got in (np.array(rows), _log_ball_slices(norms, radii, n, order)):
+        assert got.shape == norms.shape
+        assert (got.view(np.int64) == alone.view(np.int64)).all()
 
 
 def _refuse_polar_grid(*args):

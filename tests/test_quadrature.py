@@ -1,6 +1,7 @@
 """Log-domain quadrature engine: exactness, stability, refinement."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,24 @@ def test_polar_engine_dimension_cap(monkeypatch):
         assert all(math.isnan(v) for v in err.value.last_two)
     with pytest.raises(ValueError, match="dimension must be an integer"):
         FullSpace(0)
+
+
+def test_grid_past_2_to_the_64_nodes_is_refused_without_its_power(
+        monkeypatch):
+    # 16^16 = 2^64 nodes are counted exactly; past that the count reads
+    # inf, so a huge n costs neither the exact power (16^(10^9) is a
+    # 4-Gbit integer) nor a message str() cannot print
+    monkeypatch.setattr(quadrature, "_fullspace_nodes", _refuse_grid)
+    monkeypatch.setattr(quadrature, "_polar_nodes", _refuse_grid)
+    for region, nodes in ((FullSpace(16), 2 ** 64), (FullSpace(17), "inf"),
+                          (FullSpace(10 ** 9), "inf"),
+                          (Ball(np.r_[8.0, np.zeros(2999)], 0.5), "inf")):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureConvergenceError,
+                           match=f"build {nodes} nodes at order 16") as err:
+            integrate_gamma_log(lambda p: np.zeros(len(p)), region)
+        assert time.perf_counter() - start < 0.5
+        assert all(math.isnan(v) for v in err.value.last_two)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
