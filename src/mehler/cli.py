@@ -159,9 +159,12 @@ def _cmd_apply(args) -> int:
     fields = {"log_value": value.log_magnitude,
               "value": _linear_or_none(value)}
     if ball.dim == 1:
-        c = float(ball.center[0])
+        c, width = float(ball.center[0]), 2.0 * ball.radius
+        a, b = c - ball.radius, c + ball.radius
+        # the exact width goes along where the rounded ends lost it; where
+        # they keep it, their translates' own difference is the closer one
         fields["log_erf_closed_form"] = apply_indicator_closed_log(
-            args.t, c - ball.radius, c + ball.radius, float(args.y[0]))
+            args.t, a, b, float(args.y[0]), None if b - a == width else width)
     _scalar_output(args, fields)
     return 0
 

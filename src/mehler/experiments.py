@@ -16,9 +16,12 @@ measure of the ball B((c - e^{-t} y)/s, r/s), s = sqrt(1 - e^{-2t}): the
 erf closed form in n = 1.  In n >= 2 one ball B fixes the radius r/s
 and a closed-form range of distances d, so ``measure.log_gamma_ball``
 samples the analytic log gamma(B(d, r/s)) + (d - r/s)^2 at m Chebyshev
-points per ball, all balls in one call, and the nodes get the
-interpolant by Clenshaw's recurrence; m doubles from 8 until it settles
-at the first pass's nodes, and later passes reuse it.
+points per ball, all balls in one call, before the outer rule runs: m
+doubles from 16 until every ball's Chebyshev coefficients from m/2 on
+sum to at most the inner tolerance, each ball drops the coefficients
+after its last one above a thousandth of it (Aurentz and Trefethen,
+ACM TOMS 43 (2017) 33), and every pass of the outer rule gets the
+interpolant at its nodes by Clenshaw's recurrence.
 The ball measure and the density see y = c + rho omega only through rho and
 <omega, c/|c|>, so the outer rule is the axial rule of
 ``quadrature.integrate_axial_log``, which depends on |c| alone.  One
@@ -32,7 +35,7 @@ route ``kernel.apply_indicator_log`` stays independent, unused here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -166,23 +169,43 @@ def fit_affine(x, y) -> tuple[float, float]:
 def _ball_interpolant(lo, hi, radius, n: int, spec: QuadratureSpec):
     # log gamma_n(B(d, radius)) for d in [lo, hi], row by row, through
     # h(d) = log gamma_n(B(d, radius)) + (d - radius)^2 at m first-kind
-    # Chebyshev points; the first call doubles m from 8 until the values
-    # settle, later calls reuse that m
+    # Chebyshev points, fitted once: m doubles from 16 until every row's
+    # coefficients from m/2 on sum to at most the inner tolerance, its own
+    # error estimate, and each row keeps them up to its last one above a
+    # thousandth of that; the samples' theta rule starts at the default
+    # order whatever spec.order is, their tolerance being the inner one
     mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
     radius = radius[:, None]
-    coefs = {}  # m -> (rows, m) Chebyshev coefficients of h
+    tol = _inner_tol(spec)
+    samples = replace(spec, order=QuadratureSpec().order)
+    c = None  # (rows, m) Chebyshev coefficients of h
 
-    def fit(m):
-        if m not in coefs:  # every sample of every row in one call
-            theta = math.pi * (np.arange(m) + 0.5) / m
-            cos = np.cos(np.outer(theta, np.arange(m)))  # cos(k theta_j)
-            d = mid + half * cos[:, 1]
-            h = log_gamma_ball(d, radius, n, spec) + (d - radius) ** 2
-            coefs[m] = (2.0 / m) * h @ cos
-            coefs[m][:, 0] *= 0.5
-        return coefs[m]
+    def fit(m):  # every sample of every row in one call
+        nonlocal c
+        theta = math.pi * (np.arange(m) + 0.5) / m
+        cos = np.cos(np.outer(theta, np.arange(m)))  # cos(k theta_j)
+        d = mid + half * cos[:, 1]
+        h = log_gamma_ball(d, radius, n, samples) + (d - radius) ** 2
+        c = (2.0 / m) * h @ cos
+        c[:, 0] *= 0.5
+        with np.errstate(divide="ignore"):  # a tail of exact zeros
+            return np.log(np.abs(c[:, m // 2:]).sum(axis=1))
 
-    def clenshaw(c, dist):
+    _refine_each(fit, lambda m: lo.size * m, QuadratureSpec(order=16), tol,
+                 f"Chebyshev tail of the ball-measure interpolant in n = {n}",
+                 lambda i: f"radius {radius[i, 0]}, center distances "
+                           f"{lo[i]} to {hi[i]}",
+                 settled=lambda log_tail, _, tol: bool(
+                     (log_tail <= math.log(tol)).all()))
+    # a row's chop depends on that row alone, and zeros past it leave the
+    # recurrence's bits as they are, so a row gets the same bits in a batch
+    keep = np.abs(c) > 1e-3 * tol
+    keep[:, 0] = True
+    length = c.shape[1] - np.argmax(keep[:, ::-1], axis=1)
+    c = np.where(np.arange(c.shape[1]) < length[:, None], c, 0.0)
+    c = c[:, :length.max(initial=1)]
+
+    def log_ball(dist):
         # rounding past the range clamps; a range of zero width maps to 0
         x = np.clip((dist - mid) / np.where(half > 0.0, half, 1.0), -1.0, 1.0)
         two_x, b1, b2 = 2.0 * x, np.zeros_like(x), np.zeros_like(x)
@@ -191,16 +214,6 @@ def _ball_interpolant(lo, hi, radius, n: int, spec: QuadratureSpec):
             b2 += ck[:, None]
             b1, b2 = b2, b1
         return c[:, :1] + x * b1 - b2 - (dist - radius) ** 2
-
-    def log_ball(dist):
-        if coefs:
-            return clenshaw(coefs[max(coefs)], dist)
-        return _refine_each(
-            lambda m: clenshaw(fit(m), dist), lambda m: dist.shape[0] * m,
-            QuadratureSpec(order=8), _inner_tol(spec),
-            f"ball-measure interpolant in n = {n}",
-            lambda i: f"radius {radius.flat[i // dist.shape[1]]}, "
-                      f"center distance {dist.flat[i]}")
 
     return log_ball
 

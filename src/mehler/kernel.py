@@ -106,17 +106,21 @@ def apply_indicator_log(t: float, ball: Ball, y,
         lambda pts: mehler_log_values(t, pts, yv[None, :]), ball, spec)
 
 
-def apply_indicator_closed_log(t: float, a: float, b: float, y: float) -> float:
+def apply_indicator_closed_log(t: float, a: float, b: float, y: float,
+                               width: float | None = None) -> float:
     """log of  e^{tL} 1_[a,b](y)  in one dimension, in closed form.
 
     From the translation route, e^{tL} 1_[a,b](y) is the gamma measure of
     the interval [(a - e^{-t} y)/s, (b - e^{-t} y)/s] with
-    s = sqrt(1 - e^{-2t}), by ``measure.log_gamma_interval``.
+    s = sqrt(1 - e^{-2t}), by ``measure.log_gamma_interval``.  Callers
+    that know a center and a radius pass ``width`` = b - a = 2 radius
+    exactly, as there: a narrow interval's ends may round to one float.
     """
     t = check_time(t)
     em, one_minus, _ = _time_factors(t)
     s = math.sqrt(one_minus)
-    return log_gamma_interval((a - em * y) / s, (b - em * y) / s)
+    return log_gamma_interval((a - em * y) / s, (b - em * y) / s,
+                              None if width is None else width / s)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (QK21) on [-1, 1], to double

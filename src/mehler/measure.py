@@ -36,6 +36,13 @@ from .quadrature import (
 __all__ = ["log_gamma_interval", "log_gamma_ball", "gamma_log"]
 
 _TINY = np.finfo(float).tiny
+# Spans narrower than this take erfc(hi) / erfc(lo) from a Gauss rule on
+# their exact width: the two-end formula keeps only about 1e-16 |lo| / w
+# of relative precision, the rule about 1e-16 below it (measured).
+_NARROW = 2.0 ** -6
+# A radius past this squares near float overflow; such a ball in n >= 2
+# is measured as the slab between its two tangent planes.
+_SLAB = 2.0 ** 511
 
 
 def log_gamma_interval(a, b, width=None):
@@ -46,8 +53,10 @@ def log_gamma_interval(a, b, width=None):
     e^{-w (a + b)}) / 2, w = b - a, erfcx(x) = e^{x^2} erfc(x) (W. J. Cody,
     Math. Comp. 23 (1969) 631), which keeps relative precision deep in
     either tail.  Callers that know a center and a radius pass ``width``
-    = 2 radius exactly: far out, the two ends round to one float.  The
-    arguments broadcast; scalar endpoints give a float.
+    = 2 radius exactly: far out, the two ends round to one float.  Below
+    a width of 2^-6, erfc(b) / erfc(a) comes from a Gauss rule on that
+    width, not from the two ends, whose ratio cancels.  The arguments
+    broadcast; scalar endpoints give a float.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (a <= b).all():  # one scan: a NaN endpoint fails it too
@@ -59,16 +68,28 @@ def log_gamma_interval(a, b, width=None):
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        width = b - a if width is None else width
+        width = b - a if width is None else np.asarray(width, dtype=float)
         # hi^2 = lo^2 + w (lo + hi), and -lo^2, the large term, comes last;
         # the share of erfc(lo) past hi is 1 for an empty span and NaN (0/0)
         # at lo = inf: fmin takes both to 1
         erfcx_lo = erfcx(lo)
         past = erfcx(hi) / erfcx_lo * np.exp(-width * (lo + hi))
-        tail = np.log(0.5 * erfcx_lo) + np.log1p(-np.fmin(past, 1.0)) - lo * lo
-        # straddles the origin: the two halves add, no cancellation
-        middle = np.log(0.5 * (erf(hi) + erf(-lo)))
-    out = np.where(lo >= 0.0, tail, middle)
+        kept = np.log1p(-np.fmin(past, 1.0))
+        if (narrow := width < _NARROW).any():
+            # where the two ends cancel: erfc(hi) / erfc(lo) is the exp of
+            # -int 2 / (sqrt(pi) erfcx) over [lo, lo + w], a smooth
+            # integrand, by a 3-point Gauss-Legendre rule on the exact width
+            nodes, logw = _legendre_rule(3)
+            lead = (3,) + (1,) * narrow.ndim
+            half = 0.5 * width
+            x = lo + half * (1.0 + nodes.reshape(lead))
+            slopes = 2.0 * np.exp(logw - _LOG_SQRT_PI).reshape(lead) / erfcx(x)
+            log_past = -half * slopes.sum(axis=0)
+            kept = np.where(narrow, np.log(-np.expm1(log_past)), kept)
+        out = np.log(0.5 * erfcx_lo) + kept - lo * lo
+        if (straddle := lo < 0.0).any():
+            # straddles the origin: the two halves add, no cancellation
+            out = np.where(straddle, np.log(0.5 * (erf(hi) + erf(-lo))), out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -104,21 +125,35 @@ def log_gamma_ball(center_norms, radius, n: int,
     ``quadrature.MAX_NODES`` (center, node) pairs, or above order 1024,
     raises instead.  This is gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2),
     the noncentral chi-square CDF, kept in log domain far below exp(-700).
+    A radius above 2^511, whose square nears float overflow, measures the
+    slab |x_1 - a| < radius in its place, the same to float precision.
     """
     norms = np.asarray(center_norms, dtype=float)
     radius = np.asarray(radius, dtype=float)
     _check_shape(norms, 0.0, radius)
     n = _as_index(n, 1, "dimension")
     if n == 1:
-        return log_gamma_interval(norms - radius, norms + radius, 2 * radius)
+        with np.errstate(over="ignore"):  # ends past float range: infinite
+            return log_gamma_interval(norms - radius, norms + radius,
+                                      2 * radius)
+    if (slab := radius > _SLAB).any():
+        # every transverse slice the density reaches is whole: the ball is
+        # the slab |x_1 - a| < radius, measured in n = 1, to float precision
+        # (the curvature moves it by about n max(1, |a - radius|) / radius)
+        return np.where(slab, log_gamma_ball(norms, radius, 1), log_gamma_ball(
+            norms, np.where(slab, 1.0, radius), n, spec))
     spec = spec if spec is not None else QuadratureSpec()
     shape = np.broadcast_shapes(norms.shape, radius.shape)
-    return _refine_each(
-        lambda order: _log_ball_slices(norms, radius, n, order),
-        lambda order: math.prod(shape) * order, spec,
-        _inner_tol(spec), f"ball measure in n = {n}",
-        lambda i: (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
-                   f"center distance {np.broadcast_to(norms, shape).flat[i]}"))
+
+    def label(i):
+        return (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
+                f"center distance {np.broadcast_to(norms, shape).flat[i]}")
+
+    with np.errstate(over="ignore"):  # x^2 past float range: weight 0
+        return _refine_each(
+            lambda order: _log_ball_slices(norms, radius, n, order),
+            lambda order: math.prod(shape) * order, spec,
+            _inner_tol(spec), f"ball measure in n = {n}", label)
 
 
 def _log_ball_slices(norms, radius, n: int, order: int):

@@ -22,7 +22,8 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 
 Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
 log-domain refinement loop: it doubles the order until every value
-changes by less than the tolerance, relative, or by at most two ulps.
+changes by less than the tolerance, relative, or by at most two ulps,
+or, for a pass that carries its own error estimate, until that meets it.
 A pass whose work, the larger of its node count and order^2, exceeds
 ``MAX_NODES`` is refused unbuilt, in any n (no rule tops order 1024):
 one error that carries the last two values of the entry that moved
@@ -240,13 +241,16 @@ def _log_rel_converged(cur, prev, tol: float) -> bool:
 
 
 def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
-                 what: str, label):
+                 what: str, label, settled=_log_rel_converged):
     """Double the order of a log-domain rule until every value settles.
 
     ``one_pass(order)`` returns a log value, or an array of them, from a
     pass at ``order``, and ``count(order)`` is the number of nodes (over
     all entries) that pass builds.  The order doubles from ``spec.order``
-    until every entry changes by at most ``tol`` relative or two ulps.
+    until ``settled(cur, prev, tol)`` holds for the last two passes: by
+    default, until every entry changes by at most ``tol`` relative or two
+    ulps (a first pass, against NaN, never settles that way); a pass that
+    carries its own error estimate may settle on it alone.
     The one stop: a pass whose work, the larger of its node count and
     order^2, exceeds ``MAX_NODES`` raises before it runs.  The error
     names ``what``, the refused order, its work, the cap and ``label(i)``
@@ -257,7 +261,7 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
     order = spec.order
     while max(nodes := count(order), order * order) <= MAX_NODES:
         prev, cur = cur, one_pass(order)
-        if order > spec.order and _log_rel_converged(cur, prev, tol):
+        if settled(cur, prev, tol):
             return cur
         order *= 2
     reason = (f"refinement would build {nodes} nodes at order {order} "

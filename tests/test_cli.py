@@ -92,6 +92,29 @@ def test_apply_includes_erf_column_in_1d(capsys):
     assert log_v == pytest.approx(log_erf, abs=1e-7)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("center, radius, y", [
+    ("0.1", "1e-300", "0.1"), ("2", "1e-15", "2.1"), ("2", "1e-5", "2.1"),
+    ("-3", "1e-9", "-2.9")])
+def test_apply_closed_form_of_a_narrow_interval(capsys, center, radius, y):
+    # c -+ r round to one float, or lose the width's digits: the closed
+    # form takes the exact width 2r (once -inf at 1e-300, -35.146 against
+    # -35.023 at 1e-15)
+    code, out, _ = run_cli(capsys, "apply", "--t", "0.5", "--center", center,
+                           "--radius", radius, "--y", y)
+    log_v, _, log_erf = (float(tok) for tok in out.splitlines()[1].split(","))
+    assert code == 0 and math.isfinite(log_erf)
+    assert log_erf == pytest.approx(log_v, rel=1e-8)
+
+
+def test_apply_closed_form_keeps_the_readme_bits(capsys):
+    # where c -+ r keep the width, their translates' own difference is the
+    # closer width: -14.3360518375226574 to 18 digits (mpmath)
+    code, out, _ = run_cli(capsys, "apply", "--t", "0.5", "--center", "8",
+                           "--y", "8.5")
+    assert out.splitlines()[1].split(",")[2] == "-14.336051837522657"
+
+
 def test_sweep_csv_round_trip(capsys):
     args = ["sweep", "--t", "0.5", "--p", "1", "--q", "2", "--k", "1",
             "--n", "1", "--cmin", "4", "--cmax", "12", "--steps", "5"]

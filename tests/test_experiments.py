@@ -408,6 +408,65 @@ def test_ball_interpolant_matches_the_direct_measure(n, t, monkeypatch):
         assert np.all(np.abs(got[:, nodes] - want) <= 2e-14 * np.abs(want))
 
 
+def _interpolant_samples(monkeypatch):
+    # the sample count m of every ball-measure call the interpolant makes
+    # (its samples are the 2-D calls; gamma(B) is 1-D)
+    counts = []
+
+    def counting(d, *args):
+        if np.ndim(d) == 2:
+            counts.append(np.shape(d)[1])
+        return log_gamma_ball(d, *args)
+
+    monkeypatch.setattr(experiments, "log_gamma_ball", counting)
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_samples_the_ball_measure_once(n, monkeypatch):
+    # m = 16 has a Chebyshev tail below the inner tolerance on the README
+    # grid at t = 0.5, so the samples are taken once; fitting m = 8 only to
+    # compare it with m = 16 took them twice
+    counts = _interpolant_samples(monkeypatch)
+    sweep_blowup(HYP12, 0.5, 1, n, [4.0, 6.0, 8.0, 10.0, 12.0])
+    assert counts == [16]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t, m", [(2.0, 16), (0.5, 16), (0.1, 32),
+                                  (1e-2, 32), (1e-3, 32), (1e-4, 64),
+                                  (1e-5, 64)])
+@pytest.mark.parametrize("grid", [np.linspace(4.0, 12.0, 5),
+                                  np.linspace(4.0, 30.0, 8)])
+def test_interpolant_tail_test_keeps_the_two_iterate_m(grid, t, m, n,
+                                                       monkeypatch):
+    # the m at which the values at the first outer pass's nodes settled
+    # between m / 2 and m, measured on these grids before the interpolant
+    # settled on its own Chebyshev tail; the outer rule is not run
+    counts = _interpolant_samples(monkeypatch)
+    monkeypatch.setattr(experiments, "integrate_axial_log",
+                        lambda g_log, norms, *args: np.zeros(norms.size))
+    _annulus_lq_log(t, 2.0, grid, 1.0 / grid, 1, n, None)
+    assert counts[-1] == m and counts == sorted(set(counts))
+
+
+def test_interpolant_that_never_settles_names_its_tail(monkeypatch):
+    # samples of noise keep every Chebyshev tail large: m doubles to 1024
+    # and m = 2048 is refused (2048^2 work), with the last two log tails
+    # of the row that moved most and that row's radius and distances
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(experiments, "log_gamma_ball",
+                        lambda d, *args: rng.normal(size=np.shape(d)))
+    with pytest.raises(QuadratureConvergenceError, match=re.escape(
+            "Chebyshev tail of the ball-measure interpolant in n = 2: "
+            "refinement would build 10240 nodes at order 2048 (order^2 = "
+            "4194304), above the cap of 1048576, radius ")) as err:
+        _annulus_lq_log(0.5, 2.0, [4.0, 6.0, 8.0, 10.0, 12.0],
+                        [0.25, 1 / 6, 0.125, 0.1, 1 / 12], 1, 2, None)
+    assert "center distances" in str(err.value)
+    assert all(math.log(1e-10) < v < math.inf for v in err.value.last_two)
+
+
 @pytest.mark.parametrize("n, t, cmax, steps", [
     (2, 1e-4, 12.0, 5), (3, 1e-4, 12.0, 5), (2, 1e-4, 30.0, 8),
     (3, 1e-4, 30.0, 8), (3, 1e-5, 12.0, 5)])

@@ -335,6 +335,58 @@ def test_ball_measure_is_finite_at_tiny_radii(n, radius):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("radius", [1e155, 1e200, 1e300])
+def test_ball_past_squared_overflow_is_its_slab(n, radius):
+    # radius^2 overflows, once a warning and -inf for a log measure of
+    # about 0; a ball this wide is the slab between its tangent planes
+    # where the density lives, by n |c - radius| / radius relative at most
+    assert log_gamma_ball(8.0, radius, n) == 0.0
+    assert log_gamma_ball(radius, radius, n) == -math.log(2.0)
+    batch = log_gamma_ball([8.0, 8.0, radius], [0.125, radius, radius], n)
+    assert batch[0] == log_gamma_ball(8.0, 0.125, n)
+    assert list(batch[1:]) == [0.0, -math.log(2.0)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("center", ["8,0", "8,0,0", "8,0,0,0"])
+@pytest.mark.parametrize("radius", ["1e155", "1e200", "1e300"])
+def test_cli_measures_a_ball_past_squared_overflow(capsys, center, radius):
+    assert main(["gamma", "--center", center, "--radius", radius]) == 0
+    assert capsys.readouterr().out == "log_measure,measure\n0,1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, radius", [(0.1, 1e-17), (2.0, 1e-15),
+                                       (0.1, 1e-300), (30.0, 1e-9),
+                                       (1e9, 1e-9), (0.5, 1e-6)])
+def test_narrow_interval_keeps_relative_precision(a, radius):
+    # the two ends cancel; the measure is the density at the middle times
+    # the width, to w^2 (2 a^2 - 1) / 12 relative (the width is exact,
+    # the ends rounded); once -inf at the first three, -38.464 against
+    # -38.418 at the second
+    w = 2.0 * radius
+    want = (math.log(w / SQRT_PI) - a * a
+            + math.log1p(w * w * (2.0 * a * a - 1.0) / 12.0))
+    for got in (log_gamma_ball(a, radius, 1), log_gamma_ball(-a, radius, 1),
+                log_gamma_interval(a - radius, a + radius, w)):
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 3.0, 30.0])
+def test_interval_is_continuous_across_the_narrow_rule(a):
+    # a span of width 2^-6 takes the two ends, one an ulp narrower the
+    # Gauss rule; where the ends are exact (2^-7) the two ends agree with
+    # the rule; measured at most 7e-16 relative
+    w = 2.0 ** -6
+    assert log_gamma_interval(a, a + w, w) == pytest.approx(
+        log_gamma_interval(a, a + w, np.nextafter(w, 0.0)), rel=2e-15)
+    w = 2.0 ** -7
+    assert log_gamma_interval(a, a + w, w) == pytest.approx(
+        log_gamma_interval(a, a + w), rel=2e-15)
+
+
+@pytest.mark.filterwarnings("error")
 def test_cli_measures_a_ball_of_radius_1e_170(capsys):
     assert main(["gamma", "--center", "0.1,0", "--radius", "1e-170"]) == 0
     lines = capsys.readouterr().out.splitlines()

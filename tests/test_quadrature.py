@@ -295,3 +295,30 @@ def test_tight_batched_ball_measure_settles_at_rounding():
     got = log_gamma_ball(norms, 3.0, 2, spec)
     want = [log_gamma_ball(c, 3.0, 2, spec) for c in norms]
     assert got.tolist() == want
+
+
+def test_refinement_stops_on_the_pass_own_estimate_when_asked():
+    # the default two-iterate test never settles a first pass (against
+    # NaN); a stop test on the pass's own error estimate may, and the cap
+    # still refuses a pass that test never accepts
+    orders = []
+
+    def one_pass(order):
+        orders.append(order)
+        return -1.0 / order  # the pass's own estimate of its error
+
+    def refine(**settled):
+        orders.clear()
+        return quadrature._refine_each(
+            one_pass, lambda order: order, QuadratureSpec(order=4), 1e-3,
+            "test rule", lambda _: "entry", **settled)
+
+    doublings = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
+    assert refine() == -1.0 / 1024 and orders == doublings
+    assert refine(settled=lambda cur, _, tol: -cur <= 10.0 * tol) == -1 / 128
+    assert orders == doublings[:6]
+    assert refine(settled=lambda cur, prev, tol: cur == -0.25) == -0.25
+    assert orders == [4]
+    with pytest.raises(QuadratureConvergenceError, match=r"test rule: "
+                       r"refinement would build 2048 nodes at order 2048"):
+        refine(settled=lambda cur, prev, tol: False)

@@ -16,8 +16,10 @@ n = 1, as intervals), and at t = 0.001 in n = 2, where the balls are
 wide and the order doubles further; the n = 2 balls' distances at
 radius 1e-170, where every transverse slice leaves the normal floats;
 one n = 3 annulus measure on the axial rule; the README n = 2 sweep at
-t = 0.001, where the ball measure is interpolated along each row; an
-n = 6 sweep at t = 0.5 on [4, 30] x 8; and the n = 1 sweep of the
+t = 0.001, where the ball measure is interpolated along each row, and
+the README n = 3 sweep at t = 0.0001, where the interpolant needs 64
+Chebyshev points and keeps about 21 of them; an n = 6 sweep at t = 0.5
+on [4, 30] x 8; and the n = 1 sweep of the
 benchmark's ``sweep-n1-deep`` part at t = 0.5, 27 points on [4.9, 30],
 where the per-row work around the quadrature shows.
 The kernel-form route is timed twice: on that one interval, and cycling
@@ -150,6 +152,8 @@ def layers():
              lambda x, z: np.zeros(x.shape), 8.0, 0.25, 0.5, 3)),
         ("experiments.sweep_blowup, README grid, n = 2, t = 0.001",
          lambda: experiments.sweep_blowup(SWEEP[0], 0.001, 1, 2, SWEEP[1])),
+        ("experiments.sweep_blowup, README grid, n = 3, t = 0.0001",
+         lambda: experiments.sweep_blowup(SWEEP[0], 1e-4, 1, 3, SWEEP[1])),
         ("experiments.sweep_blowup, [4, 30] x 8, n = 6, t = 0.5",
          lambda: experiments.sweep_blowup(SWEEP[0], 0.5, 1, 6, WIDE)),
         ("experiments.sweep_blowup, [4.9, 30] x 27, n = 1, t = 0.5",
