@@ -41,9 +41,8 @@ _TINY = np.finfo(float).tiny
 # below w = 1e-16 or so), the rule keeps the log to 2e-16 relative below
 # this width (against mpmath, lo in [0, 1e9]).
 _NARROW = 2.0 ** -6
-# A radius past this squares near float overflow; such a ball in n >= 2
-# is measured as the slab between its two tangent planes.
-_SLAB = 2.0 ** 511
+# A radius past this squares near float overflow: n >= 2 refuses it
+_MAX_RADIUS = 2.0 ** 511
 
 
 def log_gamma_interval(a, b, width=None):
@@ -81,7 +80,7 @@ def log_gamma_interval(a, b, width=None):
             # -int 2 / (sqrt(pi) erfcx) over [lo, lo + w], a smooth
             # integrand, by a 3-point Gauss-Legendre rule on the exact width
             nodes, logw = _legendre_rule(3)
-            lead = (3,) + (1,) * narrow.ndim
+            lead = (3,) + (1,) * kept.ndim  # kept has the broadcast shape
             half = 0.5 * width
             x = lo + half * (1.0 + nodes.reshape(lead))
             slopes = 2.0 * np.exp(logw - _LOG_SQRT_PI).reshape(lead) / erfcx(x)
@@ -126,8 +125,8 @@ def log_gamma_ball(center_norms, radius, n: int,
     ``quadrature.MAX_NODES`` (center, node) pairs, or above order 1024,
     raises instead.  This is gamma(B) = P(chi'^2_n(2 a^2) <= 2 radius^2),
     the noncentral chi-square CDF, kept in log domain far below exp(-700).
-    A radius above 2^511, whose square nears float overflow, measures the
-    slab |x_1 - a| < radius in its place, the same to float precision.
+    In n >= 2 a radius above 2^511, whose square nears float overflow,
+    raises ``ValueError`` too.
     """
     norms = np.asarray(center_norms, dtype=float)
     radius = np.asarray(radius, dtype=float)
@@ -137,24 +136,17 @@ def log_gamma_ball(center_norms, radius, n: int,
         with np.errstate(over="ignore"):  # ends past float range: infinite
             return log_gamma_interval(norms - radius, norms + radius,
                                       2 * radius)
-    if (slab := radius > _SLAB).any():
-        # every transverse slice the density reaches is whole: the ball is
-        # the slab |x_1 - a| < radius, measured in n = 1, to float precision
-        # (the curvature moves it by about n max(1, |a - radius|) / radius)
-        return np.where(slab, log_gamma_ball(norms, radius, 1), log_gamma_ball(
-            norms, np.where(slab, 1.0, radius), n, spec))
+    if (radius > _MAX_RADIUS).any():
+        raise ValueError(f"radius {radius.max()} is above 2^511 in n = {n}: "
+                         "its square nears float overflow")
     spec = spec if spec is not None else QuadratureSpec()
     shape = np.broadcast_shapes(norms.shape, radius.shape)
-
-    def label(i):
-        return (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
-                f"center distance {np.broadcast_to(norms, shape).flat[i]}")
-
-    with np.errstate(over="ignore"):  # x^2 past float range: weight 0
-        return _refine_each(
-            lambda order: _log_ball_slices(norms, radius, n, order),
-            lambda order: math.prod(shape) * order, spec,
-            _inner_tol(spec), f"ball measure in n = {n}", label)
+    return _refine_each(
+        lambda order: _log_ball_slices(norms, radius, n, order),
+        lambda order: math.prod(shape) * order, spec,
+        _inner_tol(spec), f"ball measure in n = {n}",
+        lambda i: (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
+                   f"center distance {np.broadcast_to(norms, shape).flat[i]}"))
 
 
 def _log_ball_slices(norms, radius, n: int, order: int):
@@ -180,7 +172,8 @@ def _log_ball_slices(norms, radius, n: int, order: int):
                           - gammaln(s + 1.0))
     log_weights = (logw.reshape(lead) + np.log(0.5 * math.pi * radius)
                    - _LOG_SQRT_PI + np.log(sin_t) + log_slice)
-    x *= x  # this pass's own array, squared and negated in place
+    with np.errstate(over="ignore"):  # x^2 past float range: weight 0
+        x *= x  # this pass's own array, squared and negated in place
     return log_sum_weighted(np.negative(x, out=x), log_weights, axis=0)
 
 

@@ -337,23 +337,37 @@ def test_ball_measure_is_finite_at_tiny_radii(n, radius):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("radius", [1e155, 1e200, 1e300])
-def test_ball_past_squared_overflow_is_its_slab(n, radius):
+def test_ball_past_squared_overflow_is_refused(n, radius):
     # radius^2 overflows, once a warning and -inf for a log measure of
-    # about 0; a ball this wide is the slab between its tangent planes
-    # where the density lives, by n |c - radius| / radius relative at most
-    assert log_gamma_ball(8.0, radius, n) == 0.0
-    assert log_gamma_ball(radius, radius, n) == -math.log(2.0)
-    batch = log_gamma_ball([8.0, 8.0, radius], [0.125, radius, radius], n)
-    assert batch[0] == log_gamma_ball(8.0, 0.125, n)
-    assert list(batch[1:]) == [0.0, -math.log(2.0)]
+    # about 0: such a radius raises before any pass, alone or in a batch
+    for norms, radii in ((8.0, radius), ([8.0, 8.0], [0.125, radius])):
+        with pytest.raises(ValueError, match=r"above 2\^511"):
+            log_gamma_ball(norms, radii, n)
+    # a far center's x^2 overflows too: weight 0, without a warning
+    assert log_gamma_ball(1e200, 1.0, n) == -math.inf
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("center", ["8,0", "8,0,0", "8,0,0,0"])
 @pytest.mark.parametrize("radius", ["1e155", "1e200", "1e300"])
-def test_cli_measures_a_ball_past_squared_overflow(capsys, center, radius):
-    assert main(["gamma", "--center", center, "--radius", radius]) == 0
-    assert capsys.readouterr().out == "log_measure,measure\n0,1\n"
+def test_cli_refuses_a_ball_past_squared_overflow(capsys, center, radius):
+    assert main(["gamma", "--center", center, "--radius", radius]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "above 2^511" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [2, 3])
+def test_narrow_spans_broadcast_against_a_scalar_width(size):
+    # the Gauss rule's node axis is laid against the broadcast shape, not
+    # the width's: an array of centers with one scalar radius (once one
+    # wrong value for all three, or a broadcast error for two)
+    norms = np.array([0.5, 3.0, 8.0])[:size]
+    batch = log_gamma_ball(norms, 1e-3, 1)
+    assert list(batch) == [log_gamma_ball(a, 1e-3, 1) for a in norms]
+    spans = log_gamma_interval(norms, norms + 2e-3, 2e-3)
+    assert list(spans) == [log_gamma_interval(a, a + 2e-3, 2e-3)
+                           for a in norms]
 
 
 @pytest.mark.filterwarnings("error")
