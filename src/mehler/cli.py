@@ -299,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--seed", type=int, default=42)
     p_self.set_defaults(func=_cmd_selftest)
 
+    parser.subcommands = sub.choices  # name -> parser, for main's dispatch
     return parser
 
 
@@ -307,8 +308,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse(argv):
+    # an argv that names a subcommand first goes straight to that
+    # subcommand's parser, as the top-level parser would hand it on, at
+    # about half the cost; the rest, and any call that leaves arguments
+    # unrecognized, go through the top-level parser, whose usage error
+    # names the program as a whole
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _check_output(getattr(args, "output", None))
         return args.func(args)

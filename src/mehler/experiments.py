@@ -180,8 +180,9 @@ def _ball_interpolant(lo, hi, radius, n: int, spec: QuadratureSpec):
     samples = replace(spec, order=QuadratureSpec().order)
     c = None  # (rows, m) Chebyshev coefficients of h
 
-    def fit(m):  # every sample of every row in one call
+    def fit(orders):  # every sample of every row in one call
         nonlocal c
+        (m,) = orders
         theta = math.pi * (np.arange(m) + 0.5) / m
         cos = np.cos(np.outer(theta, np.arange(m)))  # cos(k theta_j)
         d = mid + half * cos[:, 1]
@@ -189,7 +190,7 @@ def _ball_interpolant(lo, hi, radius, n: int, spec: QuadratureSpec):
         c = (2.0 / m) * h @ cos
         c[:, 0] *= 0.5
         with np.errstate(divide="ignore"):  # a tail of exact zeros
-            return np.log(np.abs(c[:, m // 2:]).sum(axis=1))
+            return [np.log(np.abs(c[:, m // 2:]).sum(axis=1))]
 
     _refine_each(fit, lambda m: lo.size * m, QuadratureSpec(order=16), tol,
                  f"Chebyshev tail of the ball-measure interpolant in n = {n}",

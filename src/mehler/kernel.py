@@ -39,7 +39,7 @@ import numpy as np
 
 from .geometry import Ball, as_point, check_time
 from .lognum import LogNumber
-from .measure import log_gamma_interval
+from .measure import _MAX_RADIUS, log_gamma_interval
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -96,12 +96,17 @@ def apply_indicator_log(t: float, ball: Ball, y,
     """log of  e^{tL} 1_B(y) = integral_B M_t(x, y) dgamma(x).
 
     Kernel-form route: log-domain quadrature of the Mehler kernel over
-    the ball, on the polar nodes about its center.
+    the ball, on the polar nodes about its center.  A radius above 2^511,
+    where the kernel at those nodes is inf - inf, raises ``ValueError``
+    before any pass runs.
     """
     t = check_time(t)
     yv = as_point(y)
     if yv.size != ball.dim:
         raise ValueError("y must live in the ball's dimension")
+    if ball.radius > _MAX_RADIUS:
+        raise ValueError(f"radius {ball.radius} is above 2^511 in n = "
+                         f"{ball.dim}: its square nears float overflow")
     return integrate_gamma_log(
         lambda pts: mehler_log_values(t, pts, yv[None, :]), ball, spec)
 

@@ -28,7 +28,9 @@ from .lognum import LogNumber, log_sum_weighted
 from .quadrature import (
     _LOG_SQRT_PI,
     QuadratureSpec,
+    _blocks,
     _legendre_rule,
+    _legendre_rules,
     _refine_each,
     integrate_axial_log,
 )
@@ -41,7 +43,8 @@ _TINY = np.finfo(float).tiny
 # below w = 1e-16 or so), the rule keeps the log to 2e-16 relative below
 # this width (against mpmath, lo in [0, 1e9]).
 _NARROW = 2.0 ** -6
-# A radius past this squares near float overflow: n >= 2 refuses it
+# A radius past this squares near float overflow: the ball measure in
+# n >= 2 and the kernel-form route refuse it
 _MAX_RADIUS = 2.0 ** 511
 
 
@@ -142,24 +145,25 @@ def log_gamma_ball(center_norms, radius, n: int,
     spec = spec if spec is not None else QuadratureSpec()
     shape = np.broadcast_shapes(norms.shape, radius.shape)
     return _refine_each(
-        lambda order: _log_ball_slices(norms, radius, n, order),
+        lambda orders: _log_ball_slices(norms, radius, n, orders),
         lambda order: math.prod(shape) * order, spec,
         _inner_tol(spec), f"ball measure in n = {n}",
         lambda i: (f"radius {np.broadcast_to(radius, shape).flat[i]}, "
                    f"center distance {np.broadcast_to(norms, shape).flat[i]}"))
 
 
-def _log_ball_slices(norms, radius, n: int, order: int):
-    # Gauss-Legendre in theta on [0, pi], the nodes on a leading axis so
-    # that the sum runs over contiguous slabs of entries: -x^2 at every
-    # entry, weighed by the slices, built at the radius's shape alone
-    lead = (order,) + (1,) * max(norms.ndim, radius.ndim)
+def _log_ball_slices(norms, radius, n: int, orders):
+    # Gauss-Legendre in theta on [0, pi], the nodes of every order one
+    # block after another on a leading axis, so that each order's sum runs
+    # over contiguous slabs of entries: -x^2 at every entry, weighed by the
+    # slices, built at the radius's shape alone; one value per order
+    lead = (-1,) + (1,) * max(norms.ndim, radius.ndim)
     if norms.size == radius.size == 1:
         # numpy sums a lone column pairwise but side-by-side columns slab
         # by slab: a lone entry runs as two, so its bits match any batch
-        return _log_ball_slices(np.repeat(norms.ravel(), 2), radius.ravel(),
-                                n, order)[:1].reshape(lead[1:])
-    nodes, logw = _legendre_rule(order)
+        return [value[:1].reshape(lead[1:]) for value in _log_ball_slices(
+            np.repeat(norms.ravel(), 2), radius.ravel(), n, orders)]
+    nodes, logw = _legendre_rules(*orders)
     theta = (0.5 * math.pi * (nodes + 1.0)).reshape(lead)
     sin_t = np.sin(theta)
     x = norms + radius * np.cos(theta)
@@ -174,7 +178,9 @@ def _log_ball_slices(norms, radius, n: int, order: int):
                    - _LOG_SQRT_PI + np.log(sin_t) + log_slice)
     with np.errstate(over="ignore"):  # x^2 past float range: weight 0
         x *= x  # this pass's own array, squared and negated in place
-    return log_sum_weighted(np.negative(x, out=x), log_weights, axis=0)
+    np.negative(x, out=x)
+    return [log_sum_weighted(x[at], log_weights[at], axis=0)
+            for at in _blocks(orders)]
 
 
 def gamma_log(region, spec: QuadratureSpec | None = None) -> LogNumber:

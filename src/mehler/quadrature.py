@@ -5,7 +5,7 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 
 * full space: tensor Gauss-Hermite, whose weight function is exactly the
   gamma density up to the pi^{-n/2} factor, one read-only grid cached
-  per (n, order) and shared by every call;
+  per (n, orders) of a pass and shared by every call;
 * balls and annuli about a center c, seen only through c and the inner
   and outer radii (0 for a ball): one radial rule, Gauss-Legendre in
   rho = |y - c| with the weight rho^{n-1}, and one unit-sphere rule,
@@ -24,13 +24,17 @@ Accumulation is log-sum-exp throughout.  ``_refine_each`` is the one
 log-domain refinement loop: it doubles the order until every value
 changes by less than the tolerance, relative, or by at most two ulps,
 or, for a pass that carries its own error estimate, until that meets it.
-A pass whose work, the larger of its node count and order^2, exceeds
-``MAX_NODES`` is refused unbuilt, in any n (no rule tops order 1024):
-one error that carries the last two values of the entry that moved
-most.  It drives ``integrate_gamma_log`` and ``integrate_axial_log``
-here, the ball measure in ``measure`` and the number of interpolation
-points in ``experiments``.  The default relative tolerance is 1e-8;
-only ``QuadratureSpec(tol=)`` (the CLI's ``--tol``) changes it.
+Under the two-value test a small first pass batches orders o and 2o:
+each order's nodes fill their own block of one array, then one
+integrand call and one sum per order, so each value has the bits of a
+pass of its own.  A pass whose work, the larger of its node count over the batch
+and its top order squared, exceeds ``MAX_NODES`` is refused unbuilt, in
+any n (no rule tops order 1024): one error that carries the last two
+values of the entry that moved most.  It drives ``integrate_gamma_log``
+and ``integrate_axial_log`` here, the ball measure in ``measure`` and
+the number of interpolation points in ``experiments``.  The default
+relative tolerance is 1e-8; only ``QuadratureSpec(tol=)`` (the CLI's
+``--tol``) changes it.
 """
 
 from __future__ import annotations
@@ -58,6 +62,13 @@ __all__ = [
 # orders stay at or below 1024, polar grids (2 order^n nodes) and
 # full-space grids (order^n) at order 2 up to n = 19 and n = 20.
 MAX_NODES = 2 ** 20
+# Most work a first pass may batch over its two orders.  The batch saves
+# one pass's fixed cost, tens of microseconds, but holds both orders'
+# arrays at once.  Measured on a 2-CPU Xeon (glibc): batched, the README
+# n = 2 sweep's 6,400-node first pass raised the benchmark's peak RSS by
+# about 0.2 MB, and the n = 3 kernel form's 8,192 + 65,536 nodes ran
+# about 7 % slower, from a third more page faults.
+_BATCH_WORK = 2 ** 12
 # A log that moved by at most this many of its ulps has settled, whatever
 # the tolerance: summing a batch can leave that much noise in a large log.
 _SETTLED_ULPS = 2
@@ -113,17 +124,22 @@ def _log_sphere_mass(n: int) -> float:  # log |S^{n-2}|, n >= 2
 
 # -- node builders: points (m, n) and log-weights (m,) ----------------
 
-# One hypercheck visits 4 keys and ``selftest`` 9.  MAX_NODES caps an
-# entry at 2^20 (n + 1) floats, and full-space grids exist only up to
-# n = 20: 168 MB an entry, so at most 16 x 168 MB (16 x 32 MB in n <= 3).
+# One hypercheck visits 2 keys and ``selftest`` 7, a first pass's two
+# orders one key.  MAX_NODES caps an entry, its orders' grids together,
+# at 2^20 (n + 1) floats, and full-space grids exist only up to n = 20:
+# 168 MB an entry, so at most 16 x 168 MB (16 x 32 MB in n <= 3).
 @lru_cache(maxsize=16)
-def _fullspace_nodes(n: int, order: int):
-    # the tensor Gauss-Hermite grid, read-only and shared
-    nodes, logw = _hermite_rule(order)
-    grids = np.meshgrid(*([nodes] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([logw] * n), indexing="ij")
-    lw = sum(w.ravel() for w in wgrids) - n * _LOG_SQRT_PI
+def _fullspace_nodes(n: int, *orders: int):
+    # the tensor Gauss-Hermite grid of each order, one block after another,
+    # read-only and shared
+    blocks = []
+    for order in orders:
+        nodes, logw = _hermite_rule(order)
+        grids = np.meshgrid(*([nodes] * n), indexing="ij")
+        wgrids = np.meshgrid(*([logw] * n), indexing="ij")
+        blocks.append((np.stack([g.ravel() for g in grids], axis=-1),
+                       sum(w.ravel() for w in wgrids) - n * _LOG_SQRT_PI))
+    pts, lw = map(np.concatenate, zip(*blocks))
     pts.setflags(write=False)
     lw.setflags(write=False)
     return pts, lw
@@ -161,43 +177,77 @@ def _sphere_rule(n: int, order: int):
     return direction, lw
 
 
-def _radial_rule(n: int, order: int, r_inner, r_outer):
+@lru_cache(maxsize=32)
+def _legendre_rules(*orders: int):
+    # the Gauss-Legendre rules of the given orders, one after another
+    nodes, logw = map(np.concatenate, zip(*map(_legendre_rule, orders)))
+    nodes.setflags(write=False)
+    logw.setflags(write=False)
+    return nodes, logw
+
+
+def _radial_rule(n: int, orders, r_inner, r_outer):
     # Gauss-Legendre in rho = |y - c| on [r_inner, r_outer] with weight
-    # rho^{n-1}: nodes and log-weights, a row per pair of column radii
-    rnodes, rlogw = _legendre_rule(order)
+    # rho^{n-1}: nodes and log-weights, a row per pair of column radii,
+    # the rule of each order after the last along the row
+    rnodes, rlogw = _legendre_rules(*orders)
     half = 0.5 * (r_outer - r_inner)
     rho = half * rnodes + 0.5 * (r_outer + r_inner)
     return rho, rlogw + np.log(half) + (n - 1) * np.log(rho)
 
 
-def _polar_nodes(center, r_inner: float, r_outer: float, n: int, order: int):
-    direction, dlw = _sphere_rule(n, order)
-    rho, rlw = _radial_rule(n, order, r_inner, r_outer)
-    pts = center + (rho[:, None, None] * direction).reshape(-1, n)
+def _blocks(sizes):  # consecutive slices of the given lengths
+    stop = 0
+    for size in sizes:
+        stop += size
+        yield slice(stop - size, stop)
+
+
+def _polar_nodes(center, r_inner: float, r_outer: float, n: int, *orders):
+    # the polar grid of each order, one block after another in one array
+    rho, rlw = _radial_rule(n, orders, r_inner, r_outer)
+    sizes = [2 * order ** n for order in orders]
+    pts, lw = np.empty((sum(sizes), n)), np.empty(sum(sizes))
+    for order, at, block in zip(orders, _blocks(orders), _blocks(sizes)):
+        direction, dlw = _sphere_rule(n, order)
+        np.multiply(rho[at, None, None], direction,
+                    out=pts[block].reshape(order, -1, n))
+        np.add(rlw[at, None], dlw, out=lw[block].reshape(order, -1))
+    pts += center
     with np.errstate(over="ignore"):  # |y|^2 past float range: weight 0
-        lw = (rlw[:, None] + dlw).reshape(-1) - (pts * pts).sum(axis=-1)
-    return pts, lw - n * _LOG_SQRT_PI
+        lw -= (pts * pts).sum(axis=-1)
+    lw -= n * _LOG_SQRT_PI
+    return pts, lw
 
 
-def _axial_nodes(norms, r_inner, r_outer, n: int, order: int):
-    # y = c + rho omega on the annuli, one row per center distance a = |c|:
-    # the axial coordinate x = a + rho u, the transverse distance
-    # z = rho v and log-weights with the density, |y|^2 = x^2 + z^2
-    rho, rlw = _radial_rule(n, order, r_inner[:, None], r_outer[:, None])
-    u, v, ulw = _axial_factor(n, order)
-    x = norms[:, None, None] + rho[..., None] * u
-    z = rho[..., None] * v
+def _axial_nodes(norms, r_inner, r_outer, n: int, *orders):
+    # y = c + rho omega on the annuli, one row per center distance a = |c|,
+    # the nodes of each order after the last along the row: the axial
+    # coordinate x = a + rho u, the transverse distance z = rho v and
+    # log-weights with the density, |y|^2 = x^2 + z^2
+    rho, rlw = _radial_rule(n, orders, r_inner[:, None], r_outer[:, None])
+    factors = [_axial_factor(n, order) for order in orders]
+    sizes = [order * u.size for order, (u, _, _) in zip(orders, factors)]
+    x, z, lw = np.empty((3, norms.size, sum(sizes)))
+    for at, block, (u, v, ulw) in zip(_blocks(orders), _blocks(sizes),
+                                      factors):
+        # a view: the block's row segments split into (rho, u) evenly
+        shape = (norms.size, at.stop - at.start, u.size)
+        np.multiply(rho[:, at, None], u, out=x[:, block].reshape(shape))
+        np.multiply(rho[:, at, None], v, out=z[:, block].reshape(shape))
+        np.add(rlw[:, at, None], ulw, out=lw[:, block].reshape(shape))
+    x += norms[:, None]
     with np.errstate(over="ignore"):  # |y|^2 past float range: weight 0
-        lw = (rlw[..., None] + ulw) - (x * x + z * z) - n * _LOG_SQRT_PI
-    shape = (norms.size, order * u.size)  # no -1: there may be no rows
-    return x.reshape(shape), z.reshape(shape), lw.reshape(shape)
+        lw -= x * x + z * z
+    lw -= n * _LOG_SQRT_PI
+    return x, z, lw
 
 
-def _nodes_for(region, order: int):
+def _nodes_for(region, orders):
     if isinstance(region, FullSpace):
-        return _fullspace_nodes(region.dim, order)
+        return _fullspace_nodes(region.dim, *orders)
     return _polar_nodes(region.center, region.inner_radius,
-                        region.outer_radius, region.dim, order)
+                        region.outer_radius, region.dim, *orders)
 
 
 def _node_count(region, order: int):
@@ -244,28 +294,42 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
                  what: str, label, settled=_log_rel_converged):
     """Double the order of a log-domain rule until every value settles.
 
-    ``one_pass(order)`` returns a log value, or an array of them, from a
-    pass at ``order``, and ``count(order)`` is the number of nodes (over
-    all entries) that pass builds.  The order doubles from ``spec.order``
-    until ``settled(cur, prev, tol)`` holds for the last two passes: by
+    ``one_pass(orders)`` returns a log value, or an array of them, for
+    each order in the tuple ``orders``, from one pass over all their
+    nodes, and ``count(order)`` is the number of nodes (over all entries)
+    of one order.  The order doubles from ``spec.order`` until
+    ``settled(cur, prev, tol)`` holds for the last two orders: by
     default, until every entry changes by at most ``tol`` relative or two
-    ulps (a first pass, against NaN, never settles that way); a pass that
-    carries its own error estimate may settle on it alone.
-    The one stop: a pass whose work, the larger of its node count and
-    order^2, exceeds ``MAX_NODES`` raises before it runs.  The error
-    names ``what``, the refused order, its work, the cap and ``label(i)``
-    for the entry i that moved most in the last doubling, and carries
-    that entry's last two values, NaN for a pass that never ran.
+    ulps.  A first order alone never settles that way, so the first pass
+    runs orders o and 2o together while their joint work is at most
+    ``_BATCH_WORK``; a pass that carries its own error estimate may
+    settle on it alone, and runs one order at a time.
+    The one stop: a pass whose work, the larger of its node count and its
+    top order squared, exceeds ``MAX_NODES`` raises before it runs.  The
+    error names ``what``, the refused order, its work, the cap and
+    ``label(i)`` for the entry i that moved most in the last doubling,
+    and carries that entry's last two values, NaN for a pass that never
+    ran.
     """
+    def batch(orders):  # the work of a pass over these orders
+        return max(sum(map(count, orders)), orders[-1] ** 2)
+
     prev = cur = math.nan  # the value of a pass that never ran
-    order = spec.order
-    while max(nodes := count(order), order * order) <= MAX_NODES:
-        prev, cur = cur, one_pass(order)
+    orders = (spec.order, 2 * spec.order)
+    work = batch(orders) if settled is _log_rel_converged else math.inf
+    if work > min(_BATCH_WORK, MAX_NODES):  # the first order alone
+        orders = orders[:1]
+        work = batch(orders)
+    while work <= MAX_NODES:
+        prev, cur = (cur, *one_pass(orders))[-2:]
         if settled(cur, prev, tol):
             return cur
-        order *= 2
-    reason = (f"refinement would build {nodes} nodes at order {order} "
-              f"(order^2 = {order * order}), above the cap of {MAX_NODES}")
+        orders = (2 * orders[-1],)
+        work = batch(orders)
+    (order,) = orders
+    reason = (f"refinement would build {count(order)} nodes at order "
+              f"{order} (order^2 = {order * order}), above the cap of "
+              f"{MAX_NODES}")
     prev, cur = (np.ravel(a) for a in np.broadcast_arrays(prev, cur))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
         worst = int(np.argmax(np.abs(cur - prev)))
@@ -307,19 +371,21 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     """
     spec = spec if spec is not None else QuadratureSpec()
     _check_region(region)
+    count = partial(_node_count, region)
 
-    def one_pass(order):
-        pts, lw = _nodes_for(region, order)
+    def one_pass(orders):  # one call of f_log, one sum per order
+        pts, lw = _nodes_for(region, orders)
         vals = np.asarray(f_log(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
             raise ValueError("f_log must return one log value per point")
-        value = log_sum_weighted(vals, lw)
+        values = [log_sum_weighted(vals[at], lw[at])
+                  for at in _blocks(map(count, orders))]
         if history is not None:
-            history.append((order, value))
-        return value
+            history.extend(zip(orders, values))
+        return values
 
     return LogNumber(_refine_each(
-        one_pass, lambda order: _node_count(region, order), spec, spec.tol,
+        one_pass, count, spec, spec.tol,
         f"integral in n = {region.dim}", lambda _: f"over {region!r}"))
 
 
@@ -348,11 +414,16 @@ def integrate_axial_log(f_log, center_norms, r_inner, r_outer, n: int,
                                                    r_outer))
     _check_shape(norms, r_inner, r_outer)
 
-    def one_pass(order):
-        x, z, lw = _axial_nodes(norms, r_inner, r_outer, n, order)
-        return log_sum_weighted(f_log(x, z), lw, axis=-1)
+    def per_row(order):
+        return order * (2 if n == 1 else order)
+
+    def one_pass(orders):  # one call of f_log, one sum per order
+        x, z, lw = _axial_nodes(norms, r_inner, r_outer, n, *orders)
+        vals = f_log(x, z)
+        return [log_sum_weighted(vals[:, at], lw[:, at], axis=-1)
+                for at in _blocks(map(per_row, orders))]
 
     return _refine_each(
-        one_pass, lambda order: norms.size * order * (2 if n == 1 else order),
-        spec, spec.tol, f"annulus integral in n = {n}",
+        one_pass, lambda order: norms.size * per_row(order), spec, spec.tol,
+        f"annulus integral in n = {n}",
         lambda i: f"center distance {norms[i]}")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mehler
-from mehler import cli, experiments, quadrature, selftest
+from mehler import cli, experiments, kernel, quadrature, selftest
 from mehler.cli import main
 from mehler.estimates import OffDiagHypothesis
 from mehler.experiments import sweep_blowup
@@ -400,8 +400,6 @@ def test_hypercheck_out_of_range_exits_3(capsys):
     (["hypercheck", "--t", "1", "--p", "1.5", "--lambda", "40"], "order"),
     (["gamma", "--center", "8,0", "--order", "30000"], "order"),
     (["apply", "--t", "1e-7", "--center", "8", "--y", "8.5"], "order"),
-    (["apply", "--t", "0.5", "--center", "8", "--radius", "1e300", "--y",
-      "8.5"], "order"),
     (["sweep", "--t", "1e-6", "--p", "1", "--q", "2", "--k", "1", "--n",
       "1", "--cmin", "4", "--cmax", "12", "--steps", "5"], "order"),
     (["apply", "--t", "0.5", "--center", "8,0,0,0", "--y", "8.3,0,0,0"],
@@ -441,6 +439,23 @@ def test_unsettled_refinement_exits_3_within_bounded_work(capsys, argv,
         assert order > 1024
     else:
         assert nodes > 1048576 and order <= 1024
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("center, y", [("8", "8.5"), ("8,0", "8.5,0")])
+def test_apply_refuses_a_ball_past_squared_overflow(capsys, monkeypatch,
+                                                    center, y):
+    # the kernel is inf - inf at the polar nodes of such a ball: the run
+    # went to the work cap and exited 3 with last two values (nan, nan);
+    # now the radius is refused before any pass, as the ball measure does
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature pass ran")
+
+    monkeypatch.setattr(kernel, "integrate_gamma_log", refuse)
+    code, out, err = run_cli(capsys, "apply", "--t", "0.5", "--center",
+                             center, "--radius", "1e300", "--y", y)
+    assert (code, out) == (2, "")
+    assert "invalid parameters: radius 1e+300 is above 2^511" in err
 
 
 def test_polar_grid_of_thousands_of_dimensions_exits_3(capsys):
@@ -503,6 +518,7 @@ def test_selftest_subcommand(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 20
     assert all(line.startswith("PASS") for line in lines)
+    assert out == GOLDEN["selftest --seed 42"]
 
 
 def test_selftest_reports_a_failing_check(capsys, monkeypatch):
@@ -539,6 +555,16 @@ def _readme_cli_commands():
     return [shlex.split(line, comments=True) for line in lines if line.strip()]
 
 
+# the stdout of every README command, recorded before the refinement ran
+# its first two orders as one pass; "byte-identical" claims rest on it
+GOLDEN = json.loads((Path(__file__).resolve().parent
+                     / "cli_golden.json").read_text())
+
+
+def test_golden_bytes_cover_the_readme_commands():
+    assert list(GOLDEN) == [" ".join(c[1:]) for c in _readme_cli_commands()]
+
+
 @pytest.mark.parametrize(
     "command", [c for c in _readme_cli_commands() if c[1] != "selftest"],
     ids=" ".join)
@@ -547,7 +573,7 @@ def test_readme_cli_example_exits_0(command, capsys):
     assert command[0] == "mehler"
     code, out, err = run_cli(capsys, *command[1:])
     assert code == 0, err
-    assert out
+    assert out == GOLDEN[" ".join(command[1:])]
 
 
 def test_one_parser_serves_calls_in_sequence(tmp_path, capsys, monkeypatch):
@@ -585,6 +611,37 @@ def test_one_parser_serves_calls_in_sequence(tmp_path, capsys, monkeypatch):
     assert cached[1][1] == "" and cached[1][3].startswith(b"cB_norm,")
     assert cached[2][3] is None and cached[4][3] is None
     assert cached[4][1].startswith("cB_norm,")
+
+
+HYPERCHECK = ["hypercheck", "--t", "0.5", "--p", "1.2", "--lambda", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in cli.build_parser().subcommands),
+    ["-h"],
+    ["sweep", "--t", "0.5"],  # missing arguments
+    ["hypercheck", "--t", "abc", "--p", "1.2", "--lambda", "1"],  # bad type
+    HYPERCHECK + ["extra"],  # trailing unrecognized arguments
+    HYPERCHECK + ["--bogus", "1"],
+    ["kernel", "--t", "1", "--x", "0.5", "--y", "0", "--t"],
+    ["frobnicate", "--t", "1"],  # unknown command
+    [],
+], ids=" ".join)
+def test_dispatch_matches_a_fresh_top_level_parser(argv, capsys):
+    # main hands an argv that names a subcommand to that subcommand's
+    # parser; help, usage errors and exit codes must stay those of the
+    # top-level parser, which names the program as a whole where the
+    # arguments are left unrecognized
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exit_:
+            parse(list(argv))
+        return (exit_.value.code, *capsys.readouterr())
+
+    got = outcome(main)
+    assert got == outcome(cli.build_parser().parse_args)
+    assert got[0] == (0 if "-h" in argv else 2)
+    if argv[:len(HYPERCHECK)] == HYPERCHECK:
+        assert got[2].startswith("usage: mehler [-h] {kernel,")
 
 
 def test_import_leaves_quadpack_unloaded():

@@ -399,9 +399,13 @@ def test_ball_interpolant_matches_the_direct_measure(n, t, monkeypatch):
     monkeypatch.setattr(experiments, "_ball_interpolant", recording)
     norms = np.array([4.0, 12.0])
     _annulus_lq_log(t, 2.0, norms, 1.0 / norms, 1, n, None)
-    assert len(passes) >= 2
+    # the first call holds orders 16 and 32, 16^2 and 32^2 nodes a row
+    (dist, radius, got), *later = passes
+    assert dist.shape[1] == 16 ** 2 + 32 ** 2
+    first = zip(np.split(dist, [16 ** 2], axis=1), [radius] * 2,
+                np.split(got, [16 ** 2], axis=1))
     rng = np.random.default_rng(0)
-    for dist, radius, got in passes:
+    for dist, radius, got in [*first, *later]:
         nodes = rng.choice(dist.shape[1], min(dist.shape[1], 256),
                            replace=False)
         want = log_gamma_ball(dist[:, nodes], radius[:, None], n)

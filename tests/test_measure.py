@@ -517,14 +517,17 @@ def test_ball_slices_give_an_entry_the_same_bits_in_any_batch(n, order):
     rng = np.random.default_rng(11)
     norms = rng.uniform(0.0, 30.0, (4, 7))
     radii = np.r_[rng.uniform(0.05, 5.0, 3), 1e-170][:, None]
-    alone = np.array([[_log_ball_slices(np.asarray(a), np.asarray(r[0]),
-                                        n, order) for a in row]
-                      for row, r in zip(norms, radii)])
+
+    def one_pass(norms, radius):
+        (value,) = _log_ball_slices(norms, radius, n, (order,))
+        return value
+
+    alone = np.array([[one_pass(np.asarray(a), np.asarray(r[0]))
+                       for a in row] for row, r in zip(norms, radii)])
     assert np.isfinite(alone).all()
-    assert _log_ball_slices(norms[0, 0], radii[0, 0], n, order).shape == ()
-    rows = [_log_ball_slices(row, np.asarray(r[0]), n, order)
-            for row, r in zip(norms, radii)]
-    for got in (np.array(rows), _log_ball_slices(norms, radii, n, order)):
+    assert one_pass(norms[0, 0], radii[0, 0]).shape == ()
+    rows = [one_pass(row, np.asarray(r[0])) for row, r in zip(norms, radii)]
+    for got in (np.array(rows), one_pass(norms, radii)):
         assert got.shape == norms.shape
         assert (got.view(np.int64) == alone.view(np.int64)).all()
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
-from mehler import quadrature, selftest
+from mehler import measure, quadrature, selftest
 from mehler.geometry import Annulus, Ball, FullSpace
 from mehler.kernel import mehler_log_values
 from mehler.lognum import log_sum_weighted
@@ -16,6 +16,7 @@ from mehler.quadrature import (
     MAX_NODES,
     QuadratureConvergenceError,
     QuadratureSpec,
+    integrate_axial_log,
     integrate_gamma_log,
 )
 
@@ -106,6 +107,8 @@ def test_refinement_work_is_capped_before_allocation():
     with pytest.raises(QuadratureConvergenceError) as err:
         integrate_gamma_log(noise, Ball([0.5, 0.0, 0.0], 1.0))
     assert max(sizes) <= MAX_NODES
+    # orders 16 and 32 together are past the batch limit: three passes
+    assert 2 * 16 ** 3 + 2 * 32 ** 3 > quadrature._BATCH_WORK
     assert sizes == [2 * order ** 3 for order in (16, 32, 64)]
     message = str(err.value)
     assert "n = 3" in message and "order 128" in message
@@ -297,28 +300,104 @@ def test_tight_batched_ball_measure_settles_at_rounding():
     assert got.tolist() == want
 
 
+def _first_pass(monkeypatch, run, base):
+    # {order: value} of the first pass of ``run(QuadratureSpec(order=base))``
+    passes = []
+    refine = quadrature._refine_each
+
+    def recording(one_pass, *args, **kwargs):
+        def recorded(orders):
+            values = one_pass(orders)
+            passes.append(dict(zip(orders, values)))
+            return values
+        return refine(recorded, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_refine_each", recording)
+        patch.setattr(measure, "_refine_each", recording)
+        run(QuadratureSpec(order=base))
+    return passes[0]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _kernel_at(y):
+    return lambda pts: mehler_log_values(0.5, pts, np.asarray(y)[None, :])
+
+
+def _full_space_integrand(pts):
+    return 0.7 * pts[:, 0] - 0.2 * pts[:, -1] * pts[:, -1]
+
+
+BATCH_RUNS = [
+    *[(f"{kind} n={n}", lambda spec, region=region, y=y: integrate_gamma_log(
+        _kernel_at(y), region, spec))
+      for n in (1, 2, 3)
+      for kind, region, y in (
+          ("ball", Ball(np.r_[1.5, np.zeros(n - 1)], 0.75), np.full(n, 0.4)),
+          ("annulus", Annulus(Ball(np.r_[3.0, np.zeros(n - 1)], 1 / 3), 1),
+           np.r_[3.8, np.zeros(n - 1)]))],
+    *[(f"full space n={n}", lambda spec, n=n: integrate_gamma_log(
+        _full_space_integrand, FullSpace(n), spec)) for n in (1, 2)],
+    *[(f"axial n={n}", lambda spec, n=n: integrate_axial_log(
+        lambda x, z: -0.3 * x * x + 0.1 * z * z, [0.5, 4.0, 9.0],
+        [0.0, 0.5, 0.25], [1.0, 1.0, 0.5], n, spec)) for n in (1, 2, 3)],
+    *[(f"ball measure n={n} {kind}",
+       lambda spec, n=n, norms=norms, radii=radii:
+       log_gamma_ball(norms, radii, n, spec))
+      for n in (2, 3)
+      for kind, norms, radii in (
+          ("lone", 6.0, 0.3),
+          ("batch", [[0.0, 2.5, 6.0], [1.0, 8.0, 20.0]], [[1.5], [0.05]]))],
+]
+
+
+@pytest.mark.parametrize("run", [run for _, run in BATCH_RUNS],
+                         ids=[name for name, _ in BATCH_RUNS])
+def test_an_order_value_does_not_depend_on_its_batch(monkeypatch, run):
+    # the first pass runs orders o and 2o as one batch: order 2o must give
+    # the same bits second in the batch at base o as first at base 2o
+    for base in (2, 4):
+        batch = _first_pass(monkeypatch, run, base)
+        assert list(batch) == [base, 2 * base]  # two orders, one pass
+        first = _first_pass(monkeypatch, run, 2 * base)[2 * base]
+        assert _bits(batch[2 * base]) == _bits(first)
+
+
 def test_refinement_stops_on_the_pass_own_estimate_when_asked():
-    # the default two-iterate test never settles a first pass (against
-    # NaN); a stop test on the pass's own error estimate may, and the cap
-    # still refuses a pass that test never accepts
-    orders = []
+    # the default two-iterate test never settles a first order alone, so
+    # the first pass asks for two; a stop test on the pass's own error
+    # estimate may settle on one order, so each pass asks for one, and
+    # the cap still refuses a pass that test never accepts
+    passes = []
 
-    def one_pass(order):
-        orders.append(order)
-        return -1.0 / order  # the pass's own estimate of its error
+    def one_pass(orders):
+        passes.append(orders)
+        return [-1.0 / order for order in orders]  # each order's estimate
 
-    def refine(**settled):
-        orders.clear()
+    def refine(base=4, **settled):
+        passes.clear()
         return quadrature._refine_each(
-            one_pass, lambda order: order, QuadratureSpec(order=4), 1e-3,
+            one_pass, lambda order: order, QuadratureSpec(order=base), 1e-3,
             "test rule", lambda _: "entry", **settled)
 
     doublings = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
-    assert refine() == -1.0 / 1024 and orders == doublings
+    assert refine() == -1.0 / 1024
+    assert passes == [(4, 8)] + [(order,) for order in doublings[2:]]
     assert refine(settled=lambda cur, _, tol: -cur <= 10.0 * tol) == -1 / 128
-    assert orders == doublings[:6]
+    assert passes == [(order,) for order in doublings[:6]]
     assert refine(settled=lambda cur, prev, tol: cur == -0.25) == -0.25
-    assert orders == [4]
+    assert passes == [(4,)]
     with pytest.raises(QuadratureConvergenceError, match=r"test rule: "
                        r"refinement would build 2048 nodes at order 2048"):
         refine(settled=lambda cur, prev, tol: False)
+    # a first pair past the batch limit (256^2 > _BATCH_WORK) runs one
+    # order at a time, and one past the cap (2048^2) as far as the cap
+    assert refine(base=128) == -1.0 / 1024
+    assert passes == [(order,) for order in doublings[5:]]
+    with pytest.raises(QuadratureConvergenceError, match=r"test rule: "
+                       r"refinement would build 2048 nodes at order 2048"):
+        refine(base=1024)
+    assert passes == [(1024,)]

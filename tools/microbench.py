@@ -22,9 +22,12 @@ Chebyshev points and keeps about 21 of them; an n = 6 sweep at t = 0.5
 on [4, 30] x 8; and the n = 1 sweep of the
 benchmark's ``sweep-n1-deep`` part at t = 0.5, 27 points on [4.9, 30],
 where the per-row work around the quadrature shows.
-The kernel-form route is timed twice: on that one interval, and cycling
-through seeded criterion-3 draws, each with its own interval, as the
-benchmark's ``routes`` triples call it.  The library is imported from
+The kernel-form route is timed three times: on that one interval,
+cycling through seeded criterion-3 draws, each with its own interval,
+as the benchmark's ``routes`` triples call it, and on the n = 3 ball
+B(8 e_1, 1/8) of the README sweep, whose two passes of 8,192 and 65,536
+polar nodes make it array-bound.  The CLI is timed twice: the README
+``hypercheck`` whole, and its argv parsing alone.  The library is imported from
 the ``src`` directory next to this one; one process, one thread, nothing
 cached between layers except what the library caches itself.
 """
@@ -72,11 +75,16 @@ def _indicator(pts):
     return ((z >= A) & (z < B)).astype(float)
 
 
+HYPER_ARGV = ["hypercheck", "--t", repr(HYPER[0]), "--p", repr(HYPER[1]),
+              "--lambda", repr(HYPER[2])]
+# an n = 3 ball of the README sweep and a point of its first annulus:
+# the kernel form settles at order 32, passes of 8,192 and 65,536 nodes
+BALL3, Y3 = Ball(np.array([8.0, 0.0, 0.0]), 0.125), np.array([8.3, 0.1, 0.0])
+
+
 def _cli_hypercheck():
-    argv = ["hypercheck", "--t", repr(HYPER[0]), "--p", repr(HYPER[1]),
-            "--lambda", repr(HYPER[2])]
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(argv)
+        return cli.main(HYPER_ARGV)
 
 
 def _translated_balls(n: int, t: float = 0.5):
@@ -129,6 +137,8 @@ def layers():
          lambda: kernel.apply_indicator_log(T, ball, np.array([Y]), SPEC)),
         ("kernel.apply_indicator_log (kernel form), distinct intervals",
          lambda: kernel.apply_indicator_log(*next(draws), SPEC)),
+        ("kernel.apply_indicator_log (kernel form), n = 3, B(8e_1, 1/8)",
+         lambda: kernel.apply_indicator_log(T, BALL3, Y3)),
         ("kernel.apply_via_translation (QK21)",
          lambda: kernel.apply_via_translation(T, _indicator, np.array([Y]),
                                               SPEC, breakpoints=(A, B))),
@@ -160,6 +170,7 @@ def layers():
          lambda: experiments.sweep_blowup(SWEEP[0], 0.5, 1, 1, DEEP)),
         ("experiments.hypercontractivity_check",
          lambda: experiments.hypercontractivity_check(*HYPER)),
+        ("cli argv parsing, hypercheck", lambda: cli._parse(HYPER_ARGV)),
         ("cli hypercheck", _cli_hypercheck),
     ]
 
