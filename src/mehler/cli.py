@@ -309,11 +309,9 @@ _parser = functools.cache(build_parser)
 
 
 def _parse(argv):
-    # an argv that names a subcommand first goes straight to that
-    # subcommand's parser, as the top-level parser would hand it on, at
-    # about half the cost; the rest, and any call that leaves arguments
-    # unrecognized, go through the top-level parser, whose usage error
-    # names the program as a whole
+    # an argv that names a subcommand first goes to that subcommand's
+    # parser, at about half the cost; the rest, and any call with arguments
+    # left over, go through the top-level parser and its usage errors
     parser = _parser()
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is not None:
