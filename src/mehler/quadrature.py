@@ -5,7 +5,7 @@ with dgamma = pi^{-n/2} exp(-|x|^2) dx.  Node families:
 
 * full space: tensor Gauss-Hermite, whose weight function is exactly the
   gamma density up to the pi^{-n/2} factor, one read-only grid cached
-  per (n, order) and shared by every call;
+  per (n, orders) of a pass and shared by every call;
 * balls and annuli about a center c, seen only through c and the inner
   and outer radii (0 for a ball): one radial rule, Gauss-Legendre in
   rho = |y - c| with the weight rho^{n-1}, and one unit-sphere rule,
@@ -27,15 +27,14 @@ or, for a pass that carries its own error estimate, until that meets it.
 Under the two-value test a small first pass batches orders o and 2o:
 each order's nodes fill their own block of one array, then one
 integrand call and one sum per order, so each value has the bits of a
-pass of its own (cached full-space grids run one order at a time).  A
-pass whose work, the larger of its node count over the batch and its
-top order squared, exceeds ``MAX_NODES`` is refused unbuilt, in any n
-(no rule tops order 1024): one error that carries the last two values
-of the entry that moved most.  It drives ``integrate_gamma_log`` and
-``integrate_axial_log`` here, the ball measure in ``measure`` and the
-number of interpolation points in ``experiments``.  The default
-relative tolerance is 1e-8; only ``QuadratureSpec(tol=)`` (the CLI's
-``--tol``) changes it.
+pass of its own.  A pass whose work, the larger of its node count over
+the batch and its top order squared, exceeds ``MAX_NODES`` is refused
+unbuilt, in any n (no rule tops order 1024): one error that carries the
+last two values of the entry that moved most.  It drives
+``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
+measure in ``measure`` and the number of interpolation points in
+``experiments``.  The default relative tolerance is 1e-8; only
+``QuadratureSpec(tol=)`` (the CLI's ``--tol``) changes it.
 """
 
 from __future__ import annotations
@@ -123,17 +122,22 @@ def _log_sphere_mass(n: int) -> float:  # log |S^{n-2}|, n >= 2
 
 # -- node builders: points (m, n) and log-weights (m,) ----------------
 
-# One hypercheck visits 4 keys and ``selftest`` 9.  MAX_NODES caps an
-# entry at 2^20 (n + 1) floats, and full-space grids exist only up to
-# n = 20: 168 MB an entry, so at most 16 x 168 MB (16 x 32 MB in n <= 3).
+# One hypercheck visits 2 keys and ``selftest`` 7, a first pass's two
+# orders one key.  MAX_NODES caps an entry, its orders' grids together,
+# at 2^20 (n + 1) floats, and full-space grids exist only up to n = 20:
+# 168 MB an entry, so at most 16 x 168 MB (16 x 32 MB in n <= 3).
 @lru_cache(maxsize=16)
-def _fullspace_nodes(n: int, order: int):
-    # the tensor Gauss-Hermite grid, read-only and shared
-    nodes, logw = _hermite_rule(order)
-    grids = np.meshgrid(*([nodes] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([logw] * n), indexing="ij")
-    lw = sum(w.ravel() for w in wgrids) - n * _LOG_SQRT_PI
+def _fullspace_nodes(n: int, *orders: int):
+    # the tensor Gauss-Hermite grid of each order, one block after another,
+    # read-only and shared
+    blocks = []
+    for order in orders:
+        nodes, logw = _hermite_rule(order)
+        grids = np.meshgrid(*([nodes] * n), indexing="ij")
+        wgrids = np.meshgrid(*([logw] * n), indexing="ij")
+        blocks.append((np.stack([g.ravel() for g in grids], axis=-1),
+                       sum(w.ravel() for w in wgrids) - n * _LOG_SQRT_PI))
+    pts, lw = map(np.concatenate, zip(*blocks))
     pts.setflags(write=False)
     lw.setflags(write=False)
     return pts, lw
@@ -241,7 +245,7 @@ def _axial_nodes(norms, r_inner, r_outer, n: int, *orders):
 
 
 def _nodes_for(region, orders):
-    if isinstance(region, FullSpace):  # one order: grids are not batched
+    if isinstance(region, FullSpace):
         return _fullspace_nodes(region.dim, *orders)
     return _polar_nodes(region.center, region.inner_radius,
                         region.outer_radius, region.dim, *orders)
@@ -313,14 +317,16 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
 
     prev = cur = math.nan  # the value of a pass that never ran
     orders = (spec.order, 2 * spec.order)
-    if (settled is not _log_rel_converged
-            or batch(orders) > min(_BATCH_WORK, MAX_NODES)):
-        orders = orders[:1]  # the first order alone
-    while batch(orders) <= MAX_NODES:
+    work = batch(orders) if settled is _log_rel_converged else math.inf
+    if work > min(_BATCH_WORK, MAX_NODES):  # the first order alone
+        orders = orders[:1]
+        work = batch(orders)
+    while work <= MAX_NODES:
         prev, cur = (cur, *one_pass(orders))[-2:]
         if settled(cur, prev, tol):
             return cur
         orders = (2 * orders[-1],)
+        work = batch(orders)
     (order,) = orders
     reason = (f"refinement would build {count(order)} nodes at order "
               f"{order} (order^2 = {order * order}), above the cap of "
@@ -369,9 +375,6 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     count = partial(_node_count, region)
 
     def one_pass(orders):  # one call of f_log, one sum per order
-        if isinstance(region, FullSpace) and len(orders) > 1:
-            # each order's grid is cached: a batch would only copy them
-            return [v for order in orders for v in one_pass((order,))]
         pts, lw = _nodes_for(region, orders)
         vals = np.asarray(f_log(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
