@@ -278,6 +278,8 @@ def _require_testing_family(ball: Ball, k, least: float) -> int:
             "ball must be maximal admissible: radius == min(1, |c|^-1)")
     if least < 2.0 ** k:
         raise ValueError(f"the testing family needs |c_B| >= 2^k, k = {k}")
+    if (c := ball.center_norm) * c == math.inf:  # log gamma(B) ~ -|c_B|^2
+        raise ValueError(f"|c_B| = {c} is too large: its square overflows")
     return k
 
 

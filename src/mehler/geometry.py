@@ -64,9 +64,13 @@ def _as_index(value, lo: int, what: str) -> int:
 
 
 def _norm(x) -> float:
-    """|x|, which reads inf, without a warning, where |x|^2 overflows."""
+    """|x|, rescaled by max |x_i| where |x|^2 overflows (inf past range)."""
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(x))
+        norm = float(np.linalg.norm(x))
+    if norm == math.inf and np.isfinite(x).all():
+        top = float(np.abs(x).max())
+        norm = top * float(np.linalg.norm(np.divide(x, top)))
+    return norm
 
 
 def _check_shape(center_norms, r_inner, r_outer) -> None:

@@ -28,7 +28,8 @@ estimate, every panel of a pass in one call of f), with the caller's
 ``breakpoints`` (the jumps of f) as its initial panel boundaries.  The
 kernel is evaluated only in log domain: the linear value overflows once
 the exponent passes ~709, and the blow-up experiments push exponents
-toward 900.
+toward 900.  ``mehler_log_values`` and the kernel-form route share one
+body, whose inputs the route checks once per call, not once per pass.
 """
 
 from __future__ import annotations
@@ -68,20 +69,23 @@ def mehler_log_values(t: float, x, y):
     result drops that axis.  The expression is symmetric in (x, y) term
     by term, so swapping the arguments reproduces identical bits.
     """
-    t = check_time(t)
-    em, one_minus, one_plus = _time_factors(t)
+    factors = _time_factors(check_time(t))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != y.shape[-1]:
         raise ValueError("x and y must share the coordinate dimension")
-    n = x.shape[-1]
     # tiny t gives -inf, far-out points NaN (inf - inf): LogNumber refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        diff2 = np.square(x - y).sum(axis=-1)
-        sumsq = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
-        return (-0.5 * n * math.log(one_minus)
-                - em * diff2 / one_minus
-                + em * sumsq / one_plus)
+        return _kernel_log(factors, x, y)
+
+
+def _kernel_log(factors, x, y):  # the body, unchecked, factors of one t
+    em, one_minus, one_plus = factors
+    diff2 = np.square(x - y).sum(axis=-1)
+    sumsq = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
+    return (-0.5 * x.shape[-1] * math.log(one_minus)
+            - em * diff2 / one_minus
+            + em * sumsq / one_plus)
 
 
 def mehler_log(t: float, x, y) -> LogNumber:
@@ -98,17 +102,19 @@ def apply_indicator_log(t: float, ball: Ball, y,
     Kernel-form route: log-domain quadrature of the Mehler kernel over
     the ball, on the polar nodes about its center.  A radius above 2^511,
     where the kernel at those nodes is inf - inf, raises ``ValueError``
-    before any pass runs.
+    before any pass runs.  Every pass evaluates the body of
+    ``mehler_log_values`` without its checks, which run once, here.
     """
-    t = check_time(t)
+    factors = _time_factors(check_time(t))
     yv = as_point(y)
     if yv.size != ball.dim:
         raise ValueError("y must live in the ball's dimension")
     if ball.radius > _MAX_RADIUS:
         raise ValueError(f"radius {ball.radius} is above 2^511 in n = "
                          f"{ball.dim}: its square nears float overflow")
-    return integrate_gamma_log(
-        lambda pts: mehler_log_values(t, pts, yv[None, :]), ball, spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # as there
+        return integrate_gamma_log(
+            lambda pts: _kernel_log(factors, pts, yv[None, :]), ball, spec)
 
 
 def apply_indicator_closed_log(t: float, a: float, b: float, y: float,
@@ -158,13 +164,16 @@ def _gauss_kronrod(fv, half):
     """QK21 value and QUADPACK error estimate of each panel (row of fv)."""
     resk = fv @ _GK_WK
     err = np.abs(resk - fv @ _GK_WG) * half
-    # |K - G| scaled by the deviation of f from its mean on the panel, then
-    # floored at the roundoff of the panel's sum
-    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WK * half
-    ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
-    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    return resk * half, np.maximum(_ROUNDOFF * (np.abs(fv) @ _GK_WK) * half,
-                                   err)
+    # |K - G| scaled by the deviation of f from its mean on the panel (as
+    # is on a constant panel), then floored at the roundoff of its sum
+    dev = np.abs(fv - 0.5 * resk[:, None])
+    resasc = dev @ _GK_WK * half
+    every = (positive := resasc > 0.0).all()
+    ratio = 200.0 * err / (resasc if every else np.where(positive, resasc, 1.0))
+    ratio = resasc * np.minimum(1.0, ratio ** 1.5)
+    err = ratio if every else np.where(positive, ratio, err)
+    return resk * half, np.maximum(
+        _ROUNDOFF * (np.abs(fv, out=dev) @ _GK_WK) * half, err)
 
 
 def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,

@@ -58,7 +58,8 @@ def log_gamma_interval(a, b, width=None):
     either tail.  Callers that know a center and a radius pass ``width``
     = 2 radius exactly: far out, the two ends round to one float.  Below
     a width of 2^-6, erfc(b) / erfc(a) comes from a Gauss rule on that
-    width, not from the two ends, whose ratio cancels.  The arguments
+    width, not from the two ends, whose ratio cancels.  Where every span
+    straddles the origin only the erf form runs.  The arguments
     broadcast; scalar endpoints give a float.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -72,6 +73,11 @@ def log_gamma_interval(a, b, width=None):
     hi = np.where(flip, -a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         width = b - a if width is None else np.asarray(width, dtype=float)
+        if straddles := (straddle := lo < 0.0).any():
+            # straddles the origin: the two halves add, no cancellation
+            across = np.log(0.5 * (erf(hi) + erf(-lo)))
+            if straddle.all() and width.shape == across.shape:  # no more
+                return float(across) if across.ndim == 0 else across
         # hi^2 = lo^2 + w (lo + hi), and -lo^2, the large term, comes last;
         # the share of erfc(lo) past hi is 1 for an empty span and NaN (0/0)
         # at lo = inf: fmin takes both to 1
@@ -90,9 +96,8 @@ def log_gamma_interval(a, b, width=None):
             log_past = -half * slopes.sum(axis=0)
             kept = np.where(narrow, np.log(-np.expm1(log_past)), kept)
         out = np.log(0.5 * erfcx_lo) + kept - lo * lo
-        if (straddle := lo < 0.0).any():
-            # straddles the origin: the two halves add, no cancellation
-            out = np.where(straddle, np.log(0.5 * (erf(hi) + erf(-lo))), out)
+        if straddles:
+            out = np.where(straddle, across, out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -27,7 +27,10 @@ or, for a pass that carries its own error estimate, until that meets it.
 Under the two-value test a small first pass batches orders o and 2o:
 each order's nodes fill their own block of one array, then one
 integrand call and one sum per order, so each value has the bits of a
-pass of its own.  A pass whose work, the larger of its node count over
+pass of its own.  A polar batch repeats its radial rule into a layout
+cached per (n, orders), of at most ``_BATCH_WORK`` nodes (16 entries, at
+most 3.2 MB, since two orders fit only up to n = 5); a lone order of any
+size broadcasts its cached sphere rule.  A pass whose work, the larger of its node count over
 the batch and its top order squared, exceeds ``MAX_NODES`` is refused
 unbuilt, in any n (no rule tops order 1024): one error that carries the
 last two values of the entry that moved most.  It drives
@@ -204,16 +207,32 @@ def _blocks(sizes):  # consecutive slices of the given lengths
         yield slice(stop - size, stop)
 
 
+@lru_cache(maxsize=16)
+def _polar_layout(n: int, *orders: int):
+    # each radial node's repeat count, and its order's sphere rule per node
+    rules = [_sphere_rule(n, order) for order in orders]
+    counts = np.repeat([lw.size for _, lw in rules], orders)
+    direction, dlw = (np.concatenate(blocks) for blocks in zip(*(
+        (np.tile(d, (order, 1)), np.tile(lw, order))
+        for order, (d, lw) in zip(orders, rules))))
+    for a in (counts, direction, dlw):
+        a.setflags(write=False)
+    return counts, direction, dlw
+
+
 def _polar_nodes(center, r_inner: float, r_outer: float, n: int, *orders):
-    # the polar grid of each order, one block after another in one array
+    # the polar grid of each order, one block after another in one array;
+    # a batch takes its cached layout, a lone order its sphere rule, so no
+    # cache entry outgrows _BATCH_WORK nodes
     rho, rlw = _radial_rule(n, orders, r_inner, r_outer)
-    sizes = [2 * order ** n for order in orders]
-    pts, lw = np.empty((sum(sizes), n)), np.empty(sum(sizes))
-    for order, at, block in zip(orders, _blocks(orders), _blocks(sizes)):
-        direction, dlw = _sphere_rule(n, order)
-        np.multiply(rho[at, None, None], direction,
-                    out=pts[block].reshape(order, -1, n))
-        np.add(rlw[at, None], dlw, out=lw[block].reshape(order, -1))
+    if len(orders) == 1:
+        direction, dlw = _sphere_rule(n, *orders)
+        pts = (rho[:, None, None] * direction).reshape(-1, n)
+        lw = (rlw[:, None] + dlw).reshape(-1)
+    else:
+        counts, direction, dlw = _polar_layout(n, *orders)
+        pts = np.repeat(rho, counts)[:, None] * direction
+        lw = np.repeat(rlw, counts) + dlw
     pts += center
     with np.errstate(over="ignore"):  # |y|^2 past float range: weight 0
         lw -= (pts * pts).sum(axis=-1)
@@ -244,26 +263,14 @@ def _axial_nodes(norms, r_inner, r_outer, n: int, *orders):
     return x, z, lw
 
 
-def _nodes_for(region, orders):
-    if isinstance(region, FullSpace):
-        return _fullspace_nodes(region.dim, *orders)
-    return _polar_nodes(region.center, region.inner_radius,
-                        region.outer_radius, region.dim, *orders)
-
-
 def _node_count(region, order: int):
-    # the size of _nodes_for(region, order), known before building it;
+    # one order's node count over region, known before building it;
     # past 2^64, far over the cap, inf: the exact power of a large n
     # would cost time and memory and outgrow what str() prints
     n = region.dim
     if n * math.log2(order) > 64:
         return math.inf
     return order ** n if isinstance(region, FullSpace) else 2 * order ** n
-
-
-def _check_region(region):
-    if not isinstance(region, (Ball, Annulus, FullSpace)):
-        raise TypeError(f"cannot integrate over {type(region).__name__}")
 
 
 def _log_rel_converged(cur, prev, tol: float) -> bool:
@@ -297,8 +304,8 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
 
     ``one_pass(orders)`` returns a log value, or an array of them, for
     each order in the tuple ``orders``, from one pass over all their
-    nodes, and ``count(order)`` is the number of nodes (over all entries)
-    of one order.  The order doubles from ``spec.order`` until
+    nodes; ``count(order)``, asked once per order and pass, is the number
+    of nodes (over all entries) of one order.  The order doubles from ``spec.order`` until
     ``settled(cur, prev, tol)`` holds for the last two orders: by
     default, until every entry changes by at most ``tol`` relative or two
     ulps.  A first order alone never settles that way, so the first pass
@@ -349,10 +356,11 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     Parameters
     ----------
     f_log : callable
-        Maps an (m, n) array of points to an (m,) array of log-integrand
-        values; ``-inf`` marks points where the integrand vanishes.  It
-        must not write into the points: full-space grids are read-only
-        and shared between calls.
+        Maps an (m, n) array of points, every order's nodes of one pass,
+        to an (m,) array of log-integrand values, summed per order (each
+        order's node count computed once); ``-inf`` marks points where
+        the integrand vanishes.  It must not write into the points:
+        full-space grids are read-only and shared between calls.
     region : Ball | Annulus | FullSpace
         Integration domain, in any dimension n >= 1.
     spec : QuadratureSpec, optional
@@ -371,16 +379,27 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
         iterates, NaN for a pass that never ran.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    _check_region(region)
-    count = partial(_node_count, region)
+    if isinstance(region, FullSpace):
+        nodes = partial(_fullspace_nodes, region.dim)
+    elif isinstance(region, (Ball, Annulus)):
+        nodes = partial(_polar_nodes, region.center, region.inner_radius,
+                        region.outer_radius, region.dim)
+    else:
+        raise TypeError(f"cannot integrate over {type(region).__name__}")
+    sizes = {}  # each order's node count, counted once
+
+    def count(order):
+        sizes[order] = _node_count(region, order)
+        return sizes[order]
 
     def one_pass(orders):  # one call of f_log, one sum per order
-        pts, lw = _nodes_for(region, orders)
+        pts, lw = nodes(*orders)
         vals = np.asarray(f_log(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
             raise ValueError("f_log must return one log value per point")
-        values = [log_sum_weighted(vals[at], lw[at])
-                  for at in _blocks(map(count, orders))]
+        values = ([log_sum_weighted(vals, lw)] if len(orders) == 1 else
+                  [log_sum_weighted(vals[at], lw[at])
+                   for at in _blocks(map(sizes.get, orders))])
         if history is not None:
             history.extend(zip(orders, values))
         return values

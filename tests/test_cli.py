@@ -257,21 +257,39 @@ def test_far_out_kernel_exits_2_with_a_clean_stderr(capsys):
         2, "", "mehler: invalid parameters: log_magnitude must not be NaN\n")
 
 
+@pytest.mark.parametrize("center", ["1e155", "1e160", "1e160,0",
+                                    "0,1e160,0"])
+def test_far_out_center_measures_zero_without_a_warning(capsys, center):
+    # |c|^2 overflows but |c| does not: the admissible radius is 1/|c|,
+    # and the log measure, about -|c|^2, is below float range; numpy must
+    # not warn on the way (pytest turns a RuntimeWarning into an error).
+    # |c| once read inf, so the radius was 0 and the command exited 2
+    assert run_cli(capsys, "gamma", "--center", center) == (
+        0, "log_measure,measure\n-inf,0\n", "")
+
+
+def test_ball_through_the_origin_from_past_squared_overflow(capsys):
+    # B(1e155, 1e155) has the origin on its boundary: half the mass; |c|
+    # once read inf, which put the ball at an infinite distance (-inf,0)
+    assert run_cli(capsys, "gamma", "--center", "1e155", "--radius",
+                   "1e155") == (
+        0, "log_measure,measure\n-0.69314718055994529,0.5\n", "")
+
+
 @pytest.mark.parametrize("argv", [
-    ["gamma", "--center", "1e160"],
-    ["gamma", "--center", "1e160,0"],
-    ["gamma", "--center", "0,1e160,0"],
     ["apply", "--t", "0.5", "--center", "1e160", "--y", "0"],
     ["apply", "--t", "0.5", "--center", "1e160,0", "--y", "0,0"],
     ["apply", "--t", "0.5", "--center", "0,0,1e160", "--y", "0,0,0"],
 ])
-def test_far_out_center_exits_2_without_a_warning(capsys, argv):
-    # |c|^2 overflows, so |c| reads inf and the admissible radius 0; numpy
-    # must not warn on the way (pytest turns a RuntimeWarning into an error)
+def test_far_out_center_kernel_form_exits_3_without_a_warning(capsys, argv):
+    # the kernel is inf - inf at every polar node of a ball this far out:
+    # NaN never settles, so the refinement stops at the work cap, within
+    # bounded time and without a warning (it exited 2 while |c| read inf)
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == ("mehler: invalid parameters: radii must satisfy "
-                   "0 <= inner < outer < inf\n")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err.endswith("last two log values (nan, nan)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -216,8 +216,9 @@ def _refuse_pass(*args, **kwargs):
     ([4.0, 6.0, 8.0, math.inf], "point coordinates must be finite"),
     ([math.nan, math.inf, math.inf, math.inf, 12.0],  # linspace(-inf, 12)
      "point coordinates must be finite"),
-    ([4.0, 6.0, 8.0, 1e200], "radii must satisfy 0 <= inner < outer < inf"),
-    ([-1e200, 4.0, 6.0, 8.0], "radii must satisfy 0 <= inner < outer < inf"),
+    ([4.0, 6.0, 8.0, 1e200], "|c_B| = 1e+200 is too large: its square "
+                             "overflows"),
+    ([-1e200, 4.0, 6.0, 8.0], "the testing family needs |c_B| >= 2^k, k = 1"),
 ])
 def test_sweep_refuses_a_grid_outside_the_family_before_a_pass(
         monkeypatch, n, grid, message):
