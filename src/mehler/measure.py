@@ -67,17 +67,17 @@ def log_gamma_interval(a, b, width=None):
         raise ValueError("interval endpoints must not be NaN"
                          if np.isnan(a).any() or np.isnan(b).any()
                          else "interval needs a <= b")
+    # a span across the origin: the two halves add, no cancellation
+    straddle = (a < 0.0) & (0.0 < b)
+    if straddle.all() and (width is None or np.shape(width) == straddle.shape):
+        out = np.log(0.5 * (erf(b) + erf(-a)))  # every span: nothing more
+        return float(out) if out.ndim == 0 else out
     # reflect intervals in the left half-line into the right one
     flip = b <= 0.0
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         width = b - a if width is None else np.asarray(width, dtype=float)
-        if straddles := (straddle := lo < 0.0).any():
-            # straddles the origin: the two halves add, no cancellation
-            across = np.log(0.5 * (erf(hi) + erf(-lo)))
-            if straddle.all() and width.shape == across.shape:  # no more
-                return float(across) if across.ndim == 0 else across
         # hi^2 = lo^2 + w (lo + hi), and -lo^2, the large term, comes last;
         # the share of erfc(lo) past hi is 1 for an empty span and NaN (0/0)
         # at lo = inf: fmin takes both to 1
@@ -96,8 +96,8 @@ def log_gamma_interval(a, b, width=None):
             log_past = -half * slopes.sum(axis=0)
             kept = np.where(narrow, np.log(-np.expm1(log_past)), kept)
         out = np.log(0.5 * erfcx_lo) + kept - lo * lo
-        if straddles:
-            out = np.where(straddle, across, out)
+        if straddle.any():
+            out = np.where(straddle, np.log(0.5 * (erf(hi) + erf(-lo))), out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -25,17 +25,17 @@ log-domain refinement loop: it doubles the order until every value
 changes by less than the tolerance, relative, or by at most two ulps,
 or, for a pass that carries its own error estimate, until that meets it.
 Under the two-value test a small first pass batches orders o and 2o:
-each order's nodes fill their own block of one array, then one
-integrand call and one sum per order, so each value has the bits of a
-pass of its own.  A polar batch repeats its radial rule into a layout
-cached per (n, orders), of at most ``_BATCH_WORK`` nodes (16 entries, at
-most 3.2 MB, since two orders fit only up to n = 5); a lone order of any
-size broadcasts its cached sphere rule.  A pass whose work, the larger of its node count over
-the batch and its top order squared, exceeds ``MAX_NODES`` is refused
-unbuilt, in any n (no rule tops order 1024): one error that carries the
-last two values of the entry that moved most.  It drives
-``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
-measure in ``measure`` and the number of interpolation points in
+each order's nodes fill their own block of one array, then one integrand
+call and one sum per order, so each value has the bits of a pass of its
+own.  A polar batch repeats its radial rule into a layout cached per
+(n, orders), of at most ``_BATCH_WORK`` nodes (16 entries, at most
+3.2 MB, since two orders fit only up to n = 5); a lone order of any size
+broadcasts its cached sphere rule.  A pass whose work, the larger of its
+node count over the batch and its top order squared, exceeds
+``MAX_NODES`` is refused unbuilt, in any n (no rule tops order 1024):
+one error that carries the last two values of the entry that moved most.
+It drives ``integrate_gamma_log`` and ``integrate_axial_log`` here, the
+ball measure in ``measure`` and the number of interpolation points in
 ``experiments``.  The default relative tolerance is 1e-8; only
 ``QuadratureSpec(tol=)`` (the CLI's ``--tol``) changes it.
 """
@@ -197,7 +197,8 @@ def _radial_rule(n: int, orders, r_inner, r_outer):
     rnodes, rlogw = _legendre_rules(*orders)
     half = 0.5 * (r_outer - r_inner)
     rho = half * rnodes + 0.5 * (r_outer + r_inner)
-    return rho, rlogw + np.log(half) + (n - 1) * np.log(rho)
+    lw = rlogw + np.log(half)
+    return rho, lw if n == 1 else lw + (n - 1) * np.log(rho)
 
 
 def _blocks(sizes):  # consecutive slices of the given lengths
@@ -302,22 +303,21 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
                  what: str, label, settled=_log_rel_converged):
     """Double the order of a log-domain rule until every value settles.
 
-    ``one_pass(orders)`` returns a log value, or an array of them, for
-    each order in the tuple ``orders``, from one pass over all their
-    nodes; ``count(order)``, asked once per order and pass, is the number
-    of nodes (over all entries) of one order.  The order doubles from ``spec.order`` until
-    ``settled(cur, prev, tol)`` holds for the last two orders: by
+    ``one_pass(orders)`` returns a log value, or an array of them, for each
+    order in the tuple ``orders``, from one pass over all their nodes;
+    ``count(order)``, asked once per order and pass, is the number of nodes
+    (over all entries) of one order.  The order doubles from ``spec.order``
+    until ``settled(cur, prev, tol)`` holds for the last two orders: by
     default, until every entry changes by at most ``tol`` relative or two
     ulps.  A first order alone never settles that way, so the first pass
     runs orders o and 2o together while their joint work is at most
-    ``_BATCH_WORK``; a pass that carries its own error estimate may
-    settle on it alone, and runs one order at a time.
-    The one stop: a pass whose work, the larger of its node count and its
-    top order squared, exceeds ``MAX_NODES`` raises before it runs.  The
-    error names ``what``, the refused order, its work, the cap and
-    ``label(i)`` for the entry i that moved most in the last doubling,
-    and carries that entry's last two values, NaN for a pass that never
-    ran.
+    ``_BATCH_WORK``; a pass that carries its own error estimate may settle
+    on it alone, and runs one order at a time.  The one stop: a pass whose
+    work, the larger of its node count and its top order squared, exceeds
+    ``MAX_NODES`` raises before it runs.  The error names ``what``, the
+    refused order, its work, the cap and ``label(i)`` for the entry i that
+    moved most in the last doubling, and carries that entry's last two
+    values, NaN for a pass that never ran.
     """
     def batch(orders):  # the work of a pass over these orders
         return max(sum(map(count, orders)), orders[-1] ** 2)

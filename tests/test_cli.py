@@ -262,15 +262,14 @@ def test_far_out_kernel_exits_2_with_a_clean_stderr(capsys):
 def test_far_out_center_measures_zero_without_a_warning(capsys, center):
     # |c|^2 overflows but |c| does not: the admissible radius is 1/|c|,
     # and the log measure, about -|c|^2, is below float range; numpy must
-    # not warn on the way (pytest turns a RuntimeWarning into an error).
-    # |c| once read inf, so the radius was 0 and the command exited 2
+    # not warn on the way (pytest turns a RuntimeWarning into an error)
     assert run_cli(capsys, "gamma", "--center", center) == (
         0, "log_measure,measure\n-inf,0\n", "")
 
 
 def test_ball_through_the_origin_from_past_squared_overflow(capsys):
-    # B(1e155, 1e155) has the origin on its boundary: half the mass; |c|
-    # once read inf, which put the ball at an infinite distance (-inf,0)
+    # B(1e155, 1e155) has the origin on its boundary, so half the mass,
+    # though |c|^2 overflows
     assert run_cli(capsys, "gamma", "--center", "1e155", "--radius",
                    "1e155") == (
         0, "log_measure,measure\n-0.69314718055994529,0.5\n", "")
@@ -284,7 +283,7 @@ def test_ball_through_the_origin_from_past_squared_overflow(capsys):
 def test_far_out_center_kernel_form_exits_3_without_a_warning(capsys, argv):
     # the kernel is inf - inf at every polar node of a ball this far out:
     # NaN never settles, so the refinement stops at the work cap, within
-    # bounded time and without a warning (it exited 2 while |c| read inf)
+    # bounded time and without a warning
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 2.0

@@ -17,6 +17,7 @@ from mehler.geometry import (
     Annulus,
     Ball,
     FullSpace,
+    _norm,
     admissible_radius,
     as_point,
     is_admissible,
@@ -227,3 +228,17 @@ def test_every_region_site_refuses_bad_radii_before_a_pass(
                        match=re.escape("radii must satisfy 0 <= inner < "
                                        "outer < inf")):
         call()
+
+
+def test_norm_past_squared_overflow_stays_finite():
+    # |x|^2 overflows from about 1.34e154; rescaled by max |x_i| the norm
+    # stays finite, and ordinary norms keep their bits
+    assert _norm([3e154, 4e154]) == 5e154
+    assert _norm([1e155]) == 1e155
+    assert _norm([-1e300, 0.0, 1e300]) == math.sqrt(2.0) * 1e300
+    assert _norm([1.5e308, 1.5e308]) == math.inf  # |x| past range
+    rng = np.random.default_rng(9)
+    for x in rng.normal(scale=1e3, size=(20, 3)):
+        assert _norm(x) == float(np.linalg.norm(x))
+    assert admissible_radius([1e155]) == 1e-155
+

@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 from scipy.special import eval_hermite
 
+from mehler import kernel
 from mehler.geometry import Ball
 from mehler.kernel import (
     MAX_PANELS,
@@ -22,7 +23,11 @@ from mehler.kernel import (
     mehler_log,
     mehler_log_values,
 )
-from mehler.quadrature import QuadratureConvergenceError, QuadratureSpec
+from mehler.quadrature import (
+    QuadratureConvergenceError,
+    QuadratureSpec,
+    integrate_gamma_log,
+)
 
 
 def test_value_at_origin_pair():
@@ -142,6 +147,57 @@ def test_named_breakpoints_are_the_only_panels():
         assert len(calls) <= 100
         closed = apply_indicator_closed_log(t, a, b, y)
         assert abs(trans / math.exp(closed) - 1.0) <= 1e-10
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_form_keeps_the_bits_of_the_checked_kernel(n):
+    # the kernel-form route checks its inputs once and integrates the
+    # kernel body unchecked: the same bits as quadrature of the checked
+    # mehler_log_values, which runs those checks on every pass
+    rng = np.random.default_rng(40 + n)
+    for t, radius in ((0.05, 0.75), (0.7, 0.25), (2.0, 1.5)):
+        ball = Ball(rng.normal(size=n) * 2.0, radius)
+        y = ball.center + rng.normal(size=n) * radius
+        want = integrate_gamma_log(
+            lambda p: mehler_log_values(t, p, y[None]), ball)
+        got = apply_indicator_log(t, ball, y)
+        assert _bits(got.log_magnitude) == _bits(want.log_magnitude)
+
+
+def _gauss_kronrod_with_both_wheres(fv, half):
+    # QUADPACK's estimate as first written here, np.where on every call
+    resk = fv @ kernel._GK_WK
+    err = np.abs(resk - fv @ kernel._GK_WG) * half
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ kernel._GK_WK * half
+    ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    return resk * half, np.maximum(
+        kernel._ROUNDOFF * (np.abs(fv) @ kernel._GK_WK) * half, err)
+
+
+@pytest.mark.parametrize("panels", [1, 3, 40])
+@pytest.mark.parametrize("constant", [(), (0,), "all"])
+def test_gauss_kronrod_keeps_its_bits(panels, constant):
+    # the np.where pair runs only where some panel is constant (resasc 0,
+    # whose estimate stays |K - G|); every value keeps its bits, and the
+    # panel values are never written
+    rng = np.random.default_rng(panels)
+    fv = rng.normal(scale=3.0, size=(panels, 21)) * np.exp(
+        -rng.uniform(0.0, 4.0, size=(panels, 1)))
+    rows = range(panels) if constant == "all" else constant
+    for row in rows:  # constants that deviate from their mean by exactly 0
+        fv[row] = (0.0, 1.0, 0.25, 0.5)[row % 4]
+    half = rng.uniform(1e-3, 2.0, size=panels)
+    resasc = np.abs(fv - 0.5 * (fv @ kernel._GK_WK)[:, None]) @ kernel._GK_WK
+    assert list(np.flatnonzero(resasc == 0.0)) == list(rows)
+    kept = fv.copy()
+    got = kernel._gauss_kronrod(fv, half)
+    assert _bits(*got) == _bits(*_gauss_kronrod_with_both_wheres(fv, half))
+    assert _bits(fv) == _bits(kept)
 
 
 def test_translation_route_calls_f_once_per_pass():

@@ -257,6 +257,29 @@ def test_interval_measure_is_array_valued():
     assert log_gamma_interval(np.array([]), np.array([])).shape == (0,)
 
 
+@pytest.mark.parametrize("kind, a, b", [
+    ("straddling", [-0.5, -3.0, -1e-9, -math.inf], [0.25, 2.0, 1e-9, 4.0]),
+    ("off the origin", [0.5, -3.0, 2.0, -40.0], [0.75, -2.0, 2.0 + 1e-3,
+                                                   -39.0]),
+    ("mixed", [-0.5, 0.5, -3.0, -2.0], [0.25, 0.75, 2.0, -1.0])])
+def test_interval_batches_keep_each_entry_lone_bits(kind, a, b):
+    # where every span straddles the origin only the erf form runs, and
+    # returns at once; each entry keeps the bits it has alone, the
+    # straddling ones the erf form's, log((erf(b) + erf(-a)) / 2)
+    a, b = np.array(a), np.array(b)
+    got = log_gamma_interval(a, b)
+    assert [float(g) for g in got] == [log_gamma_interval(x, y)
+                                       for x, y in zip(a, b)]
+    straddle = (a < 0.0) & (b > 0.0)
+    erf_form = np.log(0.5 * (erf(b[straddle]) + erf(-a[straddle])))
+    assert got[straddle].tobytes() == erf_form.tobytes()
+    # a width broadcasts against the ends, whether or not all straddle
+    wide = log_gamma_interval(a[0], b[0], np.full(3, b[0] - a[0]))
+    assert wide.shape == (3,) and list(wide) == [got[0]] * 3
+    col = log_gamma_interval(a[:, None], b[:, None], np.ones(2))
+    assert col.shape == (4, 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_empty_batches_give_empty_results(n):
     # no centers, in any dimension: an empty result, no pass that fails

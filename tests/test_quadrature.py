@@ -9,7 +9,7 @@ from scipy.special import roots_hermite
 
 from mehler import measure, quadrature, selftest
 from mehler.geometry import Annulus, Ball, FullSpace
-from mehler.kernel import mehler_log_values
+from mehler.kernel import apply_indicator_log, mehler_log_values
 from mehler.lognum import log_sum_weighted
 from mehler.measure import log_gamma_ball, log_gamma_interval
 from mehler.quadrature import (
@@ -191,6 +191,72 @@ def test_polar_nodes_do_not_depend_on_call_history(n):
     lw[:] = 0.0
     got = quadrature._polar_nodes(center, 0.3, 0.9, n, 6)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _polar_nodes_order_by_order(center, r_inner, r_outer, n, *orders):
+    # the polar grid built one order at a time, the radial weight rho^{n-1}
+    # in every n: each order's block written by its own products
+    # rho x direction and sums of logs
+    rnodes, rlogw = quadrature._legendre_rules(*orders)
+    half = 0.5 * (r_outer - r_inner)
+    rho = half * rnodes + 0.5 * (r_outer + r_inner)
+    rlw = rlogw + np.log(half) + (n - 1) * np.log(rho)
+    sizes = [2 * order ** n for order in orders]
+    pts, lw = np.empty((sum(sizes), n)), np.empty(sum(sizes))
+    for order, at, block in zip(orders, quadrature._blocks(orders),
+                                quadrature._blocks(sizes)):
+        direction, dlw = quadrature._sphere_rule(n, order)
+        np.multiply(rho[at, None, None], direction,
+                    out=pts[block].reshape(order, -1, n))
+        np.add(rlw[at, None], dlw, out=lw[block].reshape(order, -1))
+    pts += center
+    lw -= (pts * pts).sum(axis=-1)
+    lw -= n * quadrature._LOG_SQRT_PI
+    return pts, lw
+
+
+@pytest.mark.parametrize("n, orders", [
+    (n, orders) for n in (1, 2, 3, 4)
+    for orders in ((5,), (16,), (2, 4), (4, 8), (8, 16), (16, 32))
+    if 2 * orders[-1] ** n <= 2 ** 17])
+@pytest.mark.parametrize("r_inner", [0.0, 0.3])
+def test_polar_nodes_keep_the_bits_of_one_order_at_a_time(n, orders,
+                                                          r_inner):
+    # a batch repeats its radial rule against a cached layout and a lone
+    # order broadcasts its sphere rule: the same floats meet in every
+    # product and sum, so every node and weight keeps its bits
+    center = np.random.default_rng(n).normal(size=n) * 3.0
+    want = _polar_nodes_order_by_order(center, r_inner, 0.9, n, *orders)
+    got = quadrature._polar_nodes(center, r_inner, 0.9, n, *orders)
+    assert all(_bits(g) == _bits(w) for g, w in zip(got, want))
+
+
+def test_polar_layouts_stay_small_and_their_cache_bounded(monkeypatch):
+    # only a batched first pass, at most _BATCH_WORK nodes, caches a
+    # layout; the later passes of an n = 2 kernel form that refines to
+    # order 128 (32,768 nodes) broadcast their sphere rules instead
+    layout, passes, sizes = quadrature._polar_layout, [], []
+    nodes = quadrature._polar_nodes
+
+    def recording_layout(n, *orders):
+        entry = layout(n, *orders)
+        sizes.append(entry[2].size)
+        return entry
+
+    def recording_nodes(center, r_inner, r_outer, n, *orders):
+        passes.append(orders)
+        return nodes(center, r_inner, r_outer, n, *orders)
+
+    layout.cache_clear()
+    monkeypatch.setattr(quadrature, "_polar_layout", recording_layout)
+    monkeypatch.setattr(quadrature, "_polar_nodes", recording_nodes)
+    apply_indicator_log(0.002, Ball(np.array([1.5, 0.0]), 0.75),
+                        np.array([1.5, 0.7]))
+    assert passes == [(16, 32), (64,), (128,)]
+    assert sizes == [2 * 16 ** 2 + 2 * 32 ** 2]
+    assert max(sizes) <= quadrature._BATCH_WORK
+    info = layout.cache_info()
+    assert info.currsize == 1 and info.maxsize is not None
 
 
 @pytest.mark.parametrize("order", [5, 16, 32])

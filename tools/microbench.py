@@ -8,8 +8,10 @@ fill about 20 ms).  Every repeat times all layers once, in an order
 rotated by one from the repeat before, so drift of a shared host lands on
 every layer alike; the median and the quartiles over the repeats of the
 time per call are printed in microseconds.  The inputs are fixed: a 1-D
-interval route at a criterion-3-like draw, the README ``hypercheck``
-and, on its own, that hypercheck's 2-D L^2 integral over the full space;
+interval route at a criterion-3-like draw (the erf closed form also on
+a span off the origin, where it takes its erfcx branch), the README
+``hypercheck`` and, on their own, that hypercheck's 2-D L^2 and 1-D L^p
+integrals over the full space;
 the ball measure on 1,024 translated balls of the README sweep at
 t = 0.5 in n = 2, 3 and 6 (the n = 2 balls' distances and radii also in
 n = 1, as intervals), and at t = 0.001 in n = 2, where the balls are
@@ -22,6 +24,9 @@ Chebyshev points and keeps about 21 of them; an n = 6 sweep at t = 0.5
 on [4, 30] x 8; and the n = 1 sweep of the
 benchmark's ``sweep-n1-deep`` part at t = 0.5, 27 points on [4.9, 30],
 where the per-row work around the quadrature shows.
+Two pieces of the n = 1 routes are timed alone: the polar nodes of the
+kernel form's first pass (orders 16 and 32) and QUADPACK's QK21 rule
+with its error estimate on 3 panels.
 The kernel-form route is timed three times: on that one interval,
 cycling through seeded criterion-3 draws, each with its own interval,
 as the benchmark's ``routes`` triples call it, and on the n = 3 ball
@@ -68,6 +73,10 @@ _S2 = np.sqrt(_ONE_MINUS)
 
 def _l2_integrand(pts):
     return HYPER[2] * (_ONE_PLUS * pts[:, 0] + _S2 * pts[:, 1])
+
+
+def _lp_integrand(pts):
+    return HYPER[1] * HYPER[2] * pts[:, 0]
 
 
 def _indicator(pts):
@@ -118,6 +127,8 @@ def layers():
     x = rng.normal(size=(64, 1))
     y = np.array([[0.3]])
     ball = Ball(np.array([0.5 * (A + B)]), 0.5 * (B - A))
+    panels = rng.normal(size=(3, 21))
+    halves = np.array([0.25, 0.5, 0.25])
     draws = itertools.cycle(list(_draws(rng, 64)))
     balls2, balls3 = _translated_balls(2), _translated_balls(3)
     balls6 = _translated_balls(6)
@@ -133,18 +144,28 @@ def layers():
          lambda: kernel.mehler_log_values(T, x, y)),
         ("kernel.apply_indicator_closed_log (erf)",
          lambda: kernel.apply_indicator_closed_log(T, A, B, Y)),
+        ("kernel.apply_indicator_closed_log (erf), span off the origin",
+         lambda: kernel.apply_indicator_closed_log(T, 1.0, 2.0, Y)),
+        ("quadrature._polar_nodes, n = 1, orders 16 and 32",
+         lambda: quadrature._polar_nodes(ball.center, 0.0, ball.radius, 1,
+                                         16, 32)),
         ("kernel.apply_indicator_log (kernel form)",
          lambda: kernel.apply_indicator_log(T, ball, np.array([Y]), SPEC)),
         ("kernel.apply_indicator_log (kernel form), distinct intervals",
          lambda: kernel.apply_indicator_log(*next(draws), SPEC)),
         ("kernel.apply_indicator_log (kernel form), n = 3, B(8e_1, 1/8)",
          lambda: kernel.apply_indicator_log(T, BALL3, Y3)),
+        ("kernel._gauss_kronrod, 3 panels",
+         lambda: kernel._gauss_kronrod(panels, halves)),
         ("kernel.apply_via_translation (QK21)",
          lambda: kernel.apply_via_translation(T, _indicator, np.array([Y]),
                                               SPEC, breakpoints=(A, B))),
         ("quadrature.integrate_gamma_log, FullSpace(2)",
          lambda: quadrature.integrate_gamma_log(_l2_integrand,
                                                 FullSpace(2))),
+        ("quadrature.integrate_gamma_log, FullSpace(1)",
+         lambda: quadrature.integrate_gamma_log(_lp_integrand,
+                                                FullSpace(1))),
         ("measure.log_gamma_ball, 1,024 translated balls, n = 1",
          lambda: log_gamma_ball(*balls2, 1)),
         ("measure.log_gamma_ball, 1,024 translated balls, n = 2",
