@@ -319,9 +319,10 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
     against the closed-form prediction 2/(e^t + 1) - 1 + (1/p - 1/q).
 
     All grid points run through one refinement of the axial rule; where
-    the work cap refuses it, each point runs alone, left to right.  Raises
-    SweepAborted, carrying the rows before it, if quadrature fails at a
-    single point or a row's log implied constant is not finite.
+    it stops unsettled (the work cap, a NaN pass), each point runs alone,
+    left to right.  Raises SweepAborted, carrying the rows before it, if
+    quadrature fails at a single point or a row's log implied constant is
+    not finite.
     """
     t = check_time(t)
     n = _as_index(n, 1, "dimension")
@@ -343,7 +344,7 @@ def sweep_blowup(hyp: OffDiagHypothesis, t: float, k: int, n: int, cB_grid,
 
 
 def _sweep_rows(hyp, t, k, n, norms, spec, rows) -> None:
-    # the whole grid in one refinement or, where the work cap refuses it,
+    # the whole grid in one refinement or, where it stops unsettled,
     # point by point: a failing point aborts with the rows before it
     try:
         lhs, lgB, implied = (column.tolist() for column in _implied_log(

@@ -28,8 +28,7 @@ estimate, every panel of a pass in one call of f), with the caller's
 ``breakpoints`` (the jumps of f) as its initial panel boundaries.  The
 kernel is evaluated only in log domain: the linear value overflows once
 the exponent passes ~709, and the blow-up experiments push exponents
-toward 900.  ``mehler_log_values`` and the kernel-form route share one
-body, whose inputs the route checks once per call, not once per pass.
+toward 900.  ``mehler_log_values`` and the kernel form share one body.
 """
 
 from __future__ import annotations
@@ -102,8 +101,9 @@ def apply_indicator_log(t: float, ball: Ball, y,
     Kernel-form route: log-domain quadrature of the Mehler kernel over
     the ball, on the polar nodes about its center.  A radius above 2^511,
     where the kernel at those nodes is inf - inf, raises ``ValueError``
-    before any pass runs.  Every pass evaluates the body of
-    ``mehler_log_values`` without its checks, which run once, here.
+    before any pass runs; a center or y past about 1.3e154 makes the
+    first pass NaN, which raises ``QuadratureConvergenceError``.  Every
+    pass runs the body of ``mehler_log_values``, checked once, here.
     """
     factors = _time_factors(check_time(t))
     yv = as_point(y)
@@ -164,16 +164,13 @@ def _gauss_kronrod(fv, half):
     """QK21 value and QUADPACK error estimate of each panel (row of fv)."""
     resk = fv @ _GK_WK
     err = np.abs(resk - fv @ _GK_WG) * half
-    # |K - G| scaled by the deviation of f from its mean on the panel (as
-    # is on a constant panel), then floored at the roundoff of its sum
-    dev = np.abs(fv - 0.5 * resk[:, None])
-    resasc = dev @ _GK_WK * half
-    every = (positive := resasc > 0.0).all()
-    ratio = 200.0 * err / (resasc if every else np.where(positive, resasc, 1.0))
-    ratio = resasc * np.minimum(1.0, ratio ** 1.5)
-    err = ratio if every else np.where(positive, ratio, err)
-    return resk * half, np.maximum(
-        _ROUNDOFF * (np.abs(fv, out=dev) @ _GK_WK) * half, err)
+    # |K - G| scaled by the deviation of f from its mean on the panel, then
+    # floored at the roundoff of the panel's sum
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WK * half
+    ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    return resk * half, np.maximum(_ROUNDOFF * (np.abs(fv) @ _GK_WK) * half,
+                                   err)
 
 
 def apply_via_translation(t: float, f, x, spec: QuadratureSpec | None = None,

@@ -55,18 +55,17 @@ def log_sum_weighted(log_values, log_weights=None, axis=None):
     maximum is not finite take the guarded path.  A finite maximum makes
     the largest term exp(0) = 1, so no sum is 0; a maximum of -inf (all
     terms zero, or no terms at all), +inf or NaN is the result as is.
-    The inputs are never written: what runs in place (the shift and exp
-    with weights, the exp over every entry) runs in arrays of this call.
+    The inputs are never written: along an axis with weights, the shift
+    and exp run in place in the array ``log_values + log_weights`` that
+    this call allocates.
     """
     a = np.asarray(log_values, dtype=float)
     if log_weights is not None:
         a = a + log_weights
     if axis is None:
         top = a.max(initial=-math.inf)
-        if not math.isfinite(top):
-            return float(top)
-        terms = np.subtract(a, top, out=None if log_weights is None else a)
-        return float(top + np.log(np.exp(terms, out=terms).sum()))
+        return float(top + np.log(np.exp(a - top).sum())
+                     if math.isfinite(top) else top)
     top = a.max(axis=axis, keepdims=True, initial=-math.inf)
     finite = np.isfinite(top)
     shift = top if finite.all() else np.where(finite, top, 0.0)

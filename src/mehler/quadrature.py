@@ -32,12 +32,13 @@ own.  A polar batch repeats its radial rule into a layout cached per
 3.2 MB, since two orders fit only up to n = 5); a lone order of any size
 broadcasts its cached sphere rule.  A pass whose work, the larger of its
 node count over the batch and its top order squared, exceeds
-``MAX_NODES`` is refused unbuilt, in any n (no rule tops order 1024):
-one error that carries the last two values of the entry that moved most.
-It drives ``integrate_gamma_log`` and ``integrate_axial_log`` here, the
-ball measure in ``measure`` and the number of interpolation points in
-``experiments``.  The default relative tolerance is 1e-8; only
-``QuadratureSpec(tol=)`` (the CLI's ``--tol``) changes it.
+``MAX_NODES`` is refused unbuilt, in any n (no rule tops order 1024),
+and a NaN pass stops the loop: one error that carries the last two
+values of the entry that moved most.  It drives ``integrate_gamma_log``
+and ``integrate_axial_log`` here, the ball measure in ``measure`` and
+the number of interpolation points in ``experiments``.  The default
+relative tolerance is 1e-8; only ``QuadratureSpec(tol=)`` (the CLI's
+``--tol``) changes it.
 """
 
 from __future__ import annotations
@@ -222,9 +223,8 @@ def _polar_layout(n: int, *orders: int):
 
 
 def _polar_nodes(center, r_inner: float, r_outer: float, n: int, *orders):
-    # the polar grid of each order, one block after another in one array;
-    # a batch takes its cached layout, a lone order its sphere rule, so no
-    # cache entry outgrows _BATCH_WORK nodes
+    # the polar grid of each order, one block after another in one array:
+    # a batch from its cached layout, a lone order from its sphere rule
     rho, rlw = _radial_rule(n, orders, r_inner, r_outer)
     if len(orders) == 1:
         direction, dlw = _sphere_rule(n, *orders)
@@ -264,14 +264,13 @@ def _axial_nodes(norms, r_inner, r_outer, n: int, *orders):
     return x, z, lw
 
 
-def _node_count(region, order: int):
-    # one order's node count over region, known before building it;
+def _node_count(n: int, per_point: int, order: int):
+    # one order's node count, per_point order^n, known before building it;
     # past 2^64, far over the cap, inf: the exact power of a large n
     # would cost time and memory and outgrow what str() prints
-    n = region.dim
     if n * math.log2(order) > 64:
         return math.inf
-    return order ** n if isinstance(region, FullSpace) else 2 * order ** n
+    return per_point * order ** n
 
 
 def _log_rel_converged(cur, prev, tol: float) -> bool:
@@ -303,21 +302,23 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
                  what: str, label, settled=_log_rel_converged):
     """Double the order of a log-domain rule until every value settles.
 
-    ``one_pass(orders)`` returns a log value, or an array of them, for each
-    order in the tuple ``orders``, from one pass over all their nodes;
-    ``count(order)``, asked once per order and pass, is the number of nodes
-    (over all entries) of one order.  The order doubles from ``spec.order``
-    until ``settled(cur, prev, tol)`` holds for the last two orders: by
+    ``one_pass(orders)`` returns a log value, or an array of them, for
+    each order in the tuple ``orders``, from one pass over all their
+    nodes, and ``count(order)`` is the number of nodes (over all entries)
+    of one order.  The order doubles from ``spec.order`` until
+    ``settled(cur, prev, tol)`` holds for the last two orders: by
     default, until every entry changes by at most ``tol`` relative or two
     ulps.  A first order alone never settles that way, so the first pass
     runs orders o and 2o together while their joint work is at most
-    ``_BATCH_WORK``; a pass that carries its own error estimate may settle
-    on it alone, and runs one order at a time.  The one stop: a pass whose
-    work, the larger of its node count and its top order squared, exceeds
-    ``MAX_NODES`` raises before it runs.  The error names ``what``, the
-    refused order, its work, the cap and ``label(i)`` for the entry i that
-    moved most in the last doubling, and carries that entry's last two
-    values, NaN for a pass that never ran.
+    ``_BATCH_WORK``; a pass that carries its own error estimate may
+    settle on it alone, and runs one order at a time.
+    Two stops: a pass whose work, the larger of its node count and its
+    top order squared, exceeds ``MAX_NODES`` raises before it runs, and
+    a pass with a NaN value, which never settles, raises after it.  The
+    error names ``what``, the refused order, its work and the cap (or the
+    NaN order), ``label(i)`` for the entry i that moved most in the last
+    doubling (a NaN first), and carries that entry's last two values, NaN
+    for a pass that never ran.
     """
     def batch(orders):  # the work of a pass over these orders
         return max(sum(map(count, orders)), orders[-1] ** 2)
@@ -332,15 +333,20 @@ def _refine_each(one_pass, count, spec: QuadratureSpec, tol: float,
         prev, cur = (cur, *one_pass(orders))[-2:]
         if settled(cur, prev, tol):
             return cur
+        if np.isnan(cur).any():  # never settles: stop now, not at the cap
+            reason = f"the pass at order {orders[-1]} is NaN"
+            break
         orders = (2 * orders[-1],)
         work = batch(orders)
-    (order,) = orders
-    reason = (f"refinement would build {count(order)} nodes at order "
-              f"{order} (order^2 = {order * order}), above the cap of "
-              f"{MAX_NODES}")
+    else:
+        (order,) = orders
+        reason = (f"refinement would build {count(order)} nodes at order "
+                  f"{order} (order^2 = {order * order}), above the cap of "
+                  f"{MAX_NODES}")
     prev, cur = (np.ravel(a) for a in np.broadcast_arrays(prev, cur))
+    nan = np.isnan(cur)  # a NaN entry counts as the one that moved most
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
-        worst = int(np.argmax(np.abs(cur - prev)))
+        worst = int(np.argmax(nan if nan.any() else np.abs(cur - prev)))
     last_two = (float(prev[worst]), float(cur[worst]))
     raise QuadratureConvergenceError(
         f"{what}: {reason}, {label(worst)}; last two log values {last_two}",
@@ -357,9 +363,8 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     ----------
     f_log : callable
         Maps an (m, n) array of points, every order's nodes of one pass,
-        to an (m,) array of log-integrand values, summed per order (each
-        order's node count computed once); ``-inf`` marks points where
-        the integrand vanishes.  It must not write into the points:
+        to an (m,) array of log-integrand values, summed per order;
+        ``-inf`` marks points where the integrand vanishes.  It must not write into the points:
         full-space grids are read-only and shared between calls.
     region : Ball | Annulus | FullSpace
         Integration domain, in any dimension n >= 1.
@@ -374,32 +379,29 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     QuadratureConvergenceError
         When the next pass would do more than ``MAX_NODES`` work, the
         larger of its node count and order^2, before the relative change
-        falls below ``tol``.  The message names n, the refused order,
-        the cap and the region; ``last_two`` holds the last two
-        iterates, NaN for a pass that never ran.
+        falls below ``tol``, or a pass is NaN.  The message names n, the
+        refused order and the cap (or the NaN order) and the region;
+        ``last_two`` holds the last two iterates, NaN for a pass that
+        never ran.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    if isinstance(region, FullSpace):
+    if isinstance(region, FullSpace):  # a grid of order^n points
         nodes = partial(_fullspace_nodes, region.dim)
-    elif isinstance(region, (Ball, Annulus)):
+        count = partial(_node_count, region.dim, 1)
+    elif isinstance(region, (Ball, Annulus)):  # order radii x 2 order^(n-1)
         nodes = partial(_polar_nodes, region.center, region.inner_radius,
                         region.outer_radius, region.dim)
+        count = partial(_node_count, region.dim, 2)
     else:
         raise TypeError(f"cannot integrate over {type(region).__name__}")
-    sizes = {}  # each order's node count, counted once
-
-    def count(order):
-        sizes[order] = _node_count(region, order)
-        return sizes[order]
 
     def one_pass(orders):  # one call of f_log, one sum per order
         pts, lw = nodes(*orders)
         vals = np.asarray(f_log(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
             raise ValueError("f_log must return one log value per point")
-        values = ([log_sum_weighted(vals, lw)] if len(orders) == 1 else
-                  [log_sum_weighted(vals[at], lw[at])
-                   for at in _blocks(map(sizes.get, orders))])
+        values = [log_sum_weighted(vals[at], lw[at])
+                  for at in _blocks(map(count, orders))]
         if history is not None:
             history.extend(zip(orders, values))
         return values

@@ -275,19 +275,20 @@ def test_ball_through_the_origin_from_past_squared_overflow(capsys):
         0, "log_measure,measure\n-0.69314718055994529,0.5\n", "")
 
 
-@pytest.mark.parametrize("argv", [
-    ["apply", "--t", "0.5", "--center", "1e160", "--y", "0"],
-    ["apply", "--t", "0.5", "--center", "1e160,0", "--y", "0,0"],
-    ["apply", "--t", "0.5", "--center", "0,0,1e160", "--y", "0,0,0"],
+@pytest.mark.parametrize("center, y, order", [
+    ("1e160", "0", 32), ("1e160,0", "0,0", 32), ("0,0,1e160", "0,0,0", 16),
+    ("8", "1e160", 32),
 ])
-def test_far_out_center_kernel_form_exits_3_without_a_warning(capsys, argv):
-    # the kernel is inf - inf at every polar node of a ball this far out:
-    # NaN never settles, so the refinement stops at the work cap, within
-    # bounded time and without a warning
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv)
-    assert time.perf_counter() - start < 2.0
+def test_far_out_kernel_form_stops_at_its_first_nan_pass(capsys, center, y,
+                                                         order):
+    # the kernel is inf - inf at every polar node of a ball this far out,
+    # or with y this far out: NaN never settles, so the refinement stops
+    # after its first pass (orders 16 and 32 batched, 16 alone in n = 3),
+    # without a warning
+    code, out, err = run_cli(capsys, "apply", "--t", "0.5", "--center",
+                             center, "--y", y)
     assert (code, out) == (3, "")
+    assert f": the pass at order {order} is NaN, over Ball(" in err
     assert err.endswith("last two log values (nan, nan)\n")
 
 

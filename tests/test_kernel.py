@@ -168,8 +168,8 @@ def test_kernel_form_keeps_the_bits_of_the_checked_kernel(n):
         assert _bits(got.log_magnitude) == _bits(want.log_magnitude)
 
 
-def _gauss_kronrod_with_both_wheres(fv, half):
-    # QUADPACK's estimate as first written here, np.where on every call
+def _gauss_kronrod_written_out(fv, half):
+    # QUADPACK's value and estimate, formula by formula, as the reference
     resk = fv @ kernel._GK_WK
     err = np.abs(resk - fv @ kernel._GK_WG) * half
     resasc = np.abs(fv - 0.5 * resk[:, None]) @ kernel._GK_WK * half
@@ -182,9 +182,9 @@ def _gauss_kronrod_with_both_wheres(fv, half):
 @pytest.mark.parametrize("panels", [1, 3, 40])
 @pytest.mark.parametrize("constant", [(), (0,), "all"])
 def test_gauss_kronrod_keeps_its_bits(panels, constant):
-    # the np.where pair runs only where some panel is constant (resasc 0,
-    # whose estimate stays |K - G|); every value keeps its bits, and the
-    # panel values are never written
+    # ordinary panels and constant ones (resasc 0, whose estimate stays
+    # |K - G|), alone and mixed: every value keeps the bits of the written
+    # out formula, and the panel values are never written
     rng = np.random.default_rng(panels)
     fv = rng.normal(scale=3.0, size=(panels, 21)) * np.exp(
         -rng.uniform(0.0, 4.0, size=(panels, 1)))
@@ -196,7 +196,7 @@ def test_gauss_kronrod_keeps_its_bits(panels, constant):
     assert list(np.flatnonzero(resasc == 0.0)) == list(rows)
     kept = fv.copy()
     got = kernel._gauss_kronrod(fv, half)
-    assert _bits(*got) == _bits(*_gauss_kronrod_with_both_wheres(fv, half))
+    assert _bits(*got) == _bits(*_gauss_kronrod_written_out(fv, half))
     assert _bits(fv) == _bits(kept)
 
 

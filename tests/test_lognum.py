@@ -127,6 +127,16 @@ def test_log_sum_weighted_never_writes_its_inputs(axis, weighted):
     _assert_same_bits(weights, kept[1])
 
 
+@pytest.mark.parametrize("value", [3.0, np.float64(1.0), -0.0, -_INF, _INF,
+                                   _NAN, np.array(2.5)])
+@pytest.mark.parametrize("weight", [None, 0.5, np.array(-1.0)])
+def test_log_sum_weighted_of_one_scalar_term(value, weight):
+    # 0-d input sums one term: a float, with the bits of the formula
+    got = log_sum_weighted(value, weight)
+    assert type(got) is float
+    _assert_same_bits(got, _reference_log_sum(value, weight))
+
+
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
 @pytest.mark.parametrize("axis", [None, -1, 0])
 def test_log_sum_weighted_of_nothing_is_zero(shape, axis):

@@ -1,6 +1,7 @@
 """Log-domain quadrature engine: exactness, stability, refinement."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -119,6 +120,33 @@ def test_refinement_work_is_capped_before_allocation():
     assert math.isfinite(prev) and math.isfinite(cur) and prev != cur
     assert "Ball(center=[0.5, 0.0, 0.0], radius=1.0)" in message
     assert f"last two log values ({prev!r}, {cur!r})" in message
+
+
+def test_refinement_stops_at_the_first_nan_pass():
+    # NaN never settles, so the loop stops after the pass that gives it,
+    # not at the work cap, and names the NaN entry, whatever moved before
+    sizes = []
+
+    def nan_far_out(pts):
+        sizes.append(len(pts))
+        return np.where(pts[:, 0] > 0.5, np.nan, 0.0)
+
+    with pytest.raises(QuadratureConvergenceError, match=re.escape(
+            "integral in n = 2: the pass at order 32 is NaN, over Ball(")
+            ) as err:
+        integrate_gamma_log(nan_far_out, Ball([0.6, 0.0], 0.5))
+    assert sizes == [2 * 16 ** 2 + 2 * 32 ** 2]  # one batched pass
+    assert all(math.isnan(v) for v in err.value.last_two)
+    # along an array the error names the entry that went NaN, here the
+    # second of three; a lone first pass compares with NaN everywhere
+    for base in (4, 512):
+        with pytest.raises(QuadratureConvergenceError,
+                           match="at order .* is NaN, entry 1;") as err:
+            quadrature._refine_each(
+                lambda orders: [np.array([-1.0 / o, np.nan, 2.0])
+                                for o in orders],
+                lambda order: 3 * order, QuadratureSpec(order=base), 1e-8,
+                "test rule", lambda i: f"entry {i}")
 
 
 def test_engine_refuses_other_regions_and_misshapen_integrands():
