@@ -11,9 +11,10 @@ hypercheck contraction ratio, closed form vs quadrature
 selftest   run the built-in invariant suite
 
 CSV is the primary output (17 significant digits, ``#`` comment lines,
-LF endings); ``--format json`` mirrors the same fields.  Exit codes:
-0 success, 2 invalid parameters, 3 numerical non-convergence.  The
-relative tolerance is 1e-8 unless ``--tol`` sets it.
+LF endings); ``--format json`` mirrors the same fields, a non-finite
+float as the string CSV prints for it ("nan", "inf" or "-inf").  Exit
+codes: 0 success, 2 invalid parameters, 3 numerical non-convergence.
+The relative tolerance is 1e-8 unless ``--tol`` sets it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -90,12 +92,30 @@ def _emit(args, text: str):
             fh.write(text)
 
 
+def _json_safe(value):
+    # JSON has no NaN or infinity (RFC 8259): a non-finite float goes as
+    # the string CSV prints for it, "nan", "inf" or "-inf"; null stays
+    # the linear columns' "not representable"
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+def _emit_json(args, payload: dict):
+    _emit(args, json.dumps(_json_safe(payload), indent=2, allow_nan=False)
+          + "\n")
+
+
 def _emit_table(args, header: list[str], rows: list[list],
                 comments: list[str], extras: dict | None = None):
     if args.format == "json":
         payload = {"rows": [dict(zip(header, row)) for row in rows]}
         payload.update(extras or {})
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
         return
     lines = [",".join(header)]
     for row in rows:
@@ -113,7 +133,7 @@ def _linear_or_none(value: LogNumber):
 def _scalar_output(args, fields: dict, comments=(),
                    extras: dict | None = None):
     if args.format == "json":
-        _emit(args, json.dumps({**fields, **(extras or {})}, indent=2) + "\n")
+        _emit_json(args, {**fields, **(extras or {})})
         return
     row = ",".join("" if v is None else (_fmt(v) if isinstance(v, float) else str(v))
                    for v in fields.values())

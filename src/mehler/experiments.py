@@ -440,10 +440,11 @@ def _classify(p: float, q: float, t: float) -> RegimeCell:
 def regime_map(p_grid, q_grid, t_grid) -> RegimeMap:
     """Classify every (p, q, t) cell of the given grids.
 
-    Cells violating 1 <= p < q < inf or t > 0 are skipped with a reason;
-    a NaN or infinite p or t raises ``ValueError``.  fails_restricted
-    applies exactly when t < failure_threshold(p, q); holds_unrestricted
-    only for q = 2 with p in (1 + e^{-2t}, 2].
+    Cells violating 1 <= p < q < inf or t > 0 are skipped with a reason
+    (q = inf among them); a NaN or infinite p or t, or a NaN q, raises
+    ``ValueError``.  fails_restricted applies exactly when
+    t < failure_threshold(p, q); holds_unrestricted only for q = 2 with
+    p in (1 + e^{-2t}, 2].
     """
     cells: list[RegimeCell] = []
     skipped: list[tuple[float, float, float, str]] = []
@@ -452,6 +453,8 @@ def regime_map(p_grid, q_grid, t_grid) -> RegimeMap:
             for t_raw in t_grid:
                 p, q, t = float(p_raw), float(q_raw), float(t_raw)
                 as_point([p, t])  # refuses NaN and inf
+                if math.isnan(q):  # it fails every test of a skip reason
+                    raise ValueError("q must not be NaN")
                 if not t > 0.0:
                     skipped.append((p, q, t, "t <= 0"))
                 elif not p >= 1.0:

@@ -27,18 +27,18 @@ or, for a pass that carries its own error estimate, until that meets it.
 Under the two-value test a small first pass batches orders o and 2o:
 each order's nodes fill their own block of one array, then one integrand
 call and one sum per order, so each value has the bits of a pass of its
-own.  A polar batch repeats its radial rule into a layout cached per
-(n, orders), of at most ``_BATCH_WORK`` nodes (16 entries, at most
-3.2 MB, since two orders fit only up to n = 5); a lone order of any size
-broadcasts its cached sphere rule.  A pass whose work, the larger of its
-node count over the batch and its top order squared, exceeds
-``MAX_NODES`` is refused unbuilt, in any n (no rule tops order 1024),
-and a NaN pass stops the loop: one error that carries the last two
-values of the entry that moved most.  It drives ``integrate_gamma_log``
-and ``integrate_axial_log`` here, the ball measure in ``measure`` and
-the number of interpolation points in ``experiments``.  The default
-relative tolerance is 1e-8; only ``QuadratureSpec(tol=)`` (the CLI's
-``--tol``) changes it.
+own.  One order is a batch of one: in n = 1 a polar pass of any orders
+is one broadcast of the shared sphere rule {-1, +1} over their joined
+radial nodes, and in n >= 2 each order's polar block, as each order's
+axial block in every n, is written in place into one array.  A pass
+whose work, the larger of its node count over the batch and its top
+order squared, exceeds ``MAX_NODES`` is refused unbuilt, in any n (no
+rule tops order 1024), and a NaN pass stops the loop: one error that
+carries the last two values of the entry that moved most.  It drives
+``integrate_gamma_log`` and ``integrate_axial_log`` here, the ball
+measure in ``measure`` and the number of interpolation points in
+``experiments``.  The default relative tolerance is 1e-8; only
+``QuadratureSpec(tol=)`` (the CLI's ``--tol``) changes it.
 """
 
 from __future__ import annotations
@@ -181,10 +181,7 @@ def _sphere_rule(n: int, order: int):
 
 @lru_cache(maxsize=32)
 def _legendre_rules(*orders: int):
-    # the Gauss-Legendre rules of the given orders, one after another: a
-    # lone order's is its cached rule itself
-    if len(orders) == 1:
-        return _legendre_rule(*orders)
+    # the Gauss-Legendre rules of the given orders, one after another
     nodes, logw = map(np.concatenate, zip(*map(_legendre_rule, orders)))
     nodes.setflags(write=False)
     logw.setflags(write=False)
@@ -209,31 +206,25 @@ def _blocks(sizes):  # consecutive slices of the given lengths
         yield slice(stop - size, stop)
 
 
-@lru_cache(maxsize=16)
-def _polar_layout(n: int, *orders: int):
-    # each radial node's repeat count, and its order's sphere rule per node
-    rules = [_sphere_rule(n, order) for order in orders]
-    counts = np.repeat([lw.size for _, lw in rules], orders)
-    direction, dlw = (np.concatenate(blocks) for blocks in zip(*(
-        (np.tile(d, (order, 1)), np.tile(lw, order))
-        for order, (d, lw) in zip(orders, rules))))
-    for a in (counts, direction, dlw):
-        a.setflags(write=False)
-    return counts, direction, dlw
-
-
 def _polar_nodes(center, r_inner: float, r_outer: float, n: int, *orders):
     # the polar grid of each order, one block after another in one array:
-    # a batch from its cached layout, a lone order from its sphere rule
+    # in n = 1 every order's sphere rule is S^0 = {-1, +1}, so one
+    # broadcast over the joined radial nodes; in n >= 2 each order's block
+    # written in place
     rho, rlw = _radial_rule(n, orders, r_inner, r_outer)
-    if len(orders) == 1:
-        direction, dlw = _sphere_rule(n, *orders)
+    if n == 1:
+        direction, dlw = _sphere_rule(n, orders[0])
         pts = (rho[:, None, None] * direction).reshape(-1, n)
         lw = (rlw[:, None] + dlw).reshape(-1)
     else:
-        counts, direction, dlw = _polar_layout(n, *orders)
-        pts = np.repeat(rho, counts)[:, None] * direction
-        lw = np.repeat(rlw, counts) + dlw
+        rules = [_sphere_rule(n, order) for order in orders]
+        sizes = [order * dlw.size for order, (_, dlw) in zip(orders, rules)]
+        pts, lw = np.empty((sum(sizes), n)), np.empty(sum(sizes))
+        for order, at, block, (direction, dlw) in zip(
+                orders, _blocks(orders), _blocks(sizes), rules):
+            np.multiply(rho[at, None, None], direction,
+                        out=pts[block].reshape(order, -1, n))
+            np.add(rlw[at, None], dlw, out=lw[block].reshape(order, -1))
     pts += center
     with np.errstate(over="ignore"):  # |y|^2 past float range: weight 0
         lw -= (pts * pts).sum(axis=-1)
@@ -364,8 +355,9 @@ def integrate_gamma_log(f_log, region, spec: QuadratureSpec | None = None,
     f_log : callable
         Maps an (m, n) array of points, every order's nodes of one pass,
         to an (m,) array of log-integrand values, summed per order;
-        ``-inf`` marks points where the integrand vanishes.  It must not write into the points:
-        full-space grids are read-only and shared between calls.
+        ``-inf`` marks points where the integrand vanishes.  It must not
+        write into the points: full-space grids are read-only and shared
+        between calls.
     region : Ball | Annulus | FullSpace
         Integration domain, in any dimension n >= 1.
     spec : QuadratureSpec, optional

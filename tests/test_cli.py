@@ -349,6 +349,21 @@ def test_regime_with_a_non_finite_end_exits_2_without_a_warning(capsys, end):
                    "point coordinates must be finite\n")
 
 
+def test_regime_with_a_nan_q_exits_2(capsys):
+    # NaN fails every skip test, so it was once skipped as "q <= p"
+    code, out, err = run_cli(capsys, *_REGIME, "--qfixed=nan")
+    assert (code, out) == (2, "")
+    assert err == "mehler: invalid parameters: q must not be NaN\n"
+
+
+def test_regime_with_an_infinite_q_skips_the_cell(capsys):
+    code, out, err = run_cli(capsys, *_REGIME, "--qfixed=inf", "--psteps=1",
+                             "--tsteps=1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "# skipped p=1.05 q=inf t=0.10000000000000001: q = inf"]
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--center", "8"],
     ["apply", "--t", "0.5", "--center", "8", "--y", "8.5"],
@@ -592,6 +607,74 @@ def test_readme_cli_example_exits_0(command, capsys):
     code, out, err = run_cli(capsys, *command[1:])
     assert code == 0, err
     assert out == GOLDEN[" ".join(command[1:])]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"not JSON (RFC 8259): {token}")
+
+
+def _strict_json(text):
+    # json.loads accepts NaN, Infinity and -Infinity; jq and JSON.parse
+    # do not
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+_NON_FINITE = [
+    ["gamma", "--center", "1e155"],
+    ["kernel", "--t", "1", "--x", "1e200", "--y", "1e200"],
+    ["sweep", "--t", "1.0986122886681098", "--p", "1", "--q", "2", "--cmin",
+     "4", "--cmax", "12", "--steps", "5"],  # t = t*: the slope's rel_err
+    ["regime", "--qfixed", "inf", "--pmin", "1.5", "--pmax", "1.5",
+     "--psteps", "1", "--tmin", "1", "--tmax", "1", "--tsteps", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *(c[1:] for c in _readme_cli_commands() if c[1] != "selftest"),
+    *_NON_FINITE,
+], ids=" ".join)
+def test_json_output_parses_strictly(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    _strict_json(out)
+
+
+@pytest.mark.parametrize("argv, field, token", [
+    (_NON_FINITE[2], lambda payload: payload["rel_err"], "nan"),
+    (_NON_FINITE[3], lambda payload: payload["skipped"][0]["q"], "inf"),
+], ids=["sweep rel_err", "regime skipped q"])
+def test_table_json_spells_a_non_finite_value_as_csv_does(capsys, argv,
+                                                          field, token):
+    # the scalar subcommands' cases are in test_scalar_json_mirrors_csv
+    _, csv, _ = run_cli(capsys, *argv)
+    assert token in re.split(r"[,=\s]", csv)
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert field(_strict_json(out)) == token
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--t", "1", "--x", "0.5", "--y", "-0.25"],
+    ["kernel", "--t", "0.1", "--x", "30", "--y", "30"],  # linear: null
+    _NON_FINITE[1],
+    ["gamma", "--center", "8"],
+    ["gamma", "--center", "5", "--k", "1"],
+    _NON_FINITE[0],
+    ["apply", "--t", "0.5", "--center", "8", "--y", "8.5"],
+    ["apply", "--t", "0.5", "--center", "3,4", "--y", "3.1,4.1"],
+], ids=" ".join)
+def test_scalar_json_mirrors_csv(capsys, argv):
+    # every CSV column is a JSON field: a number with the same value, the
+    # same non-finite token, or null for an empty (unrepresentable) cell
+    _, csv, _ = run_cli(capsys, *argv)
+    header, row = csv.splitlines()
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = _strict_json(out)
+    assert list(payload) == header.split(",")
+    for value, token in zip(payload.values(), row.split(",")):
+        if value is None or isinstance(value, str):
+            assert value == (token or None)
+        else:
+            assert value == float(token)
 
 
 def test_one_parser_serves_calls_in_sequence(tmp_path, capsys, monkeypatch):

@@ -729,6 +729,14 @@ class TestRegimeMap:
         assert reasons == {"t <= 0", "p < 1", "q <= p"}
         assert len(result.cells) + len(result.skipped) == 8
 
+    def test_nan_q_refused_and_infinite_q_skipped(self):
+        # NaN fails every skip test, so it was once skipped as "q <= p"
+        with pytest.raises(ValueError, match="q must not be NaN"):
+            regime_map([1.5], [math.nan], [1.0])
+        result = regime_map([1.5], [math.inf], [1.0])
+        assert result.cells == ()
+        assert result.skipped == ((1.5, math.inf, 1.0, "q = inf"),)
+
     @pytest.mark.parametrize("p, t", [(math.nan, 1.0), (math.inf, 1.0),
                                       (1.5, math.nan), (1.5, math.inf)])
     def test_non_finite_p_or_t_is_refused(self, p, t):

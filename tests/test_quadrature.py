@@ -259,32 +259,23 @@ def test_polar_nodes_keep_the_bits_of_one_order_at_a_time(n, orders,
     assert all(_bits(g) == _bits(w) for g, w in zip(got, want))
 
 
-def test_polar_layouts_stay_small_and_their_cache_bounded(monkeypatch):
-    # only a batched first pass, at most _BATCH_WORK nodes, caches a
-    # layout; the later passes of an n = 2 kernel form that refines to
-    # order 128 (32,768 nodes) broadcast their sphere rules instead
-    layout, passes, sizes = quadrature._polar_layout, [], []
-    nodes = quadrature._polar_nodes
-
-    def recording_layout(n, *orders):
-        entry = layout(n, *orders)
-        sizes.append(entry[2].size)
-        return entry
+def test_an_n2_kernel_form_batches_only_its_first_pass(monkeypatch):
+    # only the first pass, at most _BATCH_WORK nodes, runs two orders; the
+    # later passes of an n = 2 kernel form that refines to order 128
+    # (32,768 nodes) run one order each
+    passes, sizes, nodes = [], [], quadrature._polar_nodes
 
     def recording_nodes(center, r_inner, r_outer, n, *orders):
         passes.append(orders)
-        return nodes(center, r_inner, r_outer, n, *orders)
+        pts, lw = nodes(center, r_inner, r_outer, n, *orders)
+        sizes.append(lw.size)
+        return pts, lw
 
-    layout.cache_clear()
-    monkeypatch.setattr(quadrature, "_polar_layout", recording_layout)
     monkeypatch.setattr(quadrature, "_polar_nodes", recording_nodes)
     apply_indicator_log(0.002, Ball(np.array([1.5, 0.0]), 0.75),
                         np.array([1.5, 0.7]))
     assert passes == [(16, 32), (64,), (128,)]
-    assert sizes == [2 * 16 ** 2 + 2 * 32 ** 2]
-    assert max(sizes) <= quadrature._BATCH_WORK
-    info = layout.cache_info()
-    assert info.currsize == 1 and info.maxsize is not None
+    assert sizes[0] == 2 * 16 ** 2 + 2 * 32 ** 2 <= quadrature._BATCH_WORK
 
 
 @pytest.mark.parametrize("order", [5, 16, 32])
